@@ -93,6 +93,11 @@ func (a ParamAxis) validate() error {
 	if a.Set == nil {
 		return fmt.Errorf("mobisense: axis %q has no setter", a.Name)
 	}
+	for _, v := range a.Values {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("mobisense: axis %q has non-finite value %v", a.Name, v)
+		}
+	}
 	if a.Integer {
 		for _, v := range a.Values {
 			if math.Trunc(v) != v {

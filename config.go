@@ -2,6 +2,7 @@ package mobisense
 
 import (
 	"fmt"
+	"math"
 
 	"mobisense/internal/baseline"
 	"mobisense/internal/core"
@@ -193,7 +194,26 @@ func (c Config) validate() error {
 	if err := c.Trace.validate(); err != nil {
 		return err
 	}
+	// Non-positive resolutions select the default; only the rest of the
+	// range is checked by Params.Validate.
+	if math.IsInf(c.CoverageRes, -1) {
+		return fmt.Errorf("mobisense: coverage resolution %v must be finite", c.CoverageRes)
+	}
+	if c.CPVF != nil {
+		if _, ok := oscillationModes[c.CPVF.Oscillation]; !ok {
+			return fmt.Errorf("mobisense: unknown CPVF oscillation mode %q (want none, one-step or two-step)", c.CPVF.Oscillation)
+		}
+	}
 	return c.params().Validate()
+}
+
+// oscillationModes maps the CPVFOptions.Oscillation names (§6.3) to the
+// scheme's modes; the empty string means none.
+var oscillationModes = map[string]cpvf.OscMode{
+	"":         cpvf.OscNone,
+	"none":     cpvf.OscNone,
+	"one-step": cpvf.OscOneStep,
+	"two-step": cpvf.OscTwoStep,
 }
 
 // estimatorFor returns the coverage estimator for this config's field,
@@ -236,14 +256,7 @@ func (c Config) params() core.Params {
 func (c Config) cpvfConfig() cpvf.Config {
 	cfg := cpvf.DefaultConfig()
 	if o := c.CPVF; o != nil {
-		switch o.Oscillation {
-		case "", "none":
-			cfg.Oscillation = cpvf.OscNone
-		case "one-step":
-			cfg.Oscillation = cpvf.OscOneStep
-		case "two-step":
-			cfg.Oscillation = cpvf.OscTwoStep
-		}
+		cfg.Oscillation = oscillationModes[o.Oscillation]
 		if o.Delta > 0 {
 			cfg.Delta = o.Delta
 		}

@@ -14,33 +14,62 @@ import (
 // verifying the schemes' connectivity guarantee, and for the "Disconn."
 // labels of Figure 10.
 func UnitDiskReachable(positions []geom.Vec, base geom.Vec, radius float64) []bool {
+	var r reachSearch
+	reached := r.run(positions, base, radius)
+	if r.idx != nil {
+		r.idx.Release()
+	}
+	return reached
+}
+
+// reachSearch is the reusable state of a unit-disk reachability search;
+// a world keeps one so per-sample connectivity checks allocate nothing.
+type reachSearch struct {
+	idx     *spatial.Index
+	reached []bool
+	queue   []int
+}
+
+// run computes UnitDiskReachable into the search's buffers; the returned
+// mask is valid until the next run. Only unreached nodes are indexed, and
+// each is removed as the search reaches it, so no query rescans a node
+// already visited. The reachable set is the closure of the adjacency
+// relation from the base and does not depend on visit order.
+func (r *reachSearch) run(positions []geom.Vec, base geom.Vec, radius float64) []bool {
 	n := len(positions)
-	reached := make([]bool, n)
 	if n == 0 {
-		return reached
+		return []bool{}
 	}
-	idx := spatial.NewBounded(radius, boundsOf(positions), n)
-	defer idx.Release()
-	for i, p := range positions {
-		idx.Insert(i, p)
+	r.reached = resize(r.reached, n)
+	reached := r.reached
+	clear(reached)
+	if r.idx == nil {
+		r.idx = spatial.NewBounded(radius, boundsOf(positions), n)
+	} else {
+		r.idx.Reset(radius, boundsOf(positions))
 	}
-	queue := make([]int, 0, n)
+	if cap(r.queue) < n {
+		r.queue = make([]int, 0, n)
+	}
+	queue := r.queue[:0]
 	for i, p := range positions {
 		if p.WithinDist(base, radius) {
 			reached[i] = true
 			queue = append(queue, i)
+		} else {
+			r.idx.Insert(i, p)
 		}
 	}
 	for len(queue) > 0 {
 		cur := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		idx.ForNeighbors(positions[cur], radius, func(j int, _ geom.Vec) {
-			if !reached[j] {
-				reached[j] = true
-				queue = append(queue, j)
-			}
-		})
+		k := len(queue)
+		queue = r.idx.TakeWithin(positions[cur], radius, queue)
+		for _, j := range queue[k:] {
+			reached[j] = true
+		}
 	}
+	r.queue = queue
 	return reached
 }
 

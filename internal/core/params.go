@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"mobisense/internal/geom"
 )
@@ -68,26 +69,31 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate reports whether the parameters are usable.
+// Validate reports whether the parameters are usable. Every real-valued
+// parameter must be finite: NaN fails any ordered comparison, so each
+// range test is written to pass only for values inside the range.
 func (p Params) Validate() error {
 	switch {
 	case p.N <= 0:
 		return fmt.Errorf("core: N = %d, must be positive", p.N)
-	case p.Rc <= 0 || p.Rs <= 0:
-		return fmt.Errorf("core: ranges rc=%v rs=%v must be positive", p.Rc, p.Rs)
-	case p.Speed <= 0:
-		return fmt.Errorf("core: speed %v must be positive", p.Speed)
-	case p.Period <= 0:
-		return fmt.Errorf("core: period %v must be positive", p.Period)
-	case p.Duration < 0:
-		return fmt.Errorf("core: duration %v must be non-negative", p.Duration)
-	case p.PhaseJitter < 0 || p.PhaseJitter >= 1:
+	case !positive(p.Rc) || !positive(p.Rs):
+		return fmt.Errorf("core: ranges rc=%v rs=%v must be positive and finite", p.Rc, p.Rs)
+	case !positive(p.Speed):
+		return fmt.Errorf("core: speed %v must be positive and finite", p.Speed)
+	case !positive(p.Period):
+		return fmt.Errorf("core: period %v must be positive and finite", p.Period)
+	case !(p.Duration >= 0) || math.IsInf(p.Duration, 1):
+		return fmt.Errorf("core: duration %v must be non-negative and finite", p.Duration)
+	case !(p.PhaseJitter >= 0 && p.PhaseJitter < 1):
 		return fmt.Errorf("core: phase jitter %v must be in [0,1)", p.PhaseJitter)
-	case p.CoverageRes <= 0:
-		return fmt.Errorf("core: coverage resolution %v must be positive", p.CoverageRes)
+	case !positive(p.CoverageRes):
+		return fmt.Errorf("core: coverage resolution %v must be positive and finite", p.CoverageRes)
 	}
 	return nil
 }
+
+// positive reports whether v is a positive finite number.
+func positive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // MaxStep returns the maximum distance a sensor can travel in one period.
 func (p Params) MaxStep() float64 { return p.Speed * p.Period }

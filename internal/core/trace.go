@@ -22,7 +22,9 @@ type TraceSample struct {
 // SampleTrace fills s with the world's telemetry at the current time and
 // returns the alive-sensor layout it was computed from, for coverage
 // estimation by the caller. The returned slice is scratch owned by the
-// world, valid until the next SampleTrace call.
+// world, valid until the next SampleTrace call. The layout and the
+// connectivity search run on world-owned buffers, so sampling allocates
+// nothing once they have grown.
 //
 // SampleTrace never touches the engine's random source, so sampling —
 // at any stride — cannot perturb a run's outcome.
@@ -46,7 +48,7 @@ func (w *World) SampleTrace(s *TraceSample) []geom.Vec {
 		pts = append(pts, w.PosAt(i, now))
 	}
 	w.traceLayout = pts
-	for _, ok := range UnitDiskReachable(pts, w.F.Reference(), w.P.Rc) {
+	for _, ok := range w.traceReach.run(pts, w.F.Reference(), w.P.Rc) {
 		if ok {
 			s.Connected++
 		}

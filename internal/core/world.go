@@ -72,9 +72,10 @@ type World struct {
 	floodVisited []bool
 	floodQueue   []int
 
-	// Trace-sampling layout scratch (see SampleTrace), reused across
-	// samples and runs.
+	// Trace-sampling layout and connectivity scratch (see SampleTrace),
+	// reused across samples and runs.
 	traceLayout []geom.Vec
+	traceReach  reachSearch
 }
 
 // worldPool recycles worlds — their sensor arrays, step records and

@@ -21,14 +21,16 @@ import (
 // allocate nothing in the steady state even when many sweep workers share
 // one estimator.
 type Estimator struct {
-	f     *field.Field
-	res   float64
-	nx    int
-	ny    int
-	cx    []float64 // precomputed cell-center x per column
-	cy    []float64 // precomputed cell-center y per row
-	free  []bool
-	nFree int
+	f      *field.Field
+	res    float64
+	nx     int
+	ny     int
+	cx     []float64 // precomputed cell-center x per column
+	cy     []float64 // precomputed cell-center y per row
+	x0     float64   // field bounds' min x, the grid's left edge
+	invRes float64   // 1/res, for column guesses (never for predicates)
+	free   []bool
+	nFree  int
 
 	// pinned is a single pre-allocated scratch slot so the common case —
 	// one evaluation at a time per estimator — never touches the pool.
@@ -72,10 +74,12 @@ func NewEstimator(f *field.Field, res float64) *Estimator {
 	}
 	b := f.Bounds()
 	e := &Estimator{
-		f:   f,
-		res: res,
-		nx:  int(math.Ceil(b.W() / res)),
-		ny:  int(math.Ceil(b.H() / res)),
+		f:      f,
+		res:    res,
+		nx:     int(math.Ceil(b.W() / res)),
+		ny:     int(math.Ceil(b.H() / res)),
+		x0:     b.Min.X,
+		invRes: 1 / res,
 	}
 	e.cx = make([]float64, e.nx)
 	for ix := range e.cx {
@@ -154,50 +158,204 @@ func (e *Estimator) windowAround(p geom.Vec, rs float64) window {
 	}
 }
 
-// sensorLOS is the per-sensor line-of-sight context shared by every grid
-// scan: Fraction, KFraction, the incremental Tracker's disk updates, and
-// the row-sharded parallel seeder. Keeping the setup in one place is what
-// makes the incremental engine bit-identical to the brute scans — they
-// cannot disagree on which cells a sensor covers.
+// diskScan walks the grid rows one sensing disk touches. It is the
+// per-cell coverage predicate shared by every grid scan — Fraction,
+// KFraction, the incremental Tracker's disk updates and the row-sharded
+// seeder — so the incremental engine is bit-identical to the full scans:
+// they cannot disagree on which cells a sensor covers.
 //
-// The rewrites it encodes are exact: a disk probe narrows the edge set to
-// the sensor's window, a blocked sensor (skip) sees no cell at all (every
-// Visible test would fail on its Free(p) check), and a probe with no
-// nearby solid edge makes every in-disk pair visible.
-type sensorLOS struct {
-	visTest  bool // per-cell visibility test still required
-	useProbe bool // pr is active; use VisibleFree instead of f.Visible
-	skip     bool // sensor covers no cell; skip it entirely
-	pr       field.Probe
+// The reference predicate counts a cell of the clamped scan window when
+// it is free, its center c passes c.Dist2(p) <= rs², and (on fields with
+// obstacles) Field.Visible(p, c). Each rewrite of it here is exact:
+//   - Row span: within a row dy is fixed, and Dist2 is monotone in
+//     |c.X - p.X| (float subtraction, squaring and adding a constant are
+//     all monotone), so the passing columns form one contiguous run. An
+//     analytic guess of its ends is fixed up with the unchanged Dist2
+//     predicate, so [lo, hi] is exactly that run.
+//   - Disk probe: the candidate edges and obstacles near the disk are
+//     gathered once per sensor. A blocked sensor sees no cell (every
+//     Visible test would fail its Free(p) check), and a probe with no
+//     nearby solid edge makes every in-disk pair visible.
+//   - Row probe: every segment p→c of one row spans the same y range, so
+//     the y half of VisibleFree's per-edge bounding-box reject is hoisted
+//     out of the cell loop (Probe.Row). A row left with no edges needs no
+//     visibility test at all.
+type diskScan struct {
+	e        *Estimator
+	p        geom.Vec
+	rs2      float64
+	ix0, ix1 int
+	iy, iy1  int  // next row to visit, last row
+	losTest  bool // some cell may still need a visibility test
+	useProbe bool // test through the disk probe, not Field.Visible
+	disk     field.Probe
+
+	// The current row, valid after Next reports true.
+	row    int         // grid index of the row's column 0
+	cy     float64     // the row's cell-center y
+	lo, hi int         // exact column run of in-disk cells
+	vis    bool        // this row's cells need a visibility test
+	pr     field.Probe // disk probe narrowed to this row
 }
 
-// losSetup prepares the line-of-sight context for one sensor at p. los
-// must be len(f.Obstacles()) > 0, hoisted by the caller.
-func (e *Estimator) losSetup(ps *field.ProbeScratch, p geom.Vec, rs float64, los bool) sensorLOS {
-	s := sensorLOS{visTest: los}
-	if !los {
-		return s
+// scanDisk prepares the row walk for a disk of radius rs at p, limited to
+// grid rows [r0, r1). The probe is filled only when some row is left to
+// visit.
+func (e *Estimator) scanDisk(ps *field.ProbeScratch, p geom.Vec, rs float64, r0, r1 int) diskScan {
+	d := diskScan{e: e, p: p, rs2: rs * rs, ix1: e.nx - 1, iy1: e.ny - 1}
+	if !e.fullWindow(rs) {
+		w := e.windowAround(p, rs)
+		d.ix0, d.ix1, d.iy, d.iy1 = w.ix0, w.ix1, w.iy0, w.iy1
 	}
-	s.pr = e.f.DiskProbe(ps, p, rs)
-	if s.useProbe = s.pr.Active(); s.useProbe {
+	d.iy = max(d.iy, r0)
+	d.iy1 = min(d.iy1, r1-1)
+	if d.iy > d.iy1 || len(e.f.Obstacles()) == 0 {
+		return d
+	}
+	d.losTest = true
+	d.disk = e.f.DiskProbe(ps, p, rs)
+	if d.useProbe = d.disk.Active(); d.useProbe {
 		if !e.f.Free(p) {
-			s.skip = true
-			return s
+			d.iy1 = d.iy - 1
 		}
-		if s.pr.TriviallyVisible() {
-			s.visTest = false
-		}
+		d.losTest = !d.disk.TriviallyVisible()
 	}
-	return s
+	return d
 }
 
-// sees reports whether the sensor at p has line of sight to cell center
-// c. Callers check s.visTest first; when it is false no test is needed.
-func (s *sensorLOS) sees(e *Estimator, p, c geom.Vec) bool {
-	if s.useProbe {
-		return s.pr.VisibleFree(p, c)
+// Next advances to the next row holding in-disk cells.
+func (d *diskScan) Next() bool {
+	for ; d.iy <= d.iy1; d.iy++ {
+		cy := d.e.cy[d.iy]
+		if !d.span(cy) {
+			continue
+		}
+		d.row = d.iy * d.e.nx
+		d.cy = cy
+		d.vis = d.losTest
+		if d.vis && d.useProbe {
+			d.pr = d.disk.Row(d.p.Y, cy)
+			d.vis = !d.pr.TriviallyVisible()
+		}
+		d.iy++
+		return true
 	}
-	return e.f.Visible(p, c)
+	return false
+}
+
+// in is the reference distance predicate for column ix of row cy.
+func (d *diskScan) in(ix int, cy float64) bool {
+	return geom.V(d.e.cx[ix], cy).Dist2(d.p) <= d.rs2
+}
+
+// span sets [lo, hi] to the columns of the scan window whose cells in row
+// cy pass the distance predicate, reporting false when there are none.
+// The analytic ends p.X ± √(rs² − dy²) are only a guess; fixSpan makes
+// the run exact.
+func (d *diskScan) span(cy float64) bool {
+	e := d.e
+	dy := cy - d.p.Y
+	h2 := d.rs2 - dy*dy
+	if h2 < 0 {
+		h2 = 0
+	}
+	h := math.Sqrt(h2)
+	lo := d.column(math.Ceil((d.p.X-h-e.x0)*e.invRes - 0.5))
+	hi := d.column(math.Floor((d.p.X+h-e.x0)*e.invRes - 0.5))
+	return d.fixSpan(cy, lo, hi)
+}
+
+// fixSpan walks guessed window columns lo and hi to the exact ends of the
+// run of cells in row cy that pass the distance predicate, reporting
+// false when the run is empty. Any guesses give the same run; good ones
+// make the walks a step or two. A walk toward p.X that reaches the disk's
+// center column without finding a passing cell proves the row empty: the
+// predicate only gets worse moving away from p.X.
+func (d *diskScan) fixSpan(cy float64, lo, hi int) bool {
+	cx, px := d.e.cx, d.p.X
+	switch {
+	case d.in(lo, cy):
+		for lo > d.ix0 && d.in(lo-1, cy) {
+			lo--
+		}
+	case cx[lo] < px:
+		// Left of the center and outside: the run starts further right.
+		for {
+			if lo++; lo > d.ix1 {
+				return false
+			}
+			if d.in(lo, cy) {
+				break
+			}
+			if cx[lo] >= px {
+				return false
+			}
+		}
+	default:
+		// At or right of the center and outside: the run, if any, ends
+		// further left.
+		hi = lo
+		for {
+			if hi--; hi < d.ix0 {
+				return false
+			}
+			if d.in(hi, cy) {
+				break
+			}
+			if cx[hi] <= px {
+				return false
+			}
+		}
+		lo = hi
+		for lo > d.ix0 && d.in(lo-1, cy) {
+			lo--
+		}
+		d.lo, d.hi = lo, hi
+		return true
+	}
+	// lo passes, so the walk down from an outside guess stops at lo.
+	hi = max(lo, hi)
+	if d.in(hi, cy) {
+		for hi < d.ix1 && d.in(hi+1, cy) {
+			hi++
+		}
+	} else {
+		for !d.in(hi, cy) {
+			hi--
+		}
+	}
+	d.lo, d.hi = lo, hi
+	return true
+}
+
+// column converts a fractional column guess to a column of the scan
+// window, clamping before the integer conversion so that huge, infinite
+// and NaN guesses clamp too.
+func (d *diskScan) column(g float64) int {
+	switch {
+	case g >= float64(d.ix1):
+		return d.ix1
+	case g > float64(d.ix0):
+		return int(g)
+	}
+	return d.ix0
+}
+
+// covers reports whether the sensor covers column ix of the current row,
+// for ix in [lo, hi]: the cell is free and, where a test is still
+// needed, in line of sight.
+func (d *diskScan) covers(ix int) bool {
+	return d.e.free[d.row+ix] && (!d.vis || d.sees(ix))
+}
+
+// sees is the visibility test from the sensor to the center of column ix
+// of the current row.
+func (d *diskScan) sees(ix int) bool {
+	c := geom.V(d.e.cx[ix], d.cy)
+	if d.useProbe {
+		return d.pr.VisibleFree(d.p, c)
+	}
+	return d.e.f.Visible(d.p, c)
 }
 
 // Fraction returns the fraction of the free area covered by at least one
@@ -213,35 +371,14 @@ func (e *Estimator) Fraction(positions []geom.Vec, rs float64) float64 {
 	covered := g.stamps
 	epoch := g.epoch
 	count := 0
-	rs2 := rs * rs
-	los := len(e.f.Obstacles()) > 0
-	full := e.fullWindow(rs)
-	w := window{ix1: e.nx - 1, iy1: e.ny - 1}
 	for _, p := range positions {
-		if !full {
-			w = e.windowAround(p, rs)
-		}
-		s := e.losSetup(&g.probe, p, rs, los)
-		if s.skip {
-			continue
-		}
-		for iy := w.iy0; iy <= w.iy1; iy++ {
-			row := iy * e.nx
-			cyv := e.cy[iy]
-			for ix := w.ix0; ix <= w.ix1; ix++ {
-				i := row + ix
-				if covered[i] == epoch || !e.free[i] {
-					continue
+		d := e.scanDisk(&g.probe, p, rs, 0, e.ny)
+		for d.Next() {
+			for ix := d.lo; ix <= d.hi; ix++ {
+				if i := d.row + ix; covered[i] != epoch && d.covers(ix) {
+					covered[i] = epoch
+					count++
 				}
-				c := geom.V(e.cx[ix], cyv)
-				if c.Dist2(p) > rs2 {
-					continue
-				}
-				if s.visTest && !s.sees(e, p, c) {
-					continue
-				}
-				covered[i] = epoch
-				count++
 			}
 		}
 		if count == e.nFree {
@@ -267,33 +404,14 @@ func (e *Estimator) KFraction(positions []geom.Vec, rs float64, k int) float64 {
 	defer e.putScratch(g)
 	g.next()
 	epoch := g.epoch
-	rs2 := rs * rs
-	los := len(e.f.Obstacles()) > 0
-	full := e.fullWindow(rs)
-	w := window{ix1: e.nx - 1, iy1: e.ny - 1}
 	for _, p := range positions {
-		if !full {
-			w = e.windowAround(p, rs)
-		}
-		s := e.losSetup(&g.probe, p, rs, los)
-		if s.skip {
-			continue
-		}
-		for iy := w.iy0; iy <= w.iy1; iy++ {
-			row := iy * e.nx
-			cyv := e.cy[iy]
-			for ix := w.ix0; ix <= w.ix1; ix++ {
-				i := row + ix
-				if !e.free[i] {
+		d := e.scanDisk(&g.probe, p, rs, 0, e.ny)
+		for d.Next() {
+			for ix := d.lo; ix <= d.hi; ix++ {
+				if !d.covers(ix) {
 					continue
 				}
-				c := geom.V(e.cx[ix], cyv)
-				if c.Dist2(p) > rs2 {
-					continue
-				}
-				if s.visTest && !s.sees(e, p, c) {
-					continue
-				}
+				i := d.row + ix
 				if g.stamps[i] != epoch {
 					g.stamps[i] = epoch
 					g.counts[i] = 0

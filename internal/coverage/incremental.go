@@ -167,37 +167,17 @@ func (t *Tracker) Clear(id int) {
 }
 
 // disk applies delta d (+1 or -1) to every free cell covered by a disk at
-// p. The per-cell predicate — window clamp, free mask, distance, LOS via
-// losSetup/sees — mirrors the brute-force scans exactly; removal is exact
-// because the same position always yields the same cell set.
+// p, through the same diskScan predicate the full scans use; removal is
+// exact because the same position always yields the same cell set.
 func (t *Tracker) disk(p geom.Vec, d int32) {
 	e := t.e
-	rs := t.rs
-	w := window{ix1: e.nx - 1, iy1: e.ny - 1}
-	if !e.fullWindow(rs) {
-		w = e.windowAround(p, rs)
-	}
-	los := len(e.f.Obstacles()) > 0
-	s := e.losSetup(&t.probe, p, rs, los)
-	if s.skip {
-		return
-	}
-	rs2 := rs * rs
-	for iy := w.iy0; iy <= w.iy1; iy++ {
-		row := iy * e.nx
-		cyv := e.cy[iy]
-		for ix := w.ix0; ix <= w.ix1; ix++ {
-			i := row + ix
-			if !e.free[i] {
+	s := e.scanDisk(&t.probe, p, t.rs, 0, e.ny)
+	for s.Next() {
+		for ix := s.lo; ix <= s.hi; ix++ {
+			if !s.covers(ix) {
 				continue
 			}
-			c := geom.V(e.cx[ix], cyv)
-			if c.Dist2(p) > rs2 {
-				continue
-			}
-			if s.visTest && !s.sees(e, p, c) {
-				continue
-			}
+			i := s.row + ix
 			old := t.counts[i]
 			t.counts[i] = old + d
 			t.shift(old, old+d)
@@ -264,52 +244,23 @@ func (t *Tracker) Seed(positions []geom.Vec, present []bool, workers int) {
 }
 
 // seedBand accumulates cover counts for rows [r0, r1) across all present
-// sensors. Same per-cell predicate as disk. With trackHist the histogram
-// is shifted per cell (single-goroutine callers only); otherwise counts
-// only, and the caller rebuilds the histogram after all bands finish.
+// sensors, through the same diskScan predicate as disk. With trackHist
+// the histogram is shifted per cell (single-goroutine callers only);
+// otherwise counts only, and the caller rebuilds the histogram after all
+// bands finish.
 func (t *Tracker) seedBand(r0, r1 int, ps *field.ProbeScratch, trackHist bool) {
 	e := t.e
-	rs := t.rs
-	rs2 := rs * rs
-	los := len(e.f.Obstacles()) > 0
-	full := e.fullWindow(rs)
 	for id, p := range t.pos {
 		if !t.present[id] {
 			continue
 		}
-		w := window{ix1: e.nx - 1, iy1: e.ny - 1}
-		if !full {
-			w = e.windowAround(p, rs)
-		}
-		iy0, iy1 := w.iy0, w.iy1
-		if iy0 < r0 {
-			iy0 = r0
-		}
-		if iy1 >= r1 {
-			iy1 = r1 - 1
-		}
-		if iy0 > iy1 {
-			continue
-		}
-		s := e.losSetup(ps, p, rs, los)
-		if s.skip {
-			continue
-		}
-		for iy := iy0; iy <= iy1; iy++ {
-			row := iy * e.nx
-			cyv := e.cy[iy]
-			for ix := w.ix0; ix <= w.ix1; ix++ {
-				i := row + ix
-				if !e.free[i] {
+		s := e.scanDisk(ps, p, t.rs, r0, r1)
+		for s.Next() {
+			for ix := s.lo; ix <= s.hi; ix++ {
+				if !s.covers(ix) {
 					continue
 				}
-				c := geom.V(e.cx[ix], cyv)
-				if c.Dist2(p) > rs2 {
-					continue
-				}
-				if s.visTest && !s.sees(e, p, c) {
-					continue
-				}
+				i := s.row + ix
 				old := t.counts[i]
 				t.counts[i] = old + 1
 				if trackHist {

@@ -327,12 +327,13 @@ func (a *accel) closestBoundaryPoint(si int, q geom.Vec) (geom.Vec, int) {
 	return best, bestEdge
 }
 
-// ProbeScratch holds the reusable candidate buffers of a DiskProbe, so
-// per-period callers (the coverage kernels) fill probes without
-// allocating.
+// ProbeScratch holds the reusable candidate buffers of a DiskProbe and of
+// its row-narrowed probes, so per-period callers (the coverage kernels)
+// fill probes without allocating.
 type ProbeScratch struct {
 	edges []int32
 	obs   []int32
+	row   []int32
 }
 
 // Probe is a disk-scoped line-of-sight context: the candidate solid
@@ -342,6 +343,7 @@ type ProbeScratch struct {
 // without any geometry work — the common case on sparse-obstacle fields.
 type Probe struct {
 	f      *Field
+	sc     *ProbeScratch
 	edges  []int32
 	obs    []int32
 	active bool
@@ -367,6 +369,15 @@ func (f *Field) DiskProbe(sc *ProbeScratch, center geom.Vec, r float64) Probe {
 		return Probe{f: f}
 	}
 	a := f.accel
+	if n := len(a.ax); cap(sc.edges) < n {
+		// One arena-sized block backs both the disk's candidates and a
+		// row's subset of them, so neither ever regrows.
+		buf := make([]int32, 2*n)
+		sc.edges, sc.row = buf[:0:n], buf[n:n]
+	}
+	if cap(sc.obs) < len(f.obstacles) {
+		sc.obs = make([]int32, 0, len(f.obstacles))
+	}
 	loX, loY := center.X-r-accelPad, center.Y-r-accelPad
 	hiX, hiY := center.X+r+accelPad, center.Y+r+accelPad
 	edges := sc.edges[:0]
@@ -390,7 +401,35 @@ func (f *Field) DiskProbe(sc *ProbeScratch, center geom.Vec, r float64) Probe {
 		obs = append(obs, int32(i))
 	}
 	sc.obs = obs
-	return Probe{f: f, edges: edges, obs: obs, active: true}
+	return Probe{f: f, sc: sc, edges: edges, obs: obs, active: true}
+}
+
+// Row narrows an active disk probe to the visibility queries between
+// points whose y coordinates are ya and yb: it keeps only the candidate
+// edges whose padded y-extent overlaps [min(ya, yb), max(ya, yb)]. That
+// is the y half of VisibleFree's per-edge bounding-box reject, which is
+// the same for every segment between the two rows, so
+// p.Row(a.Y, b.Y).VisibleFree(a, b) equals p.VisibleFree(a, b). A row
+// probe with no edges left is TriviallyVisible. The result aliases the
+// scratch the disk probe was filled from and is valid until the next Row
+// call on a probe of that scratch.
+func (p Probe) Row(ya, yb float64) Probe {
+	if !p.active || len(p.edges) == 0 {
+		return p
+	}
+	ac := p.f.accel
+	loY := min(ya, yb) - accelPad
+	hiY := max(ya, yb) + accelPad
+	row := p.sc.row[:0]
+	for _, ei := range p.edges {
+		if ac.bbMinY[ei] > hiY || ac.bbMaxY[ei] < loY {
+			continue
+		}
+		row = append(row, ei)
+	}
+	p.sc.row = row
+	p.edges = row
+	return p
 }
 
 // VisibleFree reports Field.Visible(a, b) for endpoints that are already
@@ -399,6 +438,11 @@ func (f *Field) DiskProbe(sc *ProbeScratch, center geom.Vec, r float64) Probe {
 // Free point tests are elided. The hit search reduces over the probe's
 // candidate edges only; every edge any in-disk segment can hit is a
 // candidate, so the reduction equals the full FirstHit.
+//
+// Most calls reject every candidate on the bounding-box test, so the
+// segment length (a Hypot) is computed only once an edge survives it,
+// and the grazing check reuses it: Len is Hypot(A-B) while this is
+// Hypot(B-A), and Hypot takes absolute values, so the bits agree.
 func (p Probe) VisibleFree(a, b geom.Vec) bool {
 	f := p.f
 	if len(f.obstacles) == 0 {
@@ -413,12 +457,12 @@ func (p Probe) VisibleFree(a, b geom.Vec) bool {
 	}
 	ac := f.accel
 	s := geom.Seg(a, b)
-	sDir := s.B.Sub(s.A)
-	sLen := sDir.Len()
-	sbMinX := math.Min(a.X, b.X) - accelPad
-	sbMinY := math.Min(a.Y, b.Y) - accelPad
-	sbMaxX := math.Max(a.X, b.X) + accelPad
-	sbMaxY := math.Max(a.Y, b.Y) + accelPad
+	var sDir geom.Vec
+	sLen := -1.0
+	sbMinX := min(a.X, b.X) - accelPad
+	sbMinY := min(a.Y, b.Y) - accelPad
+	sbMaxX := max(a.X, b.X) + accelPad
+	sbMaxY := max(a.Y, b.Y) + accelPad
 	bestT := math.Inf(1)
 	bestSolid, bestEdge := int32(-1), int32(-1)
 	for _, ei := range p.edges {
@@ -426,8 +470,12 @@ func (p Probe) VisibleFree(a, b geom.Vec) bool {
 			ac.bbMinY[ei] > sbMaxY || ac.bbMaxY[ei] < sbMinY {
 			continue
 		}
+		if sLen < 0 {
+			sDir = s.B.Sub(s.A)
+			sLen = sDir.Len()
+		}
 		e := ac.edgeSeg(ei)
-		if math.Abs(sDir.Cross(e.B.Sub(e.A))) < geom.Eps*math.Max(1, sLen*ac.elen[ei]) {
+		if math.Abs(sDir.Cross(e.B.Sub(e.A))) < geom.Eps*max(1, sLen*ac.elen[ei]) {
 			continue
 		}
 		ti, hit := s.IntersectParam(e)
@@ -445,8 +493,8 @@ func (p Probe) VisibleFree(a, b geom.Vec) bool {
 	if bestSolid < 0 {
 		return true
 	}
-	// SegmentFree's grazing-vs-crossing logic, verbatim.
-	d := s.Len()
+	// SegmentFree's grazing-vs-crossing logic, verbatim, with d = s.Len().
+	d := sLen
 	if bestT*d > geom.Eps && (1-bestT)*d > geom.Eps {
 		return false
 	}

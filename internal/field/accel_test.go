@@ -205,6 +205,71 @@ func TestDiskProbeVisibleFreeMatchesVisible(t *testing.T) {
 	}
 }
 
+// TestProbeRowVisibleFreeMatchesVisible pins the row-narrowed probe: for
+// random free pairs inside a disk, Row(a.Y, b.Y).VisibleFree(a, b) must
+// equal the brute-force Field.Visible(a, b). Pairs include horizontal
+// segments and endpoints snapped to obstacle vertex y coordinates, where
+// an edge's padded y-extent just touches the row band.
+func TestProbeRowVisibleFreeMatchesVisible(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1203, 5))
+	var sc ProbeScratch
+	for fi, f := range randomFields(t, rng, 9) {
+		var ys []float64
+		for _, ob := range f.Obstacles() {
+			for _, v := range ob {
+				ys = append(ys, v.Y)
+			}
+		}
+		inDisk := func(center geom.Vec, r float64) (geom.Vec, bool) {
+			ang := rng.Float64() * 2 * math.Pi
+			rad := rng.Float64() * r
+			p := center.Add(geom.V(rad*math.Cos(ang), rad*math.Sin(ang)))
+			if rng.IntN(4) == 0 {
+				// Snap y to an obstacle vertex (or its padded band edge),
+				// keeping the point in the disk.
+				y := ys[rng.IntN(len(ys))] + []float64{0, accelPad, -accelPad}[rng.IntN(3)]
+				if dy := y - center.Y; dy*dy < r*r {
+					p.Y = y
+					if dx := p.X - center.X; dx*dx+dy*dy > r*r {
+						p.X = center.X
+					}
+				}
+			}
+			return p, f.Free(p)
+		}
+		for ci := 0; ci < 12; ci++ {
+			center := f.RandomFreePoint(rng, f.Bounds())
+			rs := 20 + rng.Float64()*80
+			probe := f.DiskProbe(&sc, center, rs)
+			for tested := 0; tested < 60; {
+				a, okA := inDisk(center, rs)
+				b, okB := inDisk(center, rs)
+				if !okA || !okB {
+					continue
+				}
+				if rng.IntN(5) == 0 {
+					b.Y = a.Y
+					if !f.Free(b) || b.Dist(center) > rs {
+						continue
+					}
+				}
+				tested++
+				row := probe.Row(a.Y, b.Y)
+				got := row.VisibleFree(a, b)
+				var want bool
+				withBruteForce(func() { want = f.Visible(a, b) })
+				if got != want {
+					t.Fatalf("field %d disk %v/%v: Row(%v, %v).VisibleFree(%v, %v) = %v, Visible = %v",
+						fi, center, rs, a.Y, b.Y, a, b, got, want)
+				}
+				if full := probe.VisibleFree(a, b); full != want {
+					t.Fatalf("field %d: disk probe VisibleFree changed after Row: %v, want %v", fi, full, want)
+				}
+			}
+		}
+	}
+}
+
 // TestAccelDisabledReportsBrute double-checks the toggle actually routes
 // queries to the brute-force path (guards against the A/B comparisons
 // silently comparing the accelerated path with itself).

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -182,5 +183,24 @@ func TestSegmentIntersectPointOnBoth(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSegmentLenReversedBits pins the identity the line-of-sight kernel
+// relies on to reuse its direction length for the grazing check:
+// Seg(a, b).Len() is Hypot(a-b) and b.Sub(a).Len() is Hypot(b-a); the
+// differences are exact negations and Hypot takes absolute values, so the
+// two are bit-identical.
+func TestSegmentLenReversedBits(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1207, 2))
+	for i := 0; i < 100000; i++ {
+		a := V(rng.NormFloat64()*1e3, rng.NormFloat64()*1e3)
+		b := V(rng.NormFloat64()*1e3, rng.NormFloat64()*1e3)
+		if i%3 == 0 {
+			b = a.Add(V(rng.NormFloat64()*1e-6, rng.NormFloat64()*1e-6))
+		}
+		if got, want := b.Sub(a).Len(), Seg(a, b).Len(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("a=%v b=%v: Hypot(b-a) = %v, Seg.Len = %v", a, b, got, want)
+		}
 	}
 }

@@ -81,9 +81,6 @@ func NewBounded(cellSize float64, b geom.Rect, capacityHint int) *Index {
 }
 
 func newIndex(cellSize float64, bounded bool, b geom.Rect, capacityHint int) *Index {
-	if cellSize <= 0 {
-		cellSize = 1
-	}
 	var ix *Index
 	if v := indexPool.Get(); v != nil {
 		ix = v.(*Index)
@@ -104,10 +101,21 @@ func (ix *Index) Release() {
 	indexPool.Put(ix)
 }
 
+// Reset empties the index and reconfigures it as NewBounded(cellSize, b)
+// would, keeping every buffer's capacity: an owner that rebuilds an index
+// over and over (a per-sample connectivity check) allocates nothing once
+// the buffers have grown.
+func (ix *Index) Reset(cellSize float64, b geom.Rect) {
+	ix.reset(cellSize, true, b)
+}
+
 // reset reconfigures a (possibly pooled) index for a new run, keeping
 // the overflow map's bucket slices, the arena and the dense arrays'
 // capacity.
 func (ix *Index) reset(cellSize float64, bounded bool, b geom.Rect) {
+	if cellSize <= 0 {
+		cellSize = 1
+	}
 	ix.cellSize = cellSize
 	ix.bounded = false
 	if bounded {
@@ -174,7 +182,13 @@ func (ix *Index) allocBlock(class int32) int32 {
 		return off
 	}
 	off := int32(len(ix.arena))
-	ix.arena = append(ix.arena, make([]int32, 1<<class)...)
+	if end := len(ix.arena) + 1<<class; end <= cap(ix.arena) {
+		// Reuse capacity left by a reset without a temporary slice; the
+		// block's stale contents are never read before being written.
+		ix.arena = ix.arena[:end]
+	} else {
+		ix.arena = append(ix.arena, make([]int32, 1<<class)...)
+	}
 	return off
 }
 
@@ -309,6 +323,44 @@ func (ix *Index) ForNeighborsSkip(skip int, p geom.Vec, r float64, fn func(id in
 			}
 		}
 	}
+}
+
+// TakeWithin removes every indexed point within radius r of p (the same
+// predicate as ForNeighbors) and appends their IDs to dst, returning the
+// extended slice. A search that visits each point once — a flood fill —
+// takes what it reaches, so later queries never rescan it.
+func (ix *Index) TakeWithin(p geom.Vec, r float64, dst []int) []int {
+	r2 := r * r
+	lo := ix.key(geom.V(p.X-r, p.Y-r))
+	hi := ix.key(geom.V(p.X+r, p.Y+r))
+	for cy := lo.y; cy <= hi.y; cy++ {
+		for cx := lo.x; cx <= hi.x; cx++ {
+			k := cellKey{cx, cy}
+			elems := ix.cellElems(k)
+			n := len(elems)
+			for i := 0; i < n; {
+				id := elems[i]
+				if !(ix.pos[id].Dist2(p) <= r2) {
+					i++
+					continue
+				}
+				dst = append(dst, int(id))
+				ix.present[id] = false
+				ix.count--
+				n--
+				elems[i] = elems[n]
+			}
+			if n == len(elems) {
+				continue
+			}
+			if di := ix.denseIdx(k); di >= 0 {
+				ix.dense[di].n = int32(n)
+			} else {
+				ix.overflow[k] = elems[:n]
+			}
+		}
+	}
+	return dst
 }
 
 // Neighbors returns the IDs of all points within radius r of p, in

@@ -3,6 +3,7 @@ package spatial
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mobisense/internal/geom"
@@ -271,5 +272,40 @@ func BenchmarkInsertMoveQuery(b *testing.B) {
 		pts[id] = p
 		ix.Insert(id, p)
 		ix.ForNeighborsSkip(id, p, 50, func(int, geom.Vec) {})
+	}
+}
+
+// TestTakeWithinMatchesNeighbors: TakeWithin returns exactly the points
+// ForNeighbors reports, and removes them, in both dense and overflow
+// cells.
+func TestTakeWithinMatchesNeighbors(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1205, 1))
+	for trial := 0; trial < 50; trial++ {
+		ix := NewBounded(20, geom.R(0, 0, 200, 200), 64)
+		for id := 0; id < 80; id++ {
+			// A quarter of the points fall outside the bounds, into the
+			// overflow map.
+			ix.Insert(id, geom.V(rng.Float64()*300-50, rng.Float64()*300-50))
+		}
+		for q := 0; q < 10; q++ {
+			p := geom.V(rng.Float64()*300-50, rng.Float64()*300-50)
+			r := rng.Float64() * 40
+			want := ix.Neighbors(p, r)
+			before := ix.Len()
+			got := ix.TakeWithin(p, r, nil)
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d: TakeWithin = %v, Neighbors = %v", trial, got, want)
+			}
+			if ix.Len() != before-len(got) || len(ix.Neighbors(p, r)) != 0 {
+				t.Fatalf("trial %d: taken points still indexed", trial)
+			}
+			for _, id := range got {
+				if _, ok := ix.Position(id); ok {
+					t.Fatalf("trial %d: id %d still present", trial, id)
+				}
+			}
+		}
+		ix.Release()
 	}
 }
