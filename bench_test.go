@@ -314,10 +314,10 @@ func BenchmarkBatchSweepParallel(b *testing.B) { benchmarkBatchSweep(b, 0) }
 
 // BenchmarkIncrementalTraceSweep measures the workload the incremental
 // coverage engine targets: a densely-traced obstacle sweep where every
-// trace sample needs the coverage fraction. With the engine enabled
-// (default) each sample costs O(moved sensors × disk window); the
-// MOBISENSE_NO_INCR fallback re-scans every sensor's disk per sample.
-// The store byte-compare test pins both paths to identical records.
+// trace sample needs the coverage fraction. Each sample costs
+// O(moved sensors × disk window), or one disk scan per sensor when the
+// hybrid sync re-seeds because most of the fleet moved.
+// TestObstacleSweepStoreGolden pins a traced sweep's stored bytes.
 func BenchmarkIncrementalTraceSweep(b *testing.B) {
 	cfg := mobisense.DefaultConfig(mobisense.SchemeFLOOR)
 	cfg.N = 40

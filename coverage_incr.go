@@ -1,8 +1,6 @@
 package mobisense
 
 import (
-	"runtime"
-
 	"mobisense/internal/core"
 	"mobisense/internal/coverage"
 	"mobisense/internal/geom"
@@ -22,19 +20,17 @@ type worldTracker struct {
 	alive    []bool
 	lastSync float64
 	seeded   bool
-	workers  int // fan-out for full (seed/re-seed) evaluations
 }
 
 // newWorldTracker acquires a tracker for a run over w-sized worlds. The
-// first sync seeds it with a full (row-sharded) evaluation; later syncs
-// are incremental or, when nearly everything moved, a re-seed.
-func newWorldTracker(est *coverage.Estimator, rs float64, n, workers int) *worldTracker {
+// first sync seeds it with a full evaluation; later syncs are incremental
+// or, when nearly everything moved, a re-seed.
+func newWorldTracker(est *coverage.Estimator, rs float64, n int) *worldTracker {
 	return &worldTracker{
-		t:       est.AcquireTracker(rs, n),
-		seen:    make([]uint64, n),
-		pos:     make([]geom.Vec, n),
-		alive:   make([]bool, n),
-		workers: workers,
+		t:     est.AcquireTracker(rs, n),
+		seen:  make([]uint64, n),
+		pos:   make([]geom.Vec, n),
+		alive: make([]bool, n),
 	}
 }
 
@@ -99,34 +95,19 @@ func (wt *worldTracker) seed(w *core.World, now float64) {
 			wt.pos[i] = geom.Vec{}
 		}
 	}
-	wt.t.Seed(wt.pos, wt.alive, wt.workers)
+	wt.t.Seed(wt.pos, wt.alive)
 	wt.lastSync = now
 	wt.seeded = true
 }
 
 func (wt *worldTracker) release() { wt.t.Release() }
 
-// seedWorkers picks the fan-out for cold/full coverage evaluations: 1
-// inside batch sweeps (the run-level worker pool already saturates the
-// machine), all CPUs for standalone runs. The choice cannot affect
-// results — the row-sharded seed is bit-identical at any worker count.
-func seedWorkers(cfg Config) int {
-	if cfg.estimators != nil {
-		return 1
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // coveragePair computes the 1- and 2-coverage fractions of a final
-// layout: one seeded tracker pass when the incremental engine is on
-// (Fraction and KFraction then read the same running counts), the two
-// brute-force scans otherwise. Bit-identical either way.
+// layout in one seeded tracker pass: Fraction and KFraction read the same
+// running counts.
 func coveragePair(cfg Config, est *coverage.Estimator, layout []geom.Vec) (cov, cov2 float64) {
-	if !coverage.IncrementalEnabled() {
-		return est.Fraction(layout, cfg.Rs), est.KFraction(layout, cfg.Rs, 2)
-	}
 	t := est.AcquireTracker(cfg.Rs, len(layout))
-	t.Seed(layout, nil, seedWorkers(cfg))
+	t.Seed(layout, nil)
 	cov, cov2 = t.Fraction(), t.KFraction(2)
 	t.Release()
 	return cov, cov2

@@ -241,7 +241,7 @@ func TestRandomFieldsAlwaysArrive(t *testing.T) {
 		start := f.RandomFreePoint(rng, f.Bounds())
 		target := f.RandomFreePoint(rng, f.Bounds())
 		// Keep both a little away from walls so the trial is fair.
-		if f.Clearance(start, 5) < 1 || f.Clearance(target, 5) < 1 {
+		if len(f.BoundariesWithin(start, 1)) > 0 || len(f.BoundariesWithin(target, 1)) > 0 {
 			continue
 		}
 		p := New(f, start, target, WithArriveTolerance(0.5))
@@ -274,7 +274,7 @@ func TestPathLengthBound(t *testing.T) {
 		}
 		start := f.RandomFreePoint(rng, f.Bounds())
 		target := f.RandomFreePoint(rng, f.Bounds())
-		if f.Clearance(start, 5) < 1 || f.Clearance(target, 5) < 1 {
+		if len(f.BoundariesWithin(start, 1)) > 0 || len(f.BoundariesWithin(target, 1)) > 0 {
 			continue
 		}
 		p := New(f, start, target, WithArriveTolerance(0.5))

@@ -8,9 +8,10 @@ import (
 	"mobisense/internal/geom"
 )
 
-// A/B tests pinning the probe-accelerated coverage kernels to the
-// brute-force paths (acceleration globally disabled): results must be
-// bit-identical on randomized obstacle fields, sensor layouts, and radii.
+// Tests pinning the probe-accelerated coverage kernels to brute-force
+// oracles: results must be bit-identical on randomized obstacle fields,
+// sensor layouts, and radii. The grid scans' oracle is refCounts in
+// scan_test.go.
 
 func abRandomField(t *testing.T, rng *rand.Rand) *field.Field {
 	t.Helper()
@@ -42,32 +43,35 @@ func abPositions(rng *rand.Rand, f *field.Field, n int) []geom.Vec {
 	return out
 }
 
-func TestFractionAccelMatchesBrute(t *testing.T) {
-	rng := rand.New(rand.NewPCG(404, 17))
-	for trial := 0; trial < 8; trial++ {
-		f := abRandomField(t, rng)
-		e := NewEstimator(f, 10)
-		for q := 0; q < 4; q++ {
-			positions := abPositions(rng, f, 8+rng.IntN(30))
-			rs := 15 + rng.Float64()*60
-			k := 1 + rng.IntN(3)
-
-			fastF := e.Fraction(positions, rs)
-			fastK := e.KFraction(positions, rs, k)
-			prev := field.SetAccelEnabled(false)
-			slowF := e.Fraction(positions, rs)
-			slowK := e.KFraction(positions, rs, k)
-			field.SetAccelEnabled(prev)
-			if fastF != slowF {
-				t.Fatalf("trial %d/%d: Fraction accel %v != brute %v (rs=%v, %d sensors)",
-					trial, q, fastF, slowF, rs, len(positions))
+// exclusiveAreaRef is the reference ExclusiveArea: every sample of the
+// disk's bounding square, tested against every other sensor through
+// Field.Visible.
+func exclusiveAreaRef(f *field.Field, center geom.Vec, rs float64, others []geom.Vec, res float64) float64 {
+	rs2 := rs * rs
+	los := len(f.Obstacles()) > 0
+	count := 0
+	for y := center.Y - rs; y <= center.Y+rs; y += res {
+		for x := center.X - rs; x <= center.X+rs; x += res {
+			p := geom.V(x, y)
+			if p.Dist2(center) > rs2 || !f.Bounds().Contains(p) || !f.Free(p) {
+				continue
 			}
-			if fastK != slowK {
-				t.Fatalf("trial %d/%d: KFraction(k=%d) accel %v != brute %v (rs=%v)",
-					trial, q, k, fastK, slowK, rs)
+			if los && !f.Visible(center, p) {
+				continue
+			}
+			exclusive := true
+			for _, o := range others {
+				if p.Dist2(o) <= rs2 && (!los || f.Visible(o, p)) {
+					exclusive = false
+					break
+				}
+			}
+			if exclusive {
+				count++
 			}
 		}
 	}
+	return float64(count) * res * res
 }
 
 func TestExclusiveAreaAccelMatchesBrute(t *testing.T) {
@@ -82,9 +86,7 @@ func TestExclusiveAreaAccelMatchesBrute(t *testing.T) {
 			others := abPositions(rng, f, 3+rng.IntN(20))
 
 			fast := ExclusiveArea(f, center, rs, others, rs/8)
-			prev := field.SetAccelEnabled(false)
-			slow := ExclusiveArea(f, center, rs, others, rs/8)
-			field.SetAccelEnabled(prev)
+			slow := exclusiveAreaRef(f, center, rs, others, rs/8)
 			if fast != slow {
 				t.Fatalf("trial %d/%d: ExclusiveArea accel %v != brute %v (center=%v rs=%v, %d others)",
 					trial, q, fast, slow, center, rs, len(others))

@@ -57,7 +57,7 @@ func BenchmarkFractionIncremental(b *testing.B) {
 	}
 	tr := e.AcquireTracker(40, len(positions))
 	defer tr.Release()
-	tr.Seed(positions, present, 1)
+	tr.Seed(positions, present)
 	home := positions[7]
 	away := geom.V(home.X+3, home.Y+3)
 	b.ReportAllocs()

@@ -160,13 +160,14 @@ func (e *Estimator) windowAround(p geom.Vec, rs float64) window {
 
 // diskScan walks the grid rows one sensing disk touches. It is the
 // per-cell coverage predicate shared by every grid scan — Fraction,
-// KFraction, the incremental Tracker's disk updates and the row-sharded
-// seeder — so the incremental engine is bit-identical to the full scans:
-// they cannot disagree on which cells a sensor covers.
+// KFraction and the incremental Tracker's seeds and disk updates — so
+// the incremental engine is bit-identical to the full scans: they cannot
+// disagree on which cells a sensor covers.
 //
-// The reference predicate counts a cell of the clamped scan window when
-// it is free, its center c passes c.Dist2(p) <= rs², and (on fields with
-// obstacles) Field.Visible(p, c). Each rewrite of it here is exact:
+// The reference predicate (refCounts in scan_test.go) counts a cell of
+// the clamped scan window when it is free, its center c passes
+// c.Dist2(p) <= rs², and (on fields with obstacles) Field.Visible(p, c).
+// Each rewrite of it here is exact:
 //   - Row span: within a row dy is fixed, and Dist2 is monotone in
 //     |c.X - p.X| (float subtraction, squaring and adding a constant are
 //     all monotone), so the passing columns form one contiguous run. An
@@ -187,7 +188,6 @@ type diskScan struct {
 	ix0, ix1 int
 	iy, iy1  int  // next row to visit, last row
 	losTest  bool // some cell may still need a visibility test
-	useProbe bool // test through the disk probe, not Field.Visible
 	disk     field.Probe
 
 	// The current row, valid after Next reports true.
@@ -198,28 +198,23 @@ type diskScan struct {
 	pr     field.Probe // disk probe narrowed to this row
 }
 
-// scanDisk prepares the row walk for a disk of radius rs at p, limited to
-// grid rows [r0, r1). The probe is filled only when some row is left to
-// visit.
-func (e *Estimator) scanDisk(ps *field.ProbeScratch, p geom.Vec, rs float64, r0, r1 int) diskScan {
+// scanDisk prepares the row walk for a disk of radius rs at p. The probe
+// is filled only when the sensor is free and some row is left to visit.
+func (e *Estimator) scanDisk(ps *field.ProbeScratch, p geom.Vec, rs float64) diskScan {
 	d := diskScan{e: e, p: p, rs2: rs * rs, ix1: e.nx - 1, iy1: e.ny - 1}
 	if !e.fullWindow(rs) {
 		w := e.windowAround(p, rs)
 		d.ix0, d.ix1, d.iy, d.iy1 = w.ix0, w.ix1, w.iy0, w.iy1
 	}
-	d.iy = max(d.iy, r0)
-	d.iy1 = min(d.iy1, r1-1)
 	if d.iy > d.iy1 || len(e.f.Obstacles()) == 0 {
 		return d
 	}
-	d.losTest = true
-	d.disk = e.f.DiskProbe(ps, p, rs)
-	if d.useProbe = d.disk.Active(); d.useProbe {
-		if !e.f.Free(p) {
-			d.iy1 = d.iy - 1
-		}
-		d.losTest = !d.disk.TriviallyVisible()
+	if !e.f.Free(p) {
+		d.iy1 = d.iy - 1
+		return d
 	}
+	d.disk = e.f.DiskProbe(ps, p, rs)
+	d.losTest = !d.disk.TriviallyVisible()
 	return d
 }
 
@@ -233,7 +228,7 @@ func (d *diskScan) Next() bool {
 		d.row = d.iy * d.e.nx
 		d.cy = cy
 		d.vis = d.losTest
-		if d.vis && d.useProbe {
+		if d.vis {
 			d.pr = d.disk.Row(d.p.Y, cy)
 			d.vis = !d.pr.TriviallyVisible()
 		}
@@ -349,13 +344,13 @@ func (d *diskScan) covers(ix int) bool {
 }
 
 // sees is the visibility test from the sensor to the center of column ix
-// of the current row.
+// of the current row. It stays out of line: inlined, its body would push
+// covers over the inliner's budget, and covers must inline into the
+// per-cell loops.
+//
+//go:noinline
 func (d *diskScan) sees(ix int) bool {
-	c := geom.V(d.e.cx[ix], d.cy)
-	if d.useProbe {
-		return d.pr.VisibleFree(d.p, c)
-	}
-	return d.e.f.Visible(d.p, c)
+	return d.pr.VisibleFree(d.p, geom.V(d.e.cx[ix], d.cy))
 }
 
 // Fraction returns the fraction of the free area covered by at least one
@@ -372,7 +367,7 @@ func (e *Estimator) Fraction(positions []geom.Vec, rs float64) float64 {
 	epoch := g.epoch
 	count := 0
 	for _, p := range positions {
-		d := e.scanDisk(&g.probe, p, rs, 0, e.ny)
+		d := e.scanDisk(&g.probe, p, rs)
 		for d.Next() {
 			for ix := d.lo; ix <= d.hi; ix++ {
 				if i := d.row + ix; covered[i] != epoch && d.covers(ix) {
@@ -405,7 +400,7 @@ func (e *Estimator) KFraction(positions []geom.Vec, rs float64, k int) float64 {
 	g.next()
 	epoch := g.epoch
 	for _, p := range positions {
-		d := e.scanDisk(&g.probe, p, rs, 0, e.ny)
+		d := e.scanDisk(&g.probe, p, rs)
 		for d.Next() {
 			for ix := d.lo; ix <= d.hi; ix++ {
 				if !d.covers(ix) {
@@ -445,54 +440,7 @@ func ExclusiveArea(f *field.Field, center geom.Vec, rs float64, others []geom.Ve
 // which is what lets FLOOR's movable-sensor test (excl < threshold) skip
 // most of the disk for sensors that are clearly not movable.
 func ExclusiveAreaBelow(f *field.Field, center geom.Vec, rs float64, others []geom.Vec, res, limit float64) bool {
-	if !IncrementalEnabled() {
-		return ExclusiveArea(f, center, rs, others, res) < limit
-	}
 	return exclusiveArea(f, center, rs, others, res, limit) < limit
-}
-
-// exclusiveArea runs the exclusive-coverage scan, returning early once the
-// accumulated area reaches limit (pass +Inf for a full scan).
-func exclusiveArea(f *field.Field, center geom.Vec, rs float64, others []geom.Vec, res, limit float64) float64 {
-	if res <= 0 {
-		res = rs / 10
-	}
-	sc := exclScratch.Get().(*exclusiveScratch)
-	defer exclScratch.Put(sc)
-	// The probe disk must cover every segment the sampling loop tests:
-	// center→p stays within rs of the center, and o→p within 2·rs (both
-	// endpoints do).
-	if pr := f.DiskProbe(&sc.probe, center, 2*rs); pr.Active() {
-		return exclusiveAreaFast(f, center, rs, others, res, limit, sc, pr)
-	}
-	rs2 := rs * rs
-	los := len(f.Obstacles()) > 0
-	count := 0
-	for y := center.Y - rs; y <= center.Y+rs; y += res {
-		for x := center.X - rs; x <= center.X+rs; x += res {
-			p := geom.V(x, y)
-			if p.Dist2(center) > rs2 || !f.Bounds().Contains(p) || !f.Free(p) {
-				continue
-			}
-			if los && !f.Visible(center, p) {
-				continue
-			}
-			exclusive := true
-			for _, o := range others {
-				if p.Dist2(o) <= rs2 && (!los || f.Visible(o, p)) {
-					exclusive = false
-					break
-				}
-			}
-			if exclusive {
-				count++
-				if float64(count)*res*res >= limit {
-					return float64(count) * res * res
-				}
-			}
-		}
-	}
-	return float64(count) * res * res
 }
 
 // exclusiveScratch pools the reusable buffers of ExclusiveArea, which is
@@ -505,8 +453,11 @@ type exclusiveScratch struct {
 
 var exclScratch = sync.Pool{New: func() any { return new(exclusiveScratch) }}
 
-// exclusiveAreaFast is ExclusiveArea on the probe-accelerated path. It is
-// an exact rewrite of the brute loop above:
+// exclusiveArea runs the exclusive-coverage scan, returning early once the
+// accumulated area reaches limit (pass +Inf for a full scan). It is an
+// exact rewrite of the brute sampling loop (exclusiveAreaRef in
+// accel_test.go), which tests every sample of the disk's bounding square
+// against every other sensor through Field.Visible:
 //   - a blocked center sees no sample (each Visible(center, p) would fail
 //     its Free check), so the whole call returns 0;
 //   - only others within 2·rs of the center can pass the sample test
@@ -515,14 +466,22 @@ var exclScratch = sync.Pool{New: func() any { return new(exclusiveScratch) }}
 //     in LOS mode a blocked other can never see any sample — the filter
 //     keeps order, so the first-match break is unchanged;
 //   - Bounds().Contains is dropped because Free implies it;
-//   - per-pair Visible calls become in-probe VisibleFree calls, and are
-//     skipped wholesale when no solid edge is near the disk.
-func exclusiveAreaFast(f *field.Field, center geom.Vec, rs float64, others []geom.Vec, res, limit float64, sc *exclusiveScratch, pr field.Probe) float64 {
+//   - per-pair Visible calls become VisibleFree calls on a probe of the
+//     disk of radius 2·rs, which holds every segment the loop tests
+//     (center→p stays within rs of the center, o→p within 2·rs), and are
+//     skipped wholesale when no solid edge is near that disk.
+func exclusiveArea(f *field.Field, center geom.Vec, rs float64, others []geom.Vec, res, limit float64) float64 {
+	if res <= 0 {
+		res = rs / 10
+	}
 	rs2 := rs * rs
 	los := len(f.Obstacles()) > 0
 	if los && !f.Free(center) {
 		return 0
 	}
+	sc := exclScratch.Get().(*exclusiveScratch)
+	defer exclScratch.Put(sc)
+	pr := f.DiskProbe(&sc.probe, center, 2*rs)
 	reach := 2*rs + 1e-6
 	reach2 := reach * reach
 	near := sc.near[:0]

@@ -1,33 +1,9 @@
 package coverage
 
 import (
-	"os"
-	"sync"
-	"sync/atomic"
-
 	"mobisense/internal/field"
 	"mobisense/internal/geom"
 )
-
-// incrEnabled gates the incremental coverage engine at run time. It
-// exists for A/B verification (the engine must be bit-identical to the
-// brute-force estimator, and tests prove it by flipping this off) and as
-// an operational kill switch: set MOBISENSE_NO_INCR=1 to force every
-// consumer back onto the full-rescan paths.
-var incrEnabled = os.Getenv("MOBISENSE_NO_INCR") != "1"
-
-// SetIncrementalEnabled turns the incremental coverage engine on or off
-// globally and returns the previous setting. Intended for tests:
-//
-//	defer coverage.SetIncrementalEnabled(coverage.SetIncrementalEnabled(false))
-func SetIncrementalEnabled(on bool) bool {
-	prev := incrEnabled
-	incrEnabled = on
-	return prev
-}
-
-// IncrementalEnabled reports whether the incremental engine is active.
-func IncrementalEnabled() bool { return incrEnabled }
 
 // Tracker maintains per-cell integer cover counts for a set of sensors so
 // coverage queries become O(1) reads of running totals instead of full
@@ -35,7 +11,7 @@ func IncrementalEnabled() bool { return incrEnabled }
 // with Set/Clear as sensors move, die, or recover: each update rescans
 // only the moved sensor's disk window (subtract the old disk's cells, add
 // the new ones) through exactly the same per-cell predicate the
-// brute-force Fraction/KFraction scans use — identical integer counts, so
+// full Fraction/KFraction scans use — identical integer counts, so
 // the returned fractions are bit-identical to a fresh evaluation.
 //
 // A Tracker belongs to one goroutine at a time; concurrent runs each
@@ -94,7 +70,7 @@ func (t *Tracker) shift(old, new int32) {
 }
 
 // coveredAtLeast returns the number of free cells covered by at least k
-// disks — the same integer the brute-force scans count.
+// disks — the same integer the full scans count.
 func (t *Tracker) coveredAtLeast(k int) int {
 	cov := t.e.nFree
 	for c := 0; c < k && c < len(t.hist); c++ {
@@ -170,8 +146,7 @@ func (t *Tracker) Clear(id int) {
 // p, through the same diskScan predicate the full scans use; removal is
 // exact because the same position always yields the same cell set.
 func (t *Tracker) disk(p geom.Vec, d int32) {
-	e := t.e
-	s := e.scanDisk(&t.probe, p, t.rs, 0, e.ny)
+	s := t.e.scanDisk(&t.probe, p, t.rs)
 	for s.Next() {
 		for ix := s.lo; ix <= s.hi; ix++ {
 			if !s.covers(ix) {
@@ -185,19 +160,13 @@ func (t *Tracker) disk(p geom.Vec, d int32) {
 	}
 }
 
-// seedBandRows is the fixed height of one row band of the parallel
-// seeder. Fixed bands (not per-worker splits) are what make the result
-// independent of the worker count: each band's rows are touched by
-// exactly one goroutine, and integer increments over disjoint rows
-// commute.
-const seedBandRows = 16
-
 // Seed performs the one full evaluation that initializes the counts:
 // sensor i is placed at positions[i] when present[i] (a nil present means
-// all). Rows are split into fixed bands fanned over at most workers
-// goroutines; the counts — and therefore every subsequent query — are
-// bit-identical at any worker count.
-func (t *Tracker) Seed(positions []geom.Vec, present []bool, workers int) {
+// all). Each present sensor's disk is added in id order, and the
+// histogram is shifted cell by cell as the counts grow, so a re-seed —
+// the high-churn path of a tracker syncing a converging fleet — costs
+// one disk scan per sensor and no full-grid pass.
+func (t *Tracker) Seed(positions []geom.Vec, present []bool) {
 	t.reset(len(positions))
 	for i, p := range positions {
 		if present != nil && !present[i] {
@@ -205,85 +174,6 @@ func (t *Tracker) Seed(positions []geom.Vec, present []bool, workers int) {
 		}
 		t.pos[i] = p
 		t.present[i] = true
-	}
-	bands := (t.e.ny + seedBandRows - 1) / seedBandRows
-	if workers > bands {
-		workers = bands
-	}
-	if workers <= 1 {
-		// Serial seeding maintains the histogram inline (counts only
-		// ever increment during a seed, so each cell walks hist exactly
-		// as rebuildHist would recount it). That keeps re-seeds — the
-		// high-churn path of a tracker syncing a converging fleet — free
-		// of the full-grid rebuild scan.
-		t.seedBand(0, t.e.ny, &t.probe, true)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var ps field.ProbeScratch
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= bands {
-					return
-				}
-				r1 := (b + 1) * seedBandRows
-				if r1 > t.e.ny {
-					r1 = t.e.ny
-				}
-				t.seedBand(b*seedBandRows, r1, &ps, false)
-			}
-		}()
-	}
-	wg.Wait()
-	t.rebuildHist()
-}
-
-// seedBand accumulates cover counts for rows [r0, r1) across all present
-// sensors, through the same diskScan predicate as disk. With trackHist
-// the histogram is shifted per cell (single-goroutine callers only);
-// otherwise counts only, and the caller rebuilds the histogram after all
-// bands finish.
-func (t *Tracker) seedBand(r0, r1 int, ps *field.ProbeScratch, trackHist bool) {
-	e := t.e
-	for id, p := range t.pos {
-		if !t.present[id] {
-			continue
-		}
-		s := e.scanDisk(ps, p, t.rs, r0, r1)
-		for s.Next() {
-			for ix := s.lo; ix <= s.hi; ix++ {
-				if !s.covers(ix) {
-					continue
-				}
-				i := s.row + ix
-				old := t.counts[i]
-				t.counts[i] = old + 1
-				if trackHist {
-					t.shift(old, old+1)
-				}
-			}
-		}
-	}
-}
-
-// rebuildHist recomputes the exact-count histogram from the counts array
-// after a bulk seed.
-func (t *Tracker) rebuildHist() {
-	t.hist = t.hist[:1]
-	clear(t.hist)
-	for i, free := range t.e.free {
-		if !free {
-			continue
-		}
-		c := t.counts[i]
-		for int(c) >= len(t.hist) {
-			t.hist = append(t.hist, 0)
-		}
-		t.hist[c]++
+		t.disk(p, +1)
 	}
 }

@@ -64,7 +64,7 @@ func soak(t *testing.T, rng *rand.Rand, f *field.Field, steps int) {
 	}
 	tr := e.AcquireTracker(rs, n)
 	defer tr.Release()
-	tr.Seed(pos, present, 1+rng.IntN(4))
+	tr.Seed(pos, present)
 
 	randomPoint := func() geom.Vec {
 		switch rng.IntN(4) {
@@ -107,7 +107,7 @@ func soak(t *testing.T, rng *rand.Rand, f *field.Field, steps int) {
 		// freshly seeded tracker — stronger than the fractions alone.
 		if step%7 == 0 {
 			fresh := e.AcquireTracker(rs, n)
-			fresh.Seed(pos, present, 1)
+			fresh.Seed(pos, present)
 			if !reflect.DeepEqual(tr.counts, fresh.counts) {
 				t.Fatalf("step %d: incremental counts diverged from fresh seed", step)
 			}
@@ -137,57 +137,8 @@ func TestTrackerSoakFreeField(t *testing.T) {
 	}
 }
 
-func TestTrackerSoakAccelDisabled(t *testing.T) {
-	// The tracker must mirror the brute predicate on the non-probe LOS
-	// fallback too.
-	defer field.SetAccelEnabled(field.SetAccelEnabled(false))
-	rng := rand.New(rand.NewPCG(1003, 7))
-	for trial := 0; trial < 3; trial++ {
-		soak(t, rng, abRandomField(t, rng), 40)
-	}
-}
-
-// TestTrackerSeedParallelDeepEqual pins the row-sharded seeder's
-// determinism: the counts, histogram, and fractions must be DeepEqual at
-// any worker count.
-func TestTrackerSeedParallelDeepEqual(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1004, 7))
-	for trial := 0; trial < 4; trial++ {
-		f := abRandomField(t, rng)
-		e := NewEstimator(f, 5)
-		positions := abPositions(rng, f, 10+rng.IntN(40))
-		rs := 20 + rng.Float64()*40
-
-		ref := e.AcquireTracker(rs, len(positions))
-		ref.Seed(positions, nil, 1)
-		for _, workers := range []int{2, 4, 16, 64} {
-			tr := e.AcquireTracker(rs, len(positions))
-			tr.Seed(positions, nil, workers)
-			if !reflect.DeepEqual(ref.counts, tr.counts) {
-				t.Fatalf("workers=%d: counts differ from serial seed", workers)
-			}
-			if !reflect.DeepEqual(ref.hist, tr.hist) {
-				t.Fatalf("workers=%d: histogram differs from serial seed", workers)
-			}
-			if tr.Fraction() != ref.Fraction() || tr.KFraction(2) != ref.KFraction(2) {
-				t.Fatalf("workers=%d: fractions differ from serial seed", workers)
-			}
-			tr.Release()
-		}
-		// The seeded state must also agree with the brute-force scans.
-		if got, want := ref.Fraction(), e.Fraction(positions, rs); got != want {
-			t.Fatalf("seeded Fraction %v != brute %v", got, want)
-		}
-		if got, want := ref.KFraction(2), e.KFraction(positions, rs, 2); got != want {
-			t.Fatalf("seeded KFraction %v != brute %v", got, want)
-		}
-		ref.Release()
-	}
-}
-
 // TestExclusiveAreaBelowMatchesFull pins the early-exit variant to the
-// full scan's verdict on randomized inputs, on both sides of the limit
-// and with the engine disabled.
+// full scan's verdict on randomized inputs, on both sides of the limit.
 func TestExclusiveAreaBelowMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1005, 7))
 	for trial := 0; trial < 5; trial++ {
@@ -200,12 +151,6 @@ func TestExclusiveAreaBelowMatchesFull(t *testing.T) {
 			want := full < limit
 			if got := ExclusiveAreaBelow(f, center, rs, others, rs/8, limit); got != want {
 				t.Fatalf("ExclusiveAreaBelow(limit=%v) = %v, full scan says %v (area %v)", limit, got, want, full)
-			}
-			prev := SetIncrementalEnabled(false)
-			got := ExclusiveAreaBelow(f, center, rs, others, rs/8, limit)
-			SetIncrementalEnabled(prev)
-			if got != want {
-				t.Fatalf("disabled ExclusiveAreaBelow(limit=%v) = %v, want %v", limit, got, want)
 			}
 		}
 	}
@@ -220,7 +165,7 @@ func TestTrackerReacquireReset(t *testing.T) {
 	positions := abPositions(rng, f, 20)
 
 	tr := e.AcquireTracker(40, len(positions))
-	tr.Seed(positions, nil, 2)
+	tr.Seed(positions, nil)
 	tr.Release()
 
 	tr = e.AcquireTracker(30, 5)

@@ -131,8 +131,10 @@ func checkScan(t *testing.T, step string, e *Estimator, tr *Tracker, rs float64,
 	if got, want := e.Fraction(alive, rs), refFraction(e, counts, 1); got != want {
 		t.Fatalf("%s: Fraction %v, reference %v (rs=%v)", step, got, want, rs)
 	}
-	if got, want := e.KFraction(alive, rs, 2), refFraction(e, counts, 2); got != want {
-		t.Fatalf("%s: KFraction(2) %v, reference %v (rs=%v)", step, got, want, rs)
+	for k := 2; k <= 3; k++ {
+		if got, want := e.KFraction(alive, rs, k), refFraction(e, counts, k); got != want {
+			t.Fatalf("%s: KFraction(%d) %v, reference %v (rs=%v)", step, k, got, want, rs)
+		}
 	}
 }
 
@@ -169,12 +171,8 @@ func TestDiskScanMatchesPerCellReference(t *testing.T) {
 				present[i] = rng.IntN(4) != 0
 			}
 			tr := e.AcquireTracker(rs, n)
-			tr.Seed(pos, present, 1)
-			checkScan(t, "serial seed", e, tr, rs, pos, present)
-			par := e.AcquireTracker(rs, n)
-			par.Seed(pos, present, 3)
-			checkScan(t, "parallel seed", e, par, rs, pos, present)
-			par.Release()
+			tr.Seed(pos, present)
+			checkScan(t, "seed", e, tr, rs, pos, present)
 
 			edge := edgePositions(rng, e)
 			for step := 0; step < steps; step++ {
@@ -203,22 +201,6 @@ func TestDiskScanMatchesPerCellReference(t *testing.T) {
 	}
 }
 
-// TestDiskScanAccelDisabled runs the reference comparison on the
-// Field.Visible fallback, where no probe (and no row narrowing) exists.
-func TestDiskScanAccelDisabled(t *testing.T) {
-	defer field.SetAccelEnabled(field.SetAccelEnabled(false))
-	rng := rand.New(rand.NewPCG(1202, 3))
-	f := abRandomField(t, rng)
-	e := NewEstimator(f, 10)
-	for _, rs := range scanRadii(rng, e)[:3] {
-		pos := scanLayout(rng, e, 10)
-		tr := e.AcquireTracker(rs, len(pos))
-		tr.Seed(pos, nil, 1)
-		checkScan(t, "seed", e, tr, rs, pos, nil)
-		tr.Release()
-	}
-}
-
 // TestFixSpanAnyGuess drives the span fix-up from arbitrary guesses: the
 // run it settles on must equal a brute per-column scan of the predicate
 // whatever the starting columns, so the walks are exact even where the
@@ -232,7 +214,7 @@ func TestFixSpanAnyGuess(t *testing.T) {
 			p.X = e.cx[rng.IntN(e.nx)]
 		}
 		rs := []float64{0.3, 0.5, 1, 2.5, 40}[rng.IntN(5)] * e.res
-		d := e.scanDisk(nil, p, rs, 0, e.ny)
+		d := e.scanDisk(nil, p, rs)
 		for ; d.iy <= d.iy1; d.iy++ {
 			cy := e.cy[d.iy]
 			lo, hi := -1, -2

@@ -2,7 +2,6 @@ package field
 
 import (
 	"math"
-	"os"
 
 	"mobisense/internal/geom"
 )
@@ -10,16 +9,17 @@ import (
 // This file holds the field's segment acceleration structure: every solid
 // boundary edge flattened into one struct-of-arrays arena with padded
 // per-edge bounding boxes, plus a uniform grid binning edges by cell.
-// Geometry kernels (FirstHit, SegmentFree/Visible, Clearance, the
-// boundary queries) walk only candidate edges near the query instead of
-// every edge of every solid.
+// Geometry kernels (FirstHit, SegmentFree/Visible, the boundary
+// queries) walk only candidate edges near the query instead of every
+// edge of every solid.
 //
 // Every use of the structure is an *exact pruning* transformation: a
 // candidate edge set is only ever a superset of the edges that can
 // influence the brute-force result, and the per-edge predicates are the
-// very same expressions the brute-force path evaluates, so results are
-// bit-identical — the repo's determinism invariant. The padding absorbs
-// the Eps-scaled slack of the geometric predicates (IntersectParam
+// very same expressions a scan over every edge of every solid evaluates,
+// so results are bit-identical — the repo's determinism invariant.
+// accel_test.go keeps those scans as oracles. The padding absorbs the
+// Eps-scaled slack of the geometric predicates (IntersectParam
 // accepts parameters in [-Eps, 1+Eps], i.e. points up to ~Eps·length ≈
 // 1e-5 m off an edge); accelPad exceeds that by two orders of magnitude.
 
@@ -28,23 +28,6 @@ import (
 // longest segment, ≈1e-5 m here); 1e-3 m leaves a 100× margin while
 // admitting essentially no extra candidates at field scale.
 const accelPad = 1e-3
-
-// accelEnabled gates the accelerated query paths at run time. It exists
-// for A/B tests and benchmarks that compare the accelerated kernels
-// against the retained brute-force paths on the same (possibly cached)
-// fields; production code never touches it. Toggling is only safe when
-// no queries are in flight.
-var accelEnabled = os.Getenv("MOBISENSE_NO_ACCEL") != "1"
-
-// SetAccelEnabled turns the acceleration structure on or off globally and
-// returns the previous setting. Test/benchmark hook only; the
-// MOBISENSE_NO_ACCEL=1 environment variable sets the initial state to off
-// so A/B benchmarks can run without code changes.
-func SetAccelEnabled(on bool) bool {
-	prev := accelEnabled
-	accelEnabled = on
-	return prev
-}
 
 // accel is the immutable acceleration structure, built once per Field.
 type accel struct {
@@ -342,32 +325,23 @@ type ProbeScratch struct {
 // list is empty answers every in-disk visibility query with "visible"
 // without any geometry work — the common case on sparse-obstacle fields.
 type Probe struct {
-	f      *Field
-	sc     *ProbeScratch
-	edges  []int32
-	obs    []int32
-	active bool
+	f     *Field
+	sc    *ProbeScratch
+	edges []int32
+	obs   []int32
 }
-
-// Active reports whether the probe can answer queries; it is false when
-// the field has no acceleration structure, and callers must fall back to
-// Field.Visible.
-func (p Probe) Active() bool { return p.active }
 
 // TriviallyVisible reports that no solid edge lies near the probe's
 // disk, so every in-disk free pair is mutually visible and callers may
 // skip per-pair visibility tests altogether — the common case on
 // sparse-obstacle fields.
-func (p Probe) TriviallyVisible() bool { return p.active && len(p.edges) == 0 }
+func (p Probe) TriviallyVisible() bool { return len(p.edges) == 0 }
 
 // DiskProbe gathers the candidate edges and obstacles for visibility
 // queries between points inside the disk of radius r around center. The
 // scratch buffers are reused across fills; the returned probe aliases
 // them and is valid until the next fill of the same scratch.
 func (f *Field) DiskProbe(sc *ProbeScratch, center geom.Vec, r float64) Probe {
-	if f.accel == nil || !accelEnabled {
-		return Probe{f: f}
-	}
 	a := f.accel
 	if n := len(a.ax); cap(sc.edges) < n {
 		// One arena-sized block backs both the disk's candidates and a
@@ -401,10 +375,10 @@ func (f *Field) DiskProbe(sc *ProbeScratch, center geom.Vec, r float64) Probe {
 		obs = append(obs, int32(i))
 	}
 	sc.obs = obs
-	return Probe{f: f, sc: sc, edges: edges, obs: obs, active: true}
+	return Probe{f: f, sc: sc, edges: edges, obs: obs}
 }
 
-// Row narrows an active disk probe to the visibility queries between
+// Row narrows a disk probe to the visibility queries between
 // points whose y coordinates are ya and yb: it keeps only the candidate
 // edges whose padded y-extent overlaps [min(ya, yb), max(ya, yb)]. That
 // is the y half of VisibleFree's per-edge bounding-box reject, which is
@@ -414,7 +388,7 @@ func (f *Field) DiskProbe(sc *ProbeScratch, center geom.Vec, r float64) Probe {
 // scratch the disk probe was filled from and is valid until the next Row
 // call on a probe of that scratch.
 func (p Probe) Row(ya, yb float64) Probe {
-	if !p.active || len(p.edges) == 0 {
+	if len(p.edges) == 0 {
 		return p
 	}
 	ac := p.f.accel

@@ -9,17 +9,94 @@ import (
 	"mobisense/internal/geom"
 )
 
-// These tests pin the acceleration structure to the brute-force kernels:
-// for randomized fields and queries, every accelerated result must be
-// *bit-identical* to the result with acceleration disabled — the repo's
-// determinism invariant. Float comparisons are deliberately exact.
+// These tests pin the acceleration structure to brute-force oracles that
+// scan every edge of every solid: for randomized fields and queries,
+// every accelerated result must be *bit-identical* to the oracle's — the
+// repo's determinism invariant. Float comparisons are deliberately exact.
 
-// withBruteForce runs fn with the acceleration structure globally
-// disabled, restoring the previous setting afterwards.
-func withBruteForce(fn func()) {
-	prev := SetAccelEnabled(false)
-	defer SetAccelEnabled(prev)
-	fn()
+// bruteFirstHit is the reference FirstHit: every solid in order, keeping
+// the strictly earliest hit, so ties go to the lower solid index and,
+// within a solid, to the lower edge index.
+func bruteFirstHit(f *Field, s geom.Segment) (Hit, bool) {
+	best := Hit{T: math.Inf(1)}
+	found := false
+	for i, poly := range f.all {
+		t, edge, ok := poly.IntersectSegment(s)
+		if ok && t < best.T {
+			best = Hit{T: t, Point: s.At(t), Solid: i, Edge: edge}
+			found = true
+		}
+	}
+	if !found {
+		return Hit{}, false
+	}
+	return best, true
+}
+
+// bruteSegmentFree is SegmentFree on bruteFirstHit.
+func bruteSegmentFree(f *Field, a, b geom.Vec) bool {
+	if !f.Free(a) || !f.Free(b) {
+		return false
+	}
+	hit, ok := bruteFirstHit(f, geom.Seg(a, b))
+	if !ok {
+		return true
+	}
+	d := geom.Seg(a, b).Len()
+	if hit.T*d > geom.Eps && (1-hit.T)*d > geom.Eps {
+		return false
+	}
+	return f.Free(geom.Seg(a, b).Midpoint())
+}
+
+// bruteVisible is Visible on bruteSegmentFree.
+func bruteVisible(f *Field, a, b geom.Vec) bool {
+	if len(f.obstacles) == 0 {
+		return f.Free(a) && f.Free(b)
+	}
+	return bruteSegmentFree(f, a, b)
+}
+
+// bruteBoundariesWithin is the reference BoundariesWithin: the closest
+// point of every solid whose bounding box comes within r of p.
+func bruteBoundariesWithin(f *Field, p geom.Vec, r float64) []BoundaryProximity {
+	var out []BoundaryProximity
+	for i, poly := range f.all {
+		if !poly.Bounds().Expand(r).Contains(p) {
+			continue
+		}
+		pt, edge := poly.ClosestBoundaryPoint(p)
+		if d := pt.Dist(p); d <= r {
+			out = append(out, BoundaryProximity{Point: pt, Dist: d, Solid: i, Edge: edge})
+		}
+	}
+	return out
+}
+
+// bruteBoundarySegmentsWithin is the reference BoundarySegmentsWithin:
+// every edge of every solid whose bounding box comes within r of p,
+// clipped to the disk.
+func bruteBoundarySegmentsWithin(f *Field, p geom.Vec, r float64) []BoundarySegment {
+	disk := geom.Circle{C: p, R: r}
+	var out []BoundarySegment
+	for i, poly := range f.all {
+		if !poly.Bounds().Expand(r).Contains(p) {
+			continue
+		}
+		for e := 0; e < poly.NumEdges(); e++ {
+			edge := poly.Edge(e)
+			t0, t1, ok := disk.IntersectSegment(edge)
+			if !ok || t1-t0 < geom.Eps {
+				continue
+			}
+			out = append(out, BoundarySegment{
+				Seg:   geom.Seg(edge.At(t0), edge.At(t1)),
+				Solid: i,
+				Edge:  e,
+			})
+		}
+	}
+	return out
 }
 
 // denseRandomField builds a seeded random rectangular-obstacle field
@@ -99,18 +176,13 @@ func randomSegment(rng *rand.Rand) geom.Segment {
 func TestAccelFirstHitMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2024, 9))
 	for fi, f := range randomFields(t, rng, 12) {
-		if !f.Accelerated() {
-			t.Fatal("field not accelerated")
-		}
 		segs := make([]geom.Segment, 80)
 		for i := range segs {
 			segs[i] = randomSegment(rng)
 		}
 		for qi, s := range segs {
 			fast, fastOK := f.FirstHit(s)
-			var slow Hit
-			var slowOK bool
-			withBruteForce(func() { slow, slowOK = f.FirstHit(s) })
+			slow, slowOK := bruteFirstHit(f, s)
 			if fastOK != slowOK || fast != slow {
 				t.Fatalf("field %d query %d (%v): accel (%+v, %v) != brute (%+v, %v)",
 					fi, qi, s, fast, fastOK, slow, slowOK)
@@ -126,11 +198,8 @@ func TestAccelSegmentFreeVisibleMatchesBrute(t *testing.T) {
 			s := randomSegment(rng)
 			fastSF := f.SegmentFree(s.A, s.B)
 			fastV := f.Visible(s.A, s.B)
-			var slowSF, slowV bool
-			withBruteForce(func() {
-				slowSF = f.SegmentFree(s.A, s.B)
-				slowV = f.Visible(s.A, s.B)
-			})
+			slowSF := bruteSegmentFree(f, s.A, s.B)
+			slowV := bruteVisible(f, s.A, s.B)
 			if fastSF != slowSF || fastV != slowV {
 				t.Fatalf("field %d query %d (%v): SegmentFree %v/%v Visible %v/%v",
 					fi, qi, s, fastSF, slowSF, fastV, slowV)
@@ -139,7 +208,7 @@ func TestAccelSegmentFreeVisibleMatchesBrute(t *testing.T) {
 	}
 }
 
-func TestAccelClearanceAndBoundariesMatchBrute(t *testing.T) {
+func TestAccelBoundariesMatchBrute(t *testing.T) {
 	rng := rand.New(rand.NewPCG(77, 5))
 	radii := []float64{5, 30, 100, 400}
 	for fi, f := range randomFields(t, rng, 10) {
@@ -147,20 +216,10 @@ func TestAccelClearanceAndBoundariesMatchBrute(t *testing.T) {
 			p := geom.V(rng.Float64()*1200-100, rng.Float64()*1200-100)
 			r := radii[rng.IntN(len(radii))]
 
-			fastC := f.Clearance(p, r)
 			fastBW := f.BoundariesWithin(p, r)
 			fastBS := f.BoundarySegmentsWithin(p, r)
-			var slowC float64
-			var slowBW []BoundaryProximity
-			var slowBS []BoundarySegment
-			withBruteForce(func() {
-				slowC = f.Clearance(p, r)
-				slowBW = f.BoundariesWithin(p, r)
-				slowBS = f.BoundarySegmentsWithin(p, r)
-			})
-			if fastC != slowC {
-				t.Fatalf("field %d query %d: Clearance(%v, %v) accel %v != brute %v", fi, qi, p, r, fastC, slowC)
-			}
+			slowBW := bruteBoundariesWithin(f, p, r)
+			slowBS := bruteBoundarySegmentsWithin(f, p, r)
 			if !reflect.DeepEqual(fastBW, slowBW) {
 				t.Fatalf("field %d query %d: BoundariesWithin(%v, %v) accel %+v != brute %+v", fi, qi, p, r, fastBW, slowBW)
 			}
@@ -179,9 +238,6 @@ func TestDiskProbeVisibleFreeMatchesVisible(t *testing.T) {
 			center := f.RandomFreePoint(rng, f.Bounds())
 			rs := 20 + rng.Float64()*80
 			probe := f.DiskProbe(&sc, center, rs)
-			if !probe.Active() {
-				t.Fatal("probe inactive with acceleration enabled")
-			}
 			tested := 0
 			for qi := 0; qi < 200 && tested < 40; qi++ {
 				// Sample a free in-disk point; VisibleFree's contract
@@ -194,8 +250,7 @@ func TestDiskProbeVisibleFreeMatchesVisible(t *testing.T) {
 				}
 				tested++
 				fast := probe.VisibleFree(center, b)
-				var slow bool
-				withBruteForce(func() { slow = f.Visible(center, b) })
+				slow := bruteVisible(f, center, b)
 				if fast != slow {
 					t.Fatalf("field %d center %v rs %v -> %v: VisibleFree %v != Visible %v",
 						fi, center, rs, b, fast, slow)
@@ -207,7 +262,7 @@ func TestDiskProbeVisibleFreeMatchesVisible(t *testing.T) {
 
 // TestProbeRowVisibleFreeMatchesVisible pins the row-narrowed probe: for
 // random free pairs inside a disk, Row(a.Y, b.Y).VisibleFree(a, b) must
-// equal the brute-force Field.Visible(a, b). Pairs include horizontal
+// equal bruteVisible(a, b). Pairs include horizontal
 // segments and endpoints snapped to obstacle vertex y coordinates, where
 // an edge's padded y-extent just touches the row band.
 func TestProbeRowVisibleFreeMatchesVisible(t *testing.T) {
@@ -256,8 +311,7 @@ func TestProbeRowVisibleFreeMatchesVisible(t *testing.T) {
 				tested++
 				row := probe.Row(a.Y, b.Y)
 				got := row.VisibleFree(a, b)
-				var want bool
-				withBruteForce(func() { want = f.Visible(a, b) })
+				want := bruteVisible(f, a, b)
 				if got != want {
 					t.Fatalf("field %d disk %v/%v: Row(%v, %v).VisibleFree(%v, %v) = %v, Visible = %v",
 						fi, center, rs, a.Y, b.Y, a, b, got, want)
@@ -268,22 +322,4 @@ func TestProbeRowVisibleFreeMatchesVisible(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestAccelDisabledReportsBrute double-checks the toggle actually routes
-// queries to the brute-force path (guards against the A/B comparisons
-// silently comparing the accelerated path with itself).
-func TestAccelDisabledReportsBrute(t *testing.T) {
-	f := TwoObstacles()
-	if !f.Accelerated() {
-		t.Fatal("expected acceleration on by default")
-	}
-	withBruteForce(func() {
-		if f.Accelerated() {
-			t.Fatal("expected acceleration off inside withBruteForce")
-		}
-		if probe := f.DiskProbe(&ProbeScratch{}, geom.V(100, 100), 50); probe.Active() {
-			t.Fatal("expected inactive probe with acceleration off")
-		}
-	})
 }

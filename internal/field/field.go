@@ -185,19 +185,6 @@ func (f *Field) Free(p geom.Vec) bool {
 	return true
 }
 
-// acc returns the acceleration structure when present and globally
-// enabled, nil otherwise; callers fall back to the brute-force path.
-func (f *Field) acc() *accel {
-	if accelEnabled {
-		return f.accel
-	}
-	return nil
-}
-
-// Accelerated reports whether geometry queries on this field use the
-// segment acceleration structure.
-func (f *Field) Accelerated() bool { return f.acc() != nil }
-
 // FreeArea returns the area of the field not covered by obstacles,
 // estimated on a grid with the given resolution.
 func (f *Field) FreeArea(res float64) float64 {

@@ -187,16 +187,6 @@ func TestBoundarySegmentsWithin(t *testing.T) {
 	}
 }
 
-func TestClearance(t *testing.T) {
-	f := MustNew(geom.R(0, 0, 100, 100), []geom.Polygon{geom.R(40, 40, 60, 60).Polygon()})
-	if d := f.Clearance(geom.V(30, 50), 100); math.Abs(d-10) > 1e-9 {
-		t.Errorf("clearance = %v, want 10", d)
-	}
-	if d := f.Clearance(geom.V(50, 20), 5); d != 5 {
-		t.Errorf("clearance capped = %v, want 5", d)
-	}
-}
-
 func TestFreeArea(t *testing.T) {
 	f := MustNew(geom.R(0, 0, 100, 100), []geom.Polygon{geom.R(0, 0, 50, 50).Polygon()},
 		WithReference(geom.V(99, 99)))

@@ -1,8 +1,6 @@
 package field
 
 import (
-	"math"
-
 	"mobisense/internal/geom"
 )
 
@@ -19,22 +17,7 @@ type Hit struct {
 // boundary (interior obstacles or the field frame). ok is false when the
 // segment stays entirely in free space.
 func (f *Field) FirstHit(s geom.Segment) (Hit, bool) {
-	if a := f.acc(); a != nil {
-		return a.firstHit(s)
-	}
-	best := Hit{T: math.Inf(1)}
-	found := false
-	for i, poly := range f.all {
-		t, edge, ok := poly.IntersectSegment(s)
-		if ok && t < best.T {
-			best = Hit{T: t, Point: s.At(t), Solid: i, Edge: edge}
-			found = true
-		}
-	}
-	if !found {
-		return Hit{}, false
-	}
-	return best, true
+	return f.accel.firstHit(s)
 }
 
 // SegmentFree reports whether the open segment between a and b stays in
@@ -88,20 +71,12 @@ func (f *Field) BoundariesWithin(p geom.Vec, r float64) []BoundaryProximity {
 // BoundariesWithinAppend is BoundariesWithin appending to out, letting
 // per-period callers reuse one scratch slice instead of allocating.
 func (f *Field) BoundariesWithinAppend(out []BoundaryProximity, p geom.Vec, r float64) []BoundaryProximity {
-	a := f.acc()
-	for i, poly := range f.all {
-		// Cheap reject using the precomputed polygon bounding box — the
-		// same predicate the brute path evaluates via poly.Bounds().
+	for i := range f.all {
+		// Cheap reject on the precomputed polygon bounding box.
 		if !f.solidBB[i].Expand(r).Contains(p) {
 			continue
 		}
-		var pt geom.Vec
-		var edge int
-		if a != nil {
-			pt, edge = a.closestBoundaryPoint(i, p)
-		} else {
-			pt, edge = poly.ClosestBoundaryPoint(p)
-		}
+		pt, edge := f.accel.closestBoundaryPoint(i, p)
 		if d := pt.Dist(p); d <= r {
 			out = append(out, BoundaryProximity{Point: pt, Dist: d, Solid: i, Edge: edge})
 		}
@@ -129,37 +104,22 @@ func (f *Field) BoundarySegmentsWithin(p geom.Vec, r float64) []BoundarySegment 
 // out, letting per-period callers reuse one scratch slice.
 func (f *Field) BoundarySegmentsWithinAppend(out []BoundarySegment, p geom.Vec, r float64) []BoundarySegment {
 	disk := geom.Circle{C: p, R: r}
-	a := f.acc()
+	a := f.accel
 	r2 := r * r
-	for i, poly := range f.all {
+	for i := range f.all {
 		if !f.solidBB[i].Expand(r).Contains(p) {
 			continue
 		}
-		if a != nil {
-			// Walk the solid's arena edges, skipping edges whose padded
-			// bbox stays outside the disk: a reported intersection needs
-			// the edge within R (+Eps slack) of p, and a positive padded
-			// bbox distance lower-bounds the edge distance by ≥ pad/2.
-			lo, hi := a.solidStart[i], a.solidStart[i+1]
-			for ai := lo; ai < hi; ai++ {
-				if a.dist2ToPaddedRect(ai, p.X, p.Y) > r2 {
-					continue
-				}
-				edge := a.edgeSeg(ai)
-				t0, t1, ok := disk.IntersectSegment(edge)
-				if !ok || t1-t0 < geom.Eps {
-					continue
-				}
-				out = append(out, BoundarySegment{
-					Seg:   geom.Seg(edge.At(t0), edge.At(t1)),
-					Solid: i,
-					Edge:  int(ai - lo),
-				})
+		// Walk the solid's arena edges, skipping edges whose padded bbox
+		// stays outside the disk: a reported intersection needs the edge
+		// within R (+Eps slack) of p, and a positive padded bbox distance
+		// lower-bounds the edge distance by ≥ pad/2.
+		lo, hi := a.solidStart[i], a.solidStart[i+1]
+		for ai := lo; ai < hi; ai++ {
+			if a.dist2ToPaddedRect(ai, p.X, p.Y) > r2 {
+				continue
 			}
-			continue
-		}
-		for e := 0; e < poly.NumEdges(); e++ {
-			edge := poly.Edge(e)
+			edge := a.edgeSeg(ai)
 			t0, t1, ok := disk.IntersectSegment(edge)
 			if !ok || t1-t0 < geom.Eps {
 				continue
@@ -167,31 +127,9 @@ func (f *Field) BoundarySegmentsWithinAppend(out []BoundarySegment, p geom.Vec, 
 			out = append(out, BoundarySegment{
 				Seg:   geom.Seg(edge.At(t0), edge.At(t1)),
 				Solid: i,
-				Edge:  e,
+				Edge:  int(ai - lo),
 			})
 		}
 	}
 	return out
-}
-
-// Clearance returns the distance from p to the nearest solid boundary,
-// searching up to maxR. If no boundary is within maxR it returns maxR.
-func (f *Field) Clearance(p geom.Vec, maxR float64) float64 {
-	a := f.acc()
-	best := maxR
-	for i, poly := range f.all {
-		if !f.solidBB[i].Expand(best).Contains(p) {
-			continue
-		}
-		var pt geom.Vec
-		if a != nil {
-			pt, _ = a.closestBoundaryPoint(i, p)
-		} else {
-			pt, _ = poly.ClosestBoundaryPoint(p)
-		}
-		if d := pt.Dist(p); d < best {
-			best = d
-		}
-	}
-	return best
 }

@@ -98,11 +98,11 @@ func Run(cfg Config) (Result, error) {
 // layout metrics consider the surviving sensors only. A traced run hands
 // in its tracer so the final coverage figures are read from the already
 // up-to-date incremental tracker instead of a fresh full scan
-// (bit-identical: the tracker's integer counts are the brute scan's).
+// (bit-identical: the tracker's integer counts are the full scan's).
 func resultFromWorld(cfg Config, w *core.World, tr *tracer) Result {
 	layout := w.AliveLayout()
 	var cov, cov2 float64
-	if tr != nil && tr.wt != nil && tr.wt.seeded {
+	if tr != nil && tr.wt.seeded {
 		tr.wt.sync(w)
 		cov, cov2 = tr.wt.t.Fraction(), tr.wt.t.KFraction(2)
 	} else {

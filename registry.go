@@ -124,9 +124,7 @@ func runEventScheme(cfg Config, f *ifield.Field, scheme core.Scheme, onKill func
 	res.InitialPositions = toPoints(starts)
 	if tr != nil {
 		res.Trace = tr.samples
-		if tr.wt != nil {
-			tr.wt.release()
-		}
+		tr.wt.release()
 	}
 	if fs, ok := scheme.(*floor.Scheme); ok {
 		res.Placements = fs.PlacementsByKind()

@@ -42,7 +42,7 @@ func BenchmarkTrackerSeedLOS(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Seed(layout, nil, 1)
+		tr.Seed(layout, nil)
 	}
 }
 

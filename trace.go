@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"mobisense/internal/core"
-	"mobisense/internal/coverage"
 	ifield "mobisense/internal/field"
 )
 
@@ -165,9 +164,9 @@ type tracer struct {
 	cfg     Config
 	f       *ifield.Field
 	samples []TraceSample
-	// wt is the incremental coverage tracker (nil when the engine is
-	// disabled): seeded on the first sample, then updated per sample in
-	// O(moved sensors × disk window) instead of O(grid × N).
+	// wt is the incremental coverage tracker: seeded on the first sample,
+	// then updated per sample in O(moved sensors × disk window) instead of
+	// O(grid × N).
 	wt *worldTracker
 }
 
@@ -182,23 +181,14 @@ func (tr *tracer) attach(w *core.World, horizon float64) {
 	if layoutStride < 1 {
 		layoutStride = 1
 	}
-	est := tr.cfg.estimatorFor(tr.f)
-	if coverage.IncrementalEnabled() {
-		tr.wt = newWorldTracker(est, tr.cfg.Rs, len(w.Sensors), seedWorkers(tr.cfg))
-	}
+	tr.wt = newWorldTracker(tr.cfg.estimatorFor(tr.f), tr.cfg.Rs, len(w.Sensors))
 	var cs core.TraceSample
 	w.E.ScheduleEvery(0, stride, func() bool {
 		layout := w.SampleTrace(&cs)
-		var cov float64
-		if tr.wt != nil {
-			tr.wt.sync(w)
-			cov = tr.wt.t.Fraction()
-		} else {
-			cov = est.Fraction(layout, tr.cfg.Rs)
-		}
+		tr.wt.sync(w)
 		sample := TraceSample{
 			Time:       cs.Time,
-			Coverage:   cov,
+			Coverage:   tr.wt.t.Fraction(),
 			Connected:  cs.Connected,
 			Alive:      cs.Alive,
 			Moving:     cs.Moving,

@@ -2,9 +2,12 @@ package mobisense
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"mobisense/internal/geom"
 )
 
 func TestTraceSamplesCollected(t *testing.T) {
@@ -215,5 +218,55 @@ func TestTraceLayoutStride(t *testing.T) {
 	bad.Trace = &TraceOptions{Stride: 10, LayoutStride: 2}
 	if _, err := Run(bad); err == nil {
 		t.Fatal("layout stride without Layouts was accepted")
+	}
+}
+
+// TestTraceCoverageMatchesFullScan pins the trace sampler's incremental
+// coverage tracker to the full scan. The traced runs are long enough for
+// the fleet to settle and keep losing sensors, so syncs apply single
+// moves and kills incrementally as well as re-seeding. Every sample's
+// coverage must equal Estimator.Fraction of the layout captured with it,
+// and the result's final coverage the full scans of its positions.
+func TestTraceCoverageMatchesFullScan(t *testing.T) {
+	for _, scheme := range []Scheme{SchemeCPVF, SchemeFLOOR} {
+		for _, scenario := range []string{"narrow-door", "random-obstacles"} {
+			t.Run(fmt.Sprintf("%s/%s", scheme, scenario), func(t *testing.T) {
+				cfg := sweepConfig()
+				cfg.Scheme = scheme
+				cfg.N = 40
+				cfg.Duration = 400
+				fl, err := BuildScenario(scenario, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Field = fl
+				cfg.Trace = &TraceOptions{Stride: 3, Layouts: true}
+				cfg.Failures = &FailureOptions{Interval: 13, MaxKills: 12}
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				est := cfg.estimatorFor(fl.internal())
+				vecs := func(pts []Point) []geom.Vec {
+					out := make([]geom.Vec, len(pts))
+					for i, p := range pts {
+						out[i] = geom.V(p.X, p.Y)
+					}
+					return out
+				}
+				for _, s := range res.Trace {
+					if want := est.Fraction(vecs(s.Layout), cfg.Rs); s.Coverage != want {
+						t.Fatalf("t=%g: traced coverage %v, full scan %v", s.Time, s.Coverage, want)
+					}
+				}
+				final := vecs(res.Positions)
+				if want := est.Fraction(final, cfg.Rs); res.Coverage != want {
+					t.Errorf("final coverage %v, full scan %v", res.Coverage, want)
+				}
+				if want := est.KFraction(final, cfg.Rs, 2); res.Coverage2 != want {
+					t.Errorf("final 2-coverage %v, full scan %v", res.Coverage2, want)
+				}
+			})
+		}
 	}
 }
