@@ -68,10 +68,13 @@ func (w *World) AliveLayout() []geom.Vec {
 // but no longer unit-disk reachable from the base station at the given
 // radius. A mid-chain death can break physical connectivity without
 // orphaning anyone in the tree; the base station notices the lost
-// heartbeats and the scheme sends the strays back to re-join.
+// heartbeats and the scheme sends the strays back to re-join. The result
+// is scratch owned by the world, valid until the next PhysicallyStranded
+// call; the layout and the connectivity search run on world-owned
+// buffers, so the once-per-period heartbeat sweep allocates nothing.
 func (w *World) PhysicallyStranded(radius float64) []int {
-	positions := make([]geom.Vec, 0, len(w.Sensors))
-	ids := make([]int, 0, len(w.Sensors))
+	positions := w.strandPos[:0]
+	ids := w.strandIDs[:0]
 	now := w.Now()
 	for i := range w.Sensors {
 		if !w.Sensors[i].Failed {
@@ -79,13 +82,16 @@ func (w *World) PhysicallyStranded(radius float64) []int {
 			ids = append(ids, i)
 		}
 	}
-	reach := UnitDiskReachable(positions, w.F.Reference(), radius)
-	var out []int
-	for k, ok := range reach {
+	w.strandPos = positions
+	// The stranded IDs are compacted into ids in place: the write index
+	// never passes the read index.
+	out := ids[:0]
+	for k, ok := range w.reach.run(positions, w.F.Reference(), radius) {
 		if !ok && w.Sensors[ids[k]].Connected {
 			out = append(out, ids[k])
 		}
 	}
+	w.strandIDs = ids
 	return out
 }
 

@@ -141,15 +141,16 @@ func (w *World) FloodFromBase(radius float64) {
 	for head := 0; head < len(queue); head++ {
 		cur := queue[head]
 		w.Msg.Count(MsgFlood, 1) // cur rebroadcasts once
-		idx.ForNeighbors(positions[cur], radius, func(j int, _ geom.Vec) {
+		w.candScratch = idx.AppendWithin(w.candScratch[:0], -1, positions[cur], radius)
+		for _, j := range w.candScratch {
 			if visited[j] {
-				return
+				continue
 			}
 			visited[j] = true
 			w.Sensors[j].Connected = true
-			w.Tree.SetParent(j, cur)
-			queue = append(queue, j)
-		})
+			w.Tree.SetParent(int(j), cur)
+			queue = append(queue, int(j))
+		}
 	}
 	w.floodQueue = queue
 }

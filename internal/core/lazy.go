@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"mobisense/internal/geom"
-)
+import "math"
 
 // LazyOutcome describes what a disconnected sensor did in one period under
 // the lazy-movement strategy (§3.3).
@@ -106,22 +102,26 @@ func (lc *LazyCoordinator) Step(id int) LazyResult {
 	// motion keeps it in range: the new parent only learns about us at its
 	// next decision, so the link must survive the remainder of its current
 	// step (Appendix A's conditions, applied to the join).
+	// When the connect radius is rc (CPVF, and FLOOR unless 2·rs < rc),
+	// the path-parent pass below reads this same list: nothing moves in
+	// between.
 	joined := NoParent
 	best := math.Inf(1)
 	pos := w.Pos(id)
 	now := w.Now()
-	w.ForNeighbors(id, lc.cfg.ConnectRadius, func(j int, p geom.Vec) {
-		if !w.Sensors[j].Connected {
-			return
+	nbrs := w.NeighborsWithin(id, lc.cfg.ConnectRadius)
+	for _, n := range nbrs {
+		if !w.Sensors[n.ID].Connected {
+			continue
 		}
-		if w.PosAt(j, math.Max(w.StepEndTime(j), now)).Dist(pos) > lc.cfg.ConnectRadius {
-			return
+		if w.PosAt(n.ID, math.Max(w.StepEndTime(n.ID), now)).Dist(pos) > lc.cfg.ConnectRadius {
+			continue
 		}
-		if d := p.Dist(pos); d < best {
+		if d := n.Pos.Dist(pos); d < best {
 			best = d
-			joined = j
+			joined = n.ID
 		}
-	})
+	}
 	if joined != NoParent {
 		w.Stay(id, T)
 		return LazyResult{Outcome: LazyJoined, Parent: joined}
@@ -149,18 +149,21 @@ func (lc *LazyCoordinator) Step(id int) LazyResult {
 	myDist := pos.Dist(target)
 	cand := NoParent
 	candDist := math.Inf(1)
-	w.ForNeighbors(id, w.P.Rc, func(j int, p geom.Vec) {
-		if w.Sensors[j].Connected || lc.rejected[id][j] {
-			return
+	if lc.cfg.ConnectRadius != w.P.Rc {
+		nbrs = w.NeighborsWithin(id, w.P.Rc)
+	}
+	for _, n := range nbrs {
+		if w.Sensors[n.ID].Connected || lc.rejected[id][n.ID] {
+			continue
 		}
-		if p.Dist(target) >= myDist-1e-9 {
-			return
+		if n.Pos.Dist(target) >= myDist-1e-9 {
+			continue
 		}
-		if d := p.Dist(pos); d < candDist {
+		if d := n.Pos.Dist(pos); d < candDist {
 			candDist = d
-			cand = j
+			cand = n.ID
 		}
-	})
+	}
 
 	// A neighbor already waiting on us cannot be our path parent.
 	if cand != NoParent && lc.pathParent[cand] == id {

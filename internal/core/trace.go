@@ -48,7 +48,7 @@ func (w *World) SampleTrace(s *TraceSample) []geom.Vec {
 		pts = append(pts, w.PosAt(i, now))
 	}
 	w.traceLayout = pts
-	for _, ok := range w.traceReach.run(pts, w.F.Reference(), w.P.Rc) {
+	for _, ok := range w.reach.run(pts, w.F.Reference(), w.P.Rc) {
 		if ok {
 			s.Connected++
 		}

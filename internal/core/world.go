@@ -63,19 +63,35 @@ type World struct {
 
 	msgStore MsgStats
 
-	idx        *spatial.Index
-	lastMove   float64
-	nbrScratch []int // Neighbors result buffer, reused across calls
+	idx      *spatial.Index
+	lastMove float64
+
+	// Neighbor-query scratch, reused across calls: grid candidates (also
+	// FloodFromBase's), the NeighborsWithin result and the Neighbors IDs.
+	candScratch []int32
+	nbrScratch  []Neighbor
+	idScratch   []int
 
 	// Flood scratch (see FloodFromBase), reused across floods and runs.
 	floodPos     []geom.Vec
 	floodVisited []bool
 	floodQueue   []int
 
-	// Trace-sampling layout and connectivity scratch (see SampleTrace),
-	// reused across samples and runs.
+	// Trace-sampling layout (see SampleTrace) and the stranded-sensor
+	// layout and IDs (see PhysicallyStranded), reused across calls and
+	// runs. Both run their connectivity search on reach and consume its
+	// mask before returning.
 	traceLayout []geom.Vec
-	traceReach  reachSearch
+	strandPos   []geom.Vec
+	strandIDs   []int
+	reach       reachSearch
+}
+
+// Neighbor is one sensor found by a neighbor query, with its position at
+// the query time.
+type Neighbor struct {
+	ID  int
+	Pos geom.Vec
 }
 
 // worldPool recycles worlds — their sensor arrays, step records and
@@ -232,23 +248,30 @@ func (w *World) Stay(id int, dur float64) {
 	w.stepT1[id] = now + dur
 }
 
-// ForNeighbors calls fn for every other sensor within radius r of sensor id
-// at the current time. The spatial index stores step-start positions, so
-// queries are padded by twice the maximum per-period displacement and then
-// filtered exactly.
-func (w *World) ForNeighbors(id int, r float64, fn func(j int, pos geom.Vec)) {
+// NeighborsWithin returns every other live sensor within radius r of
+// sensor id at the current time, with its position then. The spatial
+// index stores step-start positions, so the grid query is padded by twice
+// the maximum per-period displacement and then filtered exactly. The
+// order is the grid's, deterministic for a fixed history. The result is
+// scratch owned by the world, valid until the next NeighborsWithin or
+// Neighbors call: a caller ranging over it must not query again inside
+// its loop.
+func (w *World) NeighborsWithin(id int, r float64) []Neighbor {
 	now := w.Now()
 	center := w.PosAt(id, now)
 	pad := 2 * w.P.MaxStep()
-	w.idx.ForNeighborsSkip(id, center, r+pad, func(j int, _ geom.Vec) {
+	w.candScratch = w.idx.AppendWithin(w.candScratch[:0], id, center, r+pad)
+	out := w.nbrScratch[:0]
+	for _, j := range w.candScratch {
 		if w.Sensors[j].Failed {
-			return
+			continue
 		}
-		p := w.PosAt(j, now)
-		if p.WithinDist(center, r) {
-			fn(j, p)
+		if p := w.PosAt(int(j), now); p.WithinDist(center, r) {
+			out = append(out, Neighbor{ID: int(j), Pos: p})
 		}
-	})
+	}
+	w.nbrScratch = out
+	return out
 }
 
 // Neighbors returns the IDs of sensors within radius r of sensor id at the
@@ -256,12 +279,14 @@ func (w *World) ForNeighbors(id int, r float64, fn func(j int, pos geom.Vec)) {
 // by the next Neighbors call on this world (callers never retain it past
 // their period handler; this is a per-sensor-per-period hot path).
 func (w *World) Neighbors(id int, r float64) []int {
-	out := w.nbrScratch[:0]
-	w.ForNeighbors(id, r, func(j int, _ geom.Vec) { out = append(out, j) })
-	// ForNeighbors iterates in grid order; sort for determinism across
+	out := w.idScratch[:0]
+	for _, n := range w.NeighborsWithin(id, r) {
+		out = append(out, n.ID)
+	}
+	// NeighborsWithin returns grid order; sort for determinism across
 	// index states.
 	slices.Sort(out)
-	w.nbrScratch = out
+	w.idScratch = out
 	return out
 }
 

@@ -183,17 +183,17 @@ func (c *Scheme) HandleFailure(victim int, orphans []int) {
 		pos := w.Pos(o)
 		best := core.NoParent
 		bestD := math.Inf(1)
-		w.ForNeighbors(o, w.P.Rc, func(j int, q geom.Vec) {
+		for _, n := range w.NeighborsWithin(o, w.P.Rc) {
 			// The anchor must be rooted: a concurrently orphaned fragment
 			// with a stale Connected flag would form an island.
-			if !w.Sensors[j].Connected || !w.Tree.InTree(j) || w.Tree.IsAncestor(o, j) {
-				return
+			if !w.Sensors[n.ID].Connected || !w.Tree.InTree(n.ID) || w.Tree.IsAncestor(o, n.ID) {
+				continue
 			}
-			if d := pos.Dist(q); d < bestD {
+			if d := pos.Dist(n.Pos); d < bestD {
 				bestD = d
-				best = j
+				best = n.ID
 			}
-		})
+		}
 		switch {
 		case w.NearBase(o, w.P.Rc):
 			w.Tree.SetParent(o, core.BaseParent)
@@ -365,17 +365,20 @@ func (c *Scheme) applyOscillationAvoidance(id int, pos, dir geom.Vec, step float
 func (c *Scheme) force(id int, pos geom.Vec) geom.Vec {
 	w := c.w
 	var f geom.Vec
-	w.ForNeighbors(id, w.P.Rc, func(_ int, q geom.Vec) {
-		d := pos.Dist(q)
+	for _, n := range w.NeighborsWithin(id, w.P.Rc) {
+		v := pos.Sub(n.Pos)
+		d := v.Len()
 		if d < 1e-9 {
 			// Coincident sensors: break the tie with a deterministic
 			// pseudo-random nudge derived from the ID.
 			angle := float64(id) * 2.399963229728653 // golden angle
 			f = f.Add(geom.V(math.Cos(angle), math.Sin(angle)))
-			return
+			continue
 		}
-		f = f.Add(pos.Sub(q).Unit().Scale(1 - d/w.P.Rc))
-	})
+		// v/d is v.Unit() bit for bit: Unit divides by the same Len,
+		// and d >= 1e-9 = geom.Eps skips its zero-vector branch.
+		f = f.Add(geom.V(v.X/d, v.Y/d).Scale(1 - d/w.P.Rc))
+	}
 	c.proxScratch = w.F.BoundariesWithinAppend(c.proxScratch[:0], pos, w.P.Rs)
 	for _, prox := range c.proxScratch {
 		if prox.Dist < 1e-9 {
@@ -499,20 +502,21 @@ func (c *Scheme) tryParentChange(id int, pos geom.Vec) bool {
 	best := core.NoParent
 	bestDist := math.Inf(1)
 	now := w.Now()
-	w.ForNeighbors(id, w.P.Rc, func(j int, q geom.Vec) {
+	for _, n := range w.NeighborsWithin(id, w.P.Rc) {
+		j := n.ID
 		if !w.Sensors[j].Connected || c.inSub[j] == c.subEpoch || j == cur {
-			return
+			continue
 		}
 		// The candidate only learns of the new link at its next decision:
 		// its committed step must not carry it out of range first.
 		if w.PosAt(j, math.Max(w.StepEndTime(j), now)).Dist(pos) > w.P.Rc {
-			return
+			continue
 		}
-		if d := pos.Dist(q); d < bestDist {
+		if d := pos.Dist(n.Pos); d < bestDist {
 			bestDist = d
 			best = j
 		}
-	})
+	}
 	if best == core.NoParent {
 		return false
 	}

@@ -157,6 +157,9 @@ type Scheme struct {
 	decideFns []func()
 	monitorFn func()
 
+	// walks memoizes neighbor lists for one expandStep's invitation walks.
+	walks walkMemo
+
 	// Per-run scratch reused across periods by the discovery and
 	// classification hot paths.
 	epScratch     []epCandidate
@@ -231,6 +234,7 @@ func (s *Scheme) Attach(w *core.World) {
 	s.ownedVirtuals = make([][]virtualAnchor, n)
 	s.firstInvite = make([]float64, n)
 	s.pendings = make([][]pendingEP, n)
+	s.walks = walkMemo{ent: make([]memoEntry, n)}
 	s.phase = 1
 	s.decideFns = make([]func(), n)
 	for i := 0; i < n; i++ {
@@ -445,28 +449,28 @@ func (s *Scheme) becomeFixed(id int, r *relocation) {
 	// Self-healing: neighbors that bridged a chain gap with an over-long
 	// parent link re-parent to the new arrival when it is closer.
 	myPos := w.Pos(id)
-	w.ForNeighbors(id, s.connectR, func(j int, q geom.Vec) {
-		// ForNeighbors never yields id itself, so only the state filter
-		// remains.
-		if s.st[j] != stateFixed {
-			return
+	for _, n := range w.NeighborsWithin(id, s.connectR) {
+		// NeighborsWithin never yields id itself, so only the state
+		// filter remains.
+		if s.st[n.ID] != stateFixed {
+			continue
 		}
-		par := w.Tree.Parent(j)
+		par := w.Tree.Parent(n.ID)
 		if par < 0 && par != core.NoParent {
-			return // base links are always short
+			continue // base links are always short
 		}
 		var parLink float64
 		if par == core.NoParent {
 			parLink = math.Inf(1)
 		} else {
-			parLink = q.Dist(w.Pos(par))
+			parLink = n.Pos.Dist(w.Pos(par))
 		}
-		if parLink > w.P.Rc && q.Dist(myPos) < parLink {
-			if w.Tree.SetParent(j, id) {
+		if parLink > w.P.Rc && n.Pos.Dist(myPos) < parLink {
+			if w.Tree.SetParent(n.ID, id) {
 				w.Msg.Count(core.MsgTreeCtl, 2)
 			}
 		}
-	})
+	}
 }
 
 // classifyLateJoiner decides fixed-vs-movable for a sensor that connected

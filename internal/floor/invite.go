@@ -2,39 +2,96 @@ package floor
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 
 	"mobisense/internal/bug2"
 	"mobisense/internal/core"
-	"mobisense/internal/geom"
 )
+
+// walkMemo holds the sorted neighbor lists that one expandStep's
+// invitation walks look up. All of those walks run at one instant and
+// nothing moves between them, so each sensor's list is computed once per
+// expandStep. The lists live back to back in one arena that next empties,
+// so steady-state walks allocate nothing.
+type walkMemo struct {
+	gen   uint32
+	ent   []memoEntry // by sensor ID
+	arena []int
+}
+
+// memoEntry locates one sensor's list, arena[off : off+n], valid while
+// stamp equals the memo's generation.
+type memoEntry struct {
+	stamp  uint32
+	off, n int32
+}
+
+// next forgets every list in O(1), falling back to an O(n) clear only
+// when the 32-bit generation wraps.
+func (m *walkMemo) next() {
+	m.arena = m.arena[:0]
+	m.gen++
+	if m.gen == 0 {
+		clear(m.ent)
+		m.gen = 1
+	}
+}
+
+// neighbors returns sensor id's neighbors within rc in ascending ID
+// order (World.Neighbors), querying the world on the generation's first
+// lookup only. The slice is valid until the next lookup.
+func (m *walkMemo) neighbors(w *core.World, id int) []int {
+	e := &m.ent[id]
+	if e.stamp != m.gen {
+		off := len(m.arena)
+		m.arena = append(m.arena, w.Neighbors(id, w.P.Rc)...)
+		*e = memoEntry{stamp: m.gen, off: int32(off), n: int32(len(m.arena) - off)}
+	}
+	return m.arena[e.off : e.off+e.n]
+}
+
+// nextHop draws a walk's next sensor from the sorted neighbor list nbrs,
+// never straight back to prev when any alternative exists: a uniform
+// draw over nbrs with prev removed. prev is skipped by index instead of
+// filtering a copy of the list, which makes the same pick with the same
+// single rng draw. ok is false when nbrs is empty.
+func nextHop(rng *rand.Rand, nbrs []int, prev int) (next int, ok bool) {
+	m := len(nbrs)
+	skip := m
+	if m > 1 && prev >= 0 {
+		if k, found := slices.BinarySearch(nbrs, prev); found {
+			skip = k
+			m--
+		}
+	}
+	if m == 0 {
+		return 0, false
+	}
+	k := rng.IntN(m)
+	if k >= skip {
+		k++
+	}
+	return nbrs[k], true
+}
 
 // sendInvitation launches a TTL-bounded random walk carrying an Invitation
 // for the given EP (§5.5.2, Algorithm 2). The walk hops between arbitrary
 // sensors — non-backtracking, so its reach grows near-linearly with the
 // TTL — and the first movable sensor it reaches collects the invitation.
-// Every hop is one MsgInvite transmission.
+// Every hop is one MsgInvite transmission. The caller starts a fresh
+// walkMemo generation at each expandStep.
 func (s *Scheme) sendInvitation(id int, ep epCandidate) {
 	w := s.w
 	rng := w.E.Rand()
 	cur := id
 	prev := -1
 	for hop := 1; hop <= s.cfg.TTL; hop++ {
-		nbrs := w.Neighbors(cur, w.P.Rc)
-		// Avoid bouncing straight back when any alternative exists.
-		if len(nbrs) > 1 && prev >= 0 {
-			filtered := nbrs[:0]
-			for _, n := range nbrs {
-				if n != prev {
-					filtered = append(filtered, n)
-				}
-			}
-			nbrs = filtered
-		}
-		if len(nbrs) == 0 {
+		next, ok := nextHop(rng, s.walks.neighbors(w, cur), prev)
+		if !ok {
 			return
 		}
-		prev = cur
-		cur = nbrs[rng.IntN(len(nbrs))]
+		prev, cur = cur, next
 		w.Msg.Count(core.MsgInvite, 1)
 		if s.st[cur] == stateMovable {
 			if len(s.invites[cur]) == 0 {
@@ -171,15 +228,15 @@ func (s *Scheme) nearestFixedWithin(id int, r float64) int {
 	pos := w.Pos(id)
 	best := core.NoParent
 	bestD := math.Inf(1)
-	w.ForNeighbors(id, r, func(j int, q geom.Vec) {
-		if s.st[j] != stateFixed {
-			return
+	for _, n := range w.NeighborsWithin(id, r) {
+		if s.st[n.ID] != stateFixed {
+			continue
 		}
-		if d := pos.Dist(q); d < bestD {
+		if d := pos.Dist(n.Pos); d < bestD {
 			bestD = d
-			best = j
+			best = n.ID
 		}
-	})
+	}
 	return best
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"mobisense/internal/core"
 	"mobisense/internal/coverage"
-	"mobisense/internal/geom"
 )
 
 // identifyMovables runs phase 2 (§5.3): a depth-first traversal of the
@@ -128,23 +127,24 @@ func (s *Scheme) findNewParent(c, leaving int) (int, bool) {
 	pos := w.Pos(c)
 	best := core.NoParent
 	bestD := math.Inf(1)
-	w.ForNeighbors(c, s.connectR, func(j int, q geom.Vec) {
+	for _, n := range w.NeighborsWithin(c, s.connectR) {
+		j := n.ID
 		if j == leaving || !w.Sensors[j].Connected {
-			return
+			continue
 		}
 		// Already-detached movables cannot anchor a subtree, and adopting
 		// a descendant of c would create a loop.
 		if s.st[j] == stateMovable || s.st[j] == stateRelocating {
-			return
+			continue
 		}
 		if !t.InTree(j) || t.IsAncestor(c, j) {
-			return
+			continue
 		}
-		if d := pos.Dist(q); d < bestD {
+		if d := pos.Dist(n.Pos); d < bestD {
 			bestD = d
 			best = j
 		}
-	})
+	}
 	if best == core.NoParent {
 		return core.NoParent, false
 	}
@@ -160,9 +160,9 @@ func (s *Scheme) isExclusiveCoverageLow(id int) bool {
 	w := s.w
 	pos := w.Pos(id)
 	others := s.othersScratch[:0]
-	w.ForNeighbors(id, 2*w.P.Rs, func(_ int, q geom.Vec) {
-		others = append(others, q)
-	})
+	for _, n := range w.NeighborsWithin(id, 2*w.P.Rs) {
+		others = append(others, n.Pos)
+	}
 	s.othersScratch = others
 	// ExclusiveAreaBelow stops sampling the disk as soon as the
 	// accumulated exclusive area reaches the threshold — exact, since the

@@ -36,13 +36,13 @@ func (s *Scheme) HandleFailure(victim int, orphans []int) {
 
 	// The victim's sensing area is now a hole: wake every fixed neighbor
 	// so expansion re-discovers it.
-	w.ForNeighbors(victim, w.P.Rc, func(j int, _ geom.Vec) {
-		if s.st[j] == stateFixed {
+	for _, n := range w.NeighborsWithin(victim, w.P.Rc) {
+		if j := n.ID; s.st[j] == stateFixed {
 			s.epDone[j] = false
 			s.inviteBackoff[j] = 0
 			s.nextInvite[j] = 0
 		}
-	})
+	}
 
 	// Re-home the orphaned subtrees.
 	for _, c := range orphans {

@@ -163,20 +163,13 @@ func (sp skipSpec) matches(rec nodeRecord) bool {
 // not rejected by skip (the asker itself is never part of the local scan).
 func (r *registry) coveredQuery(w *core.World, asker int, p geom.Vec, rs float64, skip skipSpec) bool {
 	// Local check: any neighbor within communication range covering p.
-	covered := false
-	w.ForNeighbors(asker, w.P.Rc, func(j int, q geom.Vec) {
-		if covered || !w.Sensors[j].Connected {
-			return
+	for _, n := range w.NeighborsWithin(asker, w.P.Rc) {
+		if !w.Sensors[n.ID].Connected || skip.matches(nodeRecord{id: n.ID, pos: n.Pos}) {
+			continue
 		}
-		if skip.matches(nodeRecord{id: j, pos: q}) {
-			return
+		if n.Pos.WithinDist(p, rs) && w.F.Visible(n.Pos, p) {
+			return true
 		}
-		if q.WithinDist(p, rs) && w.F.Visible(q, p) {
-			covered = true
-		}
-	})
-	if covered {
-		return true
 	}
 	// Remote check through floor headers.
 	for _, k := range r.queryFloors(p) {

@@ -294,39 +294,48 @@ func (ix *Index) cellElems(k cellKey) []int32 {
 	return ix.overflow[k]
 }
 
-// ForNeighbors calls fn for every indexed point within radius r of p,
-// including a point exactly at p. Iteration order is deterministic for a
-// fixed insertion history, and identical whether the index is bounded or
-// not.
-func (ix *Index) ForNeighbors(p geom.Vec, r float64, fn func(id int, q geom.Vec)) {
-	ix.ForNeighborsSkip(-1, p, r, fn)
-}
-
-// ForNeighborsSkip is ForNeighbors excluding the point with ID skip (a
-// querying sensor excludes itself without filtering in the callback).
-// Pass a negative skip to exclude nothing.
-func (ix *Index) ForNeighborsSkip(skip int, p geom.Vec, r float64, fn func(id int, q geom.Vec)) {
+// AppendWithin appends to dst the ID of every indexed point within
+// radius r of p (Dist2 <= r²), except the point with ID skip, and
+// returns the extended slice; a querying sensor excludes itself by
+// passing its own ID, and a negative skip excludes nothing. The order is
+// rows bottom-up, cells left to right, slot order within a cell:
+// deterministic for a fixed insertion history, and identical whether the
+// index is bounded or not.
+func (ix *Index) AppendWithin(dst []int32, skip int, p geom.Vec, r float64) []int32 {
 	r2 := r * r
 	lo := ix.key(geom.V(p.X-r, p.Y-r))
 	hi := ix.key(geom.V(p.X+r, p.Y+r))
 	sk := int32(skip)
+	if ix.bounded && lo.x >= ix.ox && hi.x < ix.ox+ix.ncx && lo.y >= ix.oy && hi.y < ix.oy+ix.ncy {
+		// The window lies inside the dense grid, so each of its rows is
+		// one contiguous run of buckets.
+		w := hi.x - lo.x + 1
+		for gy := lo.y - ix.oy; gy <= hi.y-ix.oy; gy++ {
+			start := gy*ix.ncx + lo.x - ix.ox
+			for _, b := range ix.dense[start : start+w] {
+				for _, id := range ix.arena[b.off : b.off+b.n] {
+					if id != sk && ix.pos[id].Dist2(p) <= r2 {
+						dst = append(dst, id)
+					}
+				}
+			}
+		}
+		return dst
+	}
 	for cy := lo.y; cy <= hi.y; cy++ {
 		for cx := lo.x; cx <= hi.x; cx++ {
 			for _, id := range ix.cellElems(cellKey{cx, cy}) {
-				if id == sk {
-					continue
-				}
-				q := ix.pos[id]
-				if q.Dist2(p) <= r2 {
-					fn(int(id), q)
+				if id != sk && ix.pos[id].Dist2(p) <= r2 {
+					dst = append(dst, id)
 				}
 			}
 		}
 	}
+	return dst
 }
 
 // TakeWithin removes every indexed point within radius r of p (the same
-// predicate as ForNeighbors) and appends their IDs to dst, returning the
+// predicate as AppendWithin) and appends their IDs to dst, returning the
 // extended slice. A search that visits each point once — a flood fill —
 // takes what it reaches, so later queries never rescan it.
 func (ix *Index) TakeWithin(p geom.Vec, r float64, dst []int) []int {
@@ -367,7 +376,9 @@ func (ix *Index) TakeWithin(p geom.Vec, r float64, dst []int) []int {
 // ascending ID order.
 func (ix *Index) Neighbors(p geom.Vec, r float64) []int {
 	var out []int
-	ix.ForNeighbors(p, r, func(id int, _ geom.Vec) { out = append(out, id) })
+	for _, id := range ix.AppendWithin(nil, -1, p, r) {
+		out = append(out, int(id))
+	}
 	slices.Sort(out)
 	return out
 }

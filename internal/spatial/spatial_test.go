@@ -143,7 +143,7 @@ func TestZeroCellSizeDefaults(t *testing.T) {
 }
 
 // Property: a bounded index returns the same results AND the same
-// callback iteration order as the unbounded map-backed mode under random
+// iteration order as the unbounded map-backed mode under random
 // insert / move / remove workloads, including points that stray outside
 // the declared bounds (overflow cells).
 func TestBoundedMatchesUnbounded(t *testing.T) {
@@ -164,9 +164,8 @@ func TestBoundedMatchesUnbounded(t *testing.T) {
 		}
 		q := geom.V(rng.Float64()*600-100, rng.Float64()*500-100)
 		r := rng.Float64() * 90
-		var gotB, gotU []int
-		bi.ForNeighbors(q, r, func(id int, _ geom.Vec) { gotB = append(gotB, id) })
-		ui.ForNeighbors(q, r, func(id int, _ geom.Vec) { gotU = append(gotU, id) })
+		gotB := bi.AppendWithin(nil, -1, q, r)
+		gotU := ui.AppendWithin(nil, -1, q, r)
 		if !reflect.DeepEqual(gotB, gotU) {
 			t.Fatalf("step %d: iteration order diverged: bounded %v unbounded %v", step, gotB, gotU)
 		}
@@ -176,20 +175,91 @@ func TestBoundedMatchesUnbounded(t *testing.T) {
 	}
 }
 
-func TestForNeighborsSkip(t *testing.T) {
+func TestAppendWithinSkip(t *testing.T) {
 	ix := NewBounded(10, geom.R(0, 0, 100, 100), 8)
 	ix.Insert(0, geom.V(5, 5))
 	ix.Insert(1, geom.V(6, 5))
 	ix.Insert(2, geom.V(7, 5))
-	var got []int
-	ix.ForNeighborsSkip(1, geom.V(6, 5), 5, func(id int, _ geom.Vec) { got = append(got, id) })
-	if !reflect.DeepEqual(got, []int{0, 2}) {
-		t.Errorf("ForNeighborsSkip = %v, want [0 2]", got)
+	if got := ix.AppendWithin(nil, 1, geom.V(6, 5), 5); !slices.Equal(got, []int32{0, 2}) {
+		t.Errorf("AppendWithin skipping 1 = %v, want [0 2]", got)
 	}
-	got = nil
-	ix.ForNeighborsSkip(-1, geom.V(6, 5), 5, func(id int, _ geom.Vec) { got = append(got, id) })
-	if len(got) != 3 {
+	if got := ix.AppendWithin(nil, -1, geom.V(6, 5), 5); len(got) != 3 {
 		t.Errorf("negative skip should exclude nothing: %v", got)
+	}
+	// The result extends dst in place.
+	dst := []int32{7}
+	if got := ix.AppendWithin(dst, 0, geom.V(6, 5), 5); !slices.Equal(got, []int32{7, 1, 2}) {
+		t.Errorf("AppendWithin onto [7] = %v, want [7 1 2]", got)
+	}
+}
+
+// refWithin is the per-cell reference for AppendWithin: every cell of
+// the query window, rows bottom-up and cells left to right, each looked
+// up through cellElems.
+func refWithin(ix *Index, skip int, p geom.Vec, r float64) []int32 {
+	var out []int32
+	r2 := r * r
+	lo := ix.key(geom.V(p.X-r, p.Y-r))
+	hi := ix.key(geom.V(p.X+r, p.Y+r))
+	for cy := lo.y; cy <= hi.y; cy++ {
+		for cx := lo.x; cx <= hi.x; cx++ {
+			for _, id := range ix.cellElems(cellKey{cx, cy}) {
+				if id != int32(skip) && ix.pos[id].Dist2(p) <= r2 {
+					out = append(out, id)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestAppendWithinMatchesPerCellReference: the dense-row kernel returns
+// the same IDs in the same order as the per-cell reference, for query
+// windows inside the dense grid, straddling its edge (margin cells and
+// overflow cells together) and wholly outside it, under random
+// insert / move / remove traffic that keeps the cells' slot order
+// churning.
+func TestAppendWithinMatchesPerCellReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1406, 2))
+	bounds := geom.R(0, 0, 400, 300)
+	ix := NewBounded(25, bounds, 96)
+	var inside, straddle, outside int
+	for step := 0; step < 4000; step++ {
+		id := rng.IntN(96)
+		if rng.IntN(4) == 0 {
+			ix.Remove(id)
+		} else {
+			ix.Insert(id, geom.V(rng.Float64()*600-100, rng.Float64()*500-100))
+		}
+		var q geom.Vec
+		var r float64
+		switch rng.IntN(3) {
+		case 0: // well inside the bounds
+			q = geom.V(60+rng.Float64()*280, 60+rng.Float64()*180)
+			r = rng.Float64() * 50
+		case 1: // near an edge
+			q = geom.V(rng.Float64()*440-20, []float64{-10, 5, 295, 310}[rng.IntN(4)])
+			r = rng.Float64() * 70
+		default: // far outside
+			q = geom.V(-90+rng.Float64()*20, -90+rng.Float64()*20)
+			r = rng.Float64() * 30
+		}
+		lo, hi := ix.key(geom.V(q.X-r, q.Y-r)), ix.key(geom.V(q.X+r, q.Y+r))
+		switch in := func(k cellKey) bool { return ix.denseIdx(k) >= 0 }; {
+		case in(lo) && in(hi):
+			inside++
+		case in(lo) || in(hi):
+			straddle++
+		default:
+			outside++
+		}
+		skip := rng.IntN(97) - 1
+		if got, want := ix.AppendWithin(nil, skip, q, r), refWithin(ix, skip, q, r); !slices.Equal(got, want) {
+			t.Fatalf("step %d: query %v r=%v skip %d: AppendWithin %v, per-cell %v", step, q, r, skip, got, want)
+		}
+	}
+	if inside == 0 || straddle == 0 || outside == 0 {
+		t.Fatalf("window mix inside/straddling/outside = %d/%d/%d, want all > 0", inside, straddle, outside)
 	}
 }
 
@@ -260,6 +330,9 @@ func BenchmarkInsertMoveQuery(b *testing.B) {
 	for i, p := range pts {
 		ix.Insert(i, p)
 	}
+	// A buffer sized for every point keeps the measured loop free of
+	// growth allocations, as the world's reused scratch is in a run.
+	buf := make([]int32, 0, len(pts))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -271,12 +344,12 @@ func BenchmarkInsertMoveQuery(b *testing.B) {
 		}
 		pts[id] = p
 		ix.Insert(id, p)
-		ix.ForNeighborsSkip(id, p, 50, func(int, geom.Vec) {})
+		buf = ix.AppendWithin(buf[:0], id, p, 50)
 	}
 }
 
 // TestTakeWithinMatchesNeighbors: TakeWithin returns exactly the points
-// ForNeighbors reports, and removes them, in both dense and overflow
+// Neighbors reports, and removes them, in both dense and overflow
 // cells.
 func TestTakeWithinMatchesNeighbors(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1205, 1))
