@@ -314,9 +314,9 @@ func BenchmarkBatchSweepParallel(b *testing.B) { benchmarkBatchSweep(b, 0) }
 
 // BenchmarkIncrementalTraceSweep measures the workload the incremental
 // coverage engine targets: a densely-traced obstacle sweep where every
-// trace sample needs the coverage fraction. Each sample costs
-// O(moved sensors × disk window), or one disk scan per sensor when the
-// hybrid sync re-seeds because most of the fleet moved.
+// trace sample needs the coverage fraction. After the first sample's
+// seed, each sample costs one scan of each moved sensor's new disk plus
+// the cells whose cover count changes.
 // TestObstacleSweepStoreGolden pins a traced sweep's stored bytes.
 func BenchmarkIncrementalTraceSweep(b *testing.B) {
 	cfg := mobisense.DefaultConfig(mobisense.SchemeFLOOR)

@@ -4,11 +4,11 @@
 //
 // Snapshot a baseline (done once per perf-sensitive PR):
 //
-//	go run ./cmd/bench -count 5 -out BENCH_PR14.json
+//	go run ./cmd/bench -count 5 -out BENCH_PR15.json
 //
 // Gate the current tree against it (CI's bench-gate job):
 //
-//	go run ./cmd/bench -count 5 -compare BENCH_PR14.json -ns-gate -ns-tol 0.75
+//	go run ./cmd/bench -count 5 -compare BENCH_PR15.json -ns-gate -ns-tol 0.75
 //
 // The gate fails when any benchmark's allocs/op regresses by more than
 // -allocs-tol (default 10%). Wall-clock (ns/op) is machine-dependent, so
@@ -42,12 +42,13 @@ import (
 // the world's padded neighbor query, the geometry/connectivity kernel
 // benches guarded by the ns/op gate (FirstHit, LOS coverage, exclusive
 // area, unit-disk flood), and the trace-sampling kernels (incremental
-// coverage, tracker re-seed, per-sample world telemetry).
+// coverage, tracker seed, a transient sample's fleet-wide move,
+// per-sample world telemetry).
 const defaultBenchRegexp = "^(BenchmarkBatchSweepSequential|BenchmarkBatchSweepParallel|" +
 	"BenchmarkStoreWrite|BenchmarkFractionReuse|BenchmarkInsertMoveQuery|BenchmarkNeighborsWithin|" +
 	"BenchmarkFirstHit|BenchmarkFractionLOS|BenchmarkExclusiveArea|BenchmarkUnitDiskReachable|" +
 	"BenchmarkFractionIncremental|BenchmarkIncrementalTraceSweep|" +
-	"BenchmarkTrackerSeedLOS|BenchmarkSampleTrace)$"
+	"BenchmarkTrackerSeedLOS|BenchmarkTrackerMoveLOS|BenchmarkSampleTrace)$"
 
 // Result is one benchmark's measured costs.
 type Result struct {

@@ -23,8 +23,8 @@ type worldTracker struct {
 }
 
 // newWorldTracker acquires a tracker for a run over w-sized worlds. The
-// first sync seeds it with a full evaluation; later syncs are incremental
-// or, when nearly everything moved, a re-seed.
+// first sync seeds it with a full evaluation; later syncs move, add or
+// clear only the dirty sensors.
 func newWorldTracker(est *coverage.Estimator, rs float64, n int) *worldTracker {
 	return &worldTracker{
 		t:     est.AcquireTracker(rs, n),
@@ -38,33 +38,11 @@ func newWorldTracker(est *coverage.Estimator, rs float64, n int) *worldTracker {
 // sensor is provably clean — and skipped — when its move epoch is
 // unchanged and its current step record ended at or before the previous
 // sync; everything else is re-applied through an exact position compare
-// (Set is a no-op when the position is bit-equal).
-//
-// Incremental application costs two disk-window scans per moved sensor,
-// a full re-seed one scan per present sensor — so when more than half
-// the fleet moved since the last sample (every transient tick of a
-// converging scheme), sync re-seeds instead of updating. The counts are
-// exact either way, so the crossover is pure policy and cannot affect
-// results.
+// (Set is a no-op when the position is bit-equal). A moved sensor costs
+// one scan of its new disk and only the cells whose count changes.
 func (wt *worldTracker) sync(w *core.World) {
 	now := w.Now()
 	if !wt.seeded {
-		wt.seed(w, now)
-		return
-	}
-	cost, present := 0, 0
-	for i := range wt.seen {
-		wt.alive[i] = w.Alive(i)
-		if wt.alive[i] {
-			present++
-			wt.pos[i] = w.PosAt(i, now)
-		}
-		if w.MoveEpoch(i) == wt.seen[i] && w.StepEndTime(i) <= wt.lastSync {
-			continue
-		}
-		cost += wt.t.UpdateCost(i, wt.pos[i], wt.alive[i])
-	}
-	if cost > present {
 		wt.seed(w, now)
 		return
 	}
@@ -74,11 +52,11 @@ func (wt *worldTracker) sync(w *core.World) {
 			continue
 		}
 		wt.seen[i] = ep
-		if !wt.alive[i] {
+		if !w.Alive(i) {
 			wt.t.Clear(i)
 			continue
 		}
-		wt.t.Set(i, wt.pos[i])
+		wt.t.Set(i, w.PosAt(i, now))
 	}
 	wt.lastSync = now
 }
@@ -101,14 +79,3 @@ func (wt *worldTracker) seed(w *core.World, now float64) {
 }
 
 func (wt *worldTracker) release() { wt.t.Release() }
-
-// coveragePair computes the 1- and 2-coverage fractions of a final
-// layout in one seeded tracker pass: Fraction and KFraction read the same
-// running counts.
-func coveragePair(cfg Config, est *coverage.Estimator, layout []geom.Vec) (cov, cov2 float64) {
-	t := est.AcquireTracker(cfg.Rs, len(layout))
-	t.Seed(layout, nil)
-	cov, cov2 = t.Fraction(), t.KFraction(2)
-	t.Release()
-	return cov, cov2
-}

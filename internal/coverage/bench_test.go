@@ -45,9 +45,10 @@ func BenchmarkFractionLOS(b *testing.B) {
 
 // BenchmarkFractionIncremental measures the steady-state cost the
 // incremental tracker pays per trace sample: one sensor moved a short
-// step (two disk-window updates) followed by a Fraction query answered
-// from the running histogram. Compare against BenchmarkFractionLOS,
-// which re-scans every sensor's disk for the same answer.
+// step (one scan of the new disk, counts changed only where they differ
+// from its footprint) followed by a Fraction query answered from the
+// running histogram. Compare against BenchmarkFractionLOS, which
+// re-scans every sensor's disk for the same answer.
 func BenchmarkFractionIncremental(b *testing.B) {
 	f, positions := losBenchSetup(b, 120)
 	e := NewEstimator(f, 5)

@@ -160,9 +160,9 @@ func (e *Estimator) windowAround(p geom.Vec, rs float64) window {
 
 // diskScan walks the grid rows one sensing disk touches. It is the
 // per-cell coverage predicate shared by every grid scan — Fraction,
-// KFraction and the incremental Tracker's seeds and disk updates — so
-// the incremental engine is bit-identical to the full scans: they cannot
-// disagree on which cells a sensor covers.
+// KFraction, FractionPair and the incremental Tracker's disk adds and
+// moves — so the incremental engine is bit-identical to the full scans:
+// they cannot disagree on which cells a sensor covers.
 //
 // The reference predicate (refCounts in scan_test.go) counts a cell of
 // the clamped scan window when it is free, its center c passes
@@ -181,6 +181,11 @@ func (e *Estimator) windowAround(p geom.Vec, rs float64) window {
 //     the y half of VisibleFree's per-edge bounding-box reject is hoisted
 //     out of the cell loop (Probe.Row). A row left with no edges needs no
 //     visibility test at all.
+//   - x-half reject: the x half of the same reject is hoisted per row too
+//     (Probe.XReject). The columns it clears are those nearest p.X, where
+//     VisibleFree would reject every edge and return true, so only the
+//     columns at or below tl and at or above tr are tested. A row whose
+//     two run ends are clear needs no test either.
 type diskScan struct {
 	e        *Estimator
 	p        geom.Vec
@@ -191,10 +196,12 @@ type diskScan struct {
 	disk     field.Probe
 
 	// The current row, valid after Next reports true.
+	y      int         // grid row index
 	row    int         // grid index of the row's column 0
 	cy     float64     // the row's cell-center y
 	lo, hi int         // exact column run of in-disk cells
-	vis    bool        // this row's cells need a visibility test
+	tl, tr int         // columns <= tl or >= tr need a visibility test
+	vis    bool        // some column of the run needs a visibility test
 	pr     field.Probe // disk probe narrowed to this row
 }
 
@@ -225,17 +232,38 @@ func (d *diskScan) Next() bool {
 		if !d.span(cy) {
 			continue
 		}
+		d.y = d.iy
 		d.row = d.iy * d.e.nx
 		d.cy = cy
-		d.vis = d.losTest
-		if d.vis {
+		d.tl, d.tr = d.lo-1, d.hi+1
+		if d.losTest {
 			d.pr = d.disk.Row(d.p.Y, cy)
-			d.vis = !d.pr.TriviallyVisible()
+			if !d.pr.TriviallyVisible() {
+				d.testedEnds()
+			}
 		}
+		d.vis = d.tl >= d.lo || d.tr <= d.hi
 		d.iy++
 		return true
 	}
 	return false
+}
+
+// testedEnds sets tl and tr to bound the columns of the run that the
+// row probe's x-half reject leaves to a visibility test: a prefix
+// [lo, tl] and a suffix [tr, hi]. The columns between are clear.
+func (d *diskScan) testedEnds() {
+	xr := d.pr.XReject(d.p.X)
+	cx := d.e.cx
+	tl := d.lo
+	for tl <= d.hi && !xr.Clear(cx[tl]) {
+		tl++
+	}
+	tr := d.hi
+	for tr > tl && !xr.Clear(cx[tr]) {
+		tr--
+	}
+	d.tl, d.tr = tl-1, tr+1
 }
 
 // in is the reference distance predicate for column ix of row cy.
@@ -340,7 +368,7 @@ func (d *diskScan) column(g float64) int {
 // for ix in [lo, hi]: the cell is free and, where a test is still
 // needed, in line of sight.
 func (d *diskScan) covers(ix int) bool {
-	return d.e.free[d.row+ix] && (!d.vis || d.sees(ix))
+	return d.e.free[d.row+ix] && (ix > d.tl && ix < d.tr || d.sees(ix))
 }
 
 // sees is the visibility test from the sensor to the center of column ix
@@ -422,6 +450,43 @@ func (e *Estimator) KFraction(positions []geom.Vec, rs float64, k int) float64 {
 		}
 	}
 	return float64(covered) / float64(e.nFree)
+}
+
+// FractionPair returns Fraction(positions, rs) and KFraction(positions,
+// rs, 2) from one scan of the disks: a layout's 1- and 2-coverage. A
+// cell's count stops at 2, so a cell already covered twice skips its
+// visibility tests.
+func (e *Estimator) FractionPair(positions []geom.Vec, rs float64) (cov, cov2 float64) {
+	if e.nFree == 0 {
+		return 0, 0
+	}
+	g := e.getScratch()
+	defer e.putScratch(g)
+	g.next()
+	epoch := g.epoch
+	n1, n2 := 0, 0
+	for _, p := range positions {
+		d := e.scanDisk(&g.probe, p, rs)
+		for d.Next() {
+			for ix := d.lo; ix <= d.hi; ix++ {
+				i := d.row + ix
+				switch {
+				case g.stamps[i] != epoch:
+					if d.covers(ix) {
+						g.stamps[i] = epoch
+						g.counts[i] = 1
+						n1++
+					}
+				case g.counts[i] == 1:
+					if d.covers(ix) {
+						g.counts[i] = 2
+						n2++
+					}
+				}
+			}
+		}
+	}
+	return float64(n1) / float64(e.nFree), float64(n2) / float64(e.nFree)
 }
 
 // ExclusiveArea estimates the free area covered (with line of sight) by a

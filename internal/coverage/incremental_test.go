@@ -1,6 +1,7 @@
 package coverage
 
 import (
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -103,21 +104,21 @@ func soak(t *testing.T, rng *rand.Rand, f *field.Field, steps int) {
 				step, tr.Fraction(), tr.KFraction(2), tr.KFraction(3),
 				want.frac, want.k2, want.k3, len(want.alive))
 		}
-		// Every few steps, also compare the full counts grid against a
-		// freshly seeded tracker — stronger than the fractions alone.
+		// Every few steps, also compare the full counts grid against the
+		// per-cell reference — stronger than the fractions alone. (A
+		// fresh Seed would run the same footprint-recording add as the
+		// tracker under test.)
 		if step%7 == 0 {
-			fresh := e.AcquireTracker(rs, n)
-			fresh.Seed(pos, present)
-			if !reflect.DeepEqual(tr.counts, fresh.counts) {
-				t.Fatalf("step %d: incremental counts diverged from fresh seed", step)
+			counts, hist := refCounts(e, rs, pos, present)
+			if !reflect.DeepEqual(tr.counts, counts) {
+				t.Fatalf("step %d: incremental counts diverged from the per-cell reference", step)
 			}
 			// The incremental histogram may carry trailing zero buckets
 			// from departed sensors; only the populated prefix is
 			// meaningful.
-			if !reflect.DeepEqual(trimHist(tr.hist), trimHist(fresh.hist)) {
-				t.Fatalf("step %d: incremental histogram diverged from fresh seed", step)
+			if !reflect.DeepEqual(trimHist(tr.hist), hist) {
+				t.Fatalf("step %d: incremental histogram diverged from the per-cell reference", step)
 			}
-			fresh.Release()
 		}
 	}
 }
@@ -157,15 +158,17 @@ func TestExclusiveAreaBelowMatchesFull(t *testing.T) {
 }
 
 // TestTrackerReacquireReset guards the pooling path: a tracker reused
-// from the pool must start from a clean slate.
+// from the pool must start from a clean slate, with a footprint arena
+// sized for the new acquire — grown for a larger rs and n, reused for a
+// smaller rs — and a warm move-and-read loop must allocate nothing.
 func TestTrackerReacquireReset(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1006, 7))
 	f := abRandomField(t, rng)
 	e := NewEstimator(f, 10)
-	positions := abPositions(rng, f, 20)
+	positions := abPositions(rng, f, 40)
 
-	tr := e.AcquireTracker(40, len(positions))
-	tr.Seed(positions, nil)
+	tr := e.AcquireTracker(40, 20)
+	tr.Seed(positions[:20], nil)
 	tr.Release()
 
 	tr = e.AcquireTracker(30, 5)
@@ -177,4 +180,54 @@ func TestTrackerReacquireReset(t *testing.T) {
 		t.Fatalf("reacquired tracker Fraction %v != brute %v", got, want)
 	}
 	tr.Release()
+
+	for _, c := range []struct {
+		rs float64
+		n  int
+	}{{75, 40}, {25, 40}} {
+		tr = e.AcquireTracker(c.rs, c.n)
+		pos := append([]geom.Vec(nil), positions[:c.n]...)
+		present := make([]bool, c.n)
+		for i := range present {
+			present[i] = rng.IntN(4) != 0
+		}
+		tr.Seed(pos, present)
+		for step := 0; step < 3*c.n; step++ {
+			id := rng.IntN(c.n)
+			switch rng.IntN(4) {
+			case 0:
+				tr.Clear(id)
+				present[id] = false
+			case 1:
+				pos[id] = f.RandomFreePoint(rng, f.Bounds())
+				tr.Set(id, pos[id])
+				present[id] = true
+			default:
+				a := rng.Float64() * 2 * math.Pi
+				pos[id] = pos[id].Add(geom.V(4*math.Cos(a), 4*math.Sin(a)))
+				tr.Set(id, pos[id])
+				present[id] = true
+			}
+		}
+		counts, hist := refCounts(e, c.rs, pos, present)
+		if !reflect.DeepEqual(tr.counts, counts) || !reflect.DeepEqual(trimHist(tr.hist), hist) {
+			t.Fatalf("rs=%v n=%d: reacquired tracker diverged from the per-cell reference", c.rs, c.n)
+		}
+
+		home, away := pos[3], pos[3].Add(geom.V(2, 1))
+		tr.Set(3, away)
+		tr.Set(3, home)
+		i := 0
+		if allocs := testing.AllocsPerRun(100, func() {
+			if i++; i%2 == 0 {
+				tr.Set(3, home)
+			} else {
+				tr.Set(3, away)
+			}
+			tr.Fraction()
+		}); allocs != 0 {
+			t.Fatalf("rs=%v n=%d: warm move and Fraction allocate %v times, want 0", c.rs, c.n, allocs)
+		}
+		tr.Release()
+	}
 }

@@ -2,6 +2,7 @@ package coverage
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -136,6 +137,10 @@ func checkScan(t *testing.T, step string, e *Estimator, tr *Tracker, rs float64,
 			t.Fatalf("%s: KFraction(%d) %v, reference %v (rs=%v)", step, k, got, want, rs)
 		}
 	}
+	cov, cov2 := e.FractionPair(alive, rs)
+	if want, want2 := refFraction(e, counts, 1), refFraction(e, counts, 2); cov != want || cov2 != want2 {
+		t.Fatalf("%s: FractionPair (%v, %v), reference (%v, %v) (rs=%v)", step, cov, cov2, want, want2, rs)
+	}
 }
 
 // scanRadii are the sensing radii each trial covers: below one cell (and
@@ -161,7 +166,7 @@ func TestDiskScanMatchesPerCellReference(t *testing.T) {
 		e := NewEstimator(f, 10)
 		for _, rs := range scanRadii(rng, e) {
 			n := 6 + rng.IntN(10)
-			steps := 40
+			steps := 60
 			if e.fullWindow(rs) {
 				n, steps = 4, 6 // every scan visits the whole grid
 			}
@@ -177,7 +182,7 @@ func TestDiskScanMatchesPerCellReference(t *testing.T) {
 			edge := edgePositions(rng, e)
 			for step := 0; step < steps; step++ {
 				id := rng.IntN(n)
-				switch rng.IntN(4) {
+				switch rng.IntN(5) {
 				case 0:
 					tr.Clear(id)
 					present[id] = false
@@ -187,6 +192,21 @@ func TestDiskScanMatchesPerCellReference(t *testing.T) {
 					present[id] = true
 				case 2:
 					pos[id] = pos[id].Add(geom.V(rng.Float64()*10-5, rng.Float64()*10-5))
+					tr.Set(id, pos[id])
+					present[id] = true
+				case 3:
+					// A traced step: at most 0.4·res, the ratio of a 2 m
+					// step to a 5 m cell, from an edge or cell-line
+					// position half the time, so run ends shift by zero
+					// or one column and rows switch between test-free and
+					// tested.
+					if rng.IntN(2) == 0 {
+						pos[id] = edge[rng.IntN(len(edge))]
+						tr.Set(id, pos[id])
+						present[id] = true
+					}
+					a, r := rng.Float64()*2*math.Pi, rng.Float64()*0.4*e.res
+					pos[id] = pos[id].Add(geom.V(r*math.Cos(a), r*math.Sin(a)))
 					tr.Set(id, pos[id])
 					present[id] = true
 				default:

@@ -406,6 +406,57 @@ func (p Probe) Row(ya, yb float64) Probe {
 	return p
 }
 
+// XReject is the x half of VisibleFree's per-edge bounding-box reject on
+// a row probe, for the segments from a fixed point a to the points b of
+// the row. Row has already applied the y half, so an edge survives the
+// reject exactly when its padded x-extent overlaps the segment's,
+// [min(a.X, b.X) − accelPad, max(a.X, b.X) + accelPad]:
+//   - for b.X ≥ a.X that box is [a.X − pad, b.X + pad], and every edge is
+//     rejected exactly when b.X + pad < right, where right is the least
+//     bbMinX over the edges with bbMaxX ≥ a.X − pad (the others lie
+//     wholly left of every such segment);
+//   - for b.X < a.X it is mirrored: every edge is rejected exactly when
+//     b.X − pad > left, the greatest bbMaxX over the edges with
+//     bbMinX ≤ a.X + pad.
+//
+// Clear evaluates the bounds with the float expressions VisibleFree
+// uses, so a cleared b is one whose VisibleFree(a, b) finds no candidate
+// edge and returns true. The clear points of a row are therefore the
+// ones nearest a.X: b.X ± pad is monotone in b.X, so the points that
+// still need a test are a prefix of those left of a and a suffix of
+// those right of it, and a run of points whose two ends are clear is
+// clear throughout.
+type XReject struct {
+	ax, left, right float64
+}
+
+// XReject returns the x-half reject of the row probe for segments from a
+// point whose x coordinate is ax.
+func (p Probe) XReject(ax float64) XReject {
+	ac := p.f.accel
+	r := XReject{ax: ax, left: math.Inf(-1), right: math.Inf(1)}
+	loX, hiX := ax-accelPad, ax+accelPad
+	for _, ei := range p.edges {
+		if ac.bbMaxX[ei] >= loX {
+			r.right = min(r.right, ac.bbMinX[ei])
+		}
+		if ac.bbMinX[ei] <= hiX {
+			r.left = max(r.left, ac.bbMaxX[ei])
+		}
+	}
+	return r
+}
+
+// Clear reports whether the x half rejects every edge of the row probe
+// for the segment from a to a point of the row whose x coordinate is bx,
+// so that VisibleFree returns true without testing any edge.
+func (r XReject) Clear(bx float64) bool {
+	if bx >= r.ax {
+		return max(r.ax, bx)+accelPad < r.right
+	}
+	return min(r.ax, bx)-accelPad > r.left
+}
+
 // VisibleFree reports Field.Visible(a, b) for endpoints that are already
 // known to be free and lie inside the probe's disk — the coverage
 // kernels establish both facts before the inner loop, so the redundant

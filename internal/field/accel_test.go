@@ -323,3 +323,111 @@ func TestProbeRowVisibleFreeMatchesVisible(t *testing.T) {
 		}
 	}
 }
+
+// TestProbeRowXRejectMatchesVisible is the oracle of the x-half reject
+// (Probe.XReject). Sensors sit on and near obstacle corners and edges,
+// nudged by the padding and by less than a rounding step, or a few cells
+// away from them; row and column centers run through obstacle vertex
+// coordinates and the sensor's own x. On every row of the disk:
+//   - each free cell the reject clears must be bruteVisible, and
+//     VisibleFree on the row probe must agree;
+//   - the columns it leaves to a test must be a prefix of those left of
+//     the sensor and a suffix of those right of it;
+//   - a row whose run is clear at both ends must see every free cell of
+//     the run.
+func TestProbeRowXRejectMatchesVisible(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1501, 5))
+	var sc ProbeScratch
+	nudges := []float64{0, 0, accelPad, -accelPad, 2 * accelPad, -2 * accelPad, 1e-12, -1e-12, 0.5, -0.5}
+	nudge := func() float64 { return nudges[rng.IntN(len(nudges))] }
+	cleared, tested, demoted := 0, 0, 0
+	for fi, f := range randomFields(t, rng, 9) {
+		obs := f.Obstacles()
+		for sensors := 0; sensors < 40; {
+			ob := obs[rng.IntN(len(obs))]
+			k := rng.IntN(len(ob))
+			p := ob[k]
+			if rng.IntN(2) == 0 {
+				p = p.Add(ob[(k+1)%len(ob)].Sub(p).Scale(rng.Float64()))
+			}
+			p = p.Add(geom.V(nudge(), nudge()))
+			if rng.IntN(3) == 0 {
+				// Clear of the edges by a few cells, where whole rows
+				// are demoted.
+				p = p.Add(geom.V(rng.Float64()*40-20, rng.Float64()*40-20))
+			}
+			if !f.Free(p) {
+				continue
+			}
+			sensors++
+			rs := 10 + rng.Float64()*50
+			res := 2 + rng.Float64()*6
+			gx, gy := p.X, p.Y
+			if rng.IntN(3) != 0 {
+				v := obs[rng.IntN(len(obs))]
+				gx = v[rng.IntN(len(v))].X + nudge()
+			}
+			if rng.IntN(3) != 0 {
+				v := obs[rng.IntN(len(obs))]
+				gy = v[rng.IntN(len(v))].Y + nudge()
+			}
+			probe := f.DiskProbe(&sc, p, rs)
+			for j := math.Ceil((p.Y - rs - gy) / res); gy+j*res <= p.Y+rs; j++ {
+				y := gy + j*res
+				row := probe.Row(p.Y, y)
+				xr := row.XReject(p.X)
+				var run []geom.Vec
+				for i := math.Ceil((p.X - rs - gx) / res); gx+i*res <= p.X+rs; i++ {
+					if c := geom.V(gx+i*res, y); c.Dist2(p) <= rs*rs {
+						run = append(run, c)
+					}
+				}
+				if len(run) == 0 {
+					continue
+				}
+				leftClear, rightTested := false, false
+				for _, c := range run {
+					clear := xr.Clear(c.X)
+					if c.X < p.X {
+						if leftClear && !clear {
+							t.Fatalf("field %d sensor %v row y=%v: left column %v needs a test after a clear one", fi, p, y, c.X)
+						}
+						leftClear = leftClear || clear
+					} else {
+						if rightTested && clear {
+							t.Fatalf("field %d sensor %v row y=%v: right column %v clear after one that needs a test", fi, p, y, c.X)
+						}
+						rightTested = rightTested || !clear
+					}
+					if !clear {
+						tested++
+						continue
+					}
+					if !f.Free(c) {
+						continue
+					}
+					cleared++
+					if !bruteVisible(f, p, c) {
+						t.Fatalf("field %d sensor %v rs %v: XReject clears %v, which bruteVisible blocks", fi, p, rs, c)
+					}
+					if !row.VisibleFree(p, c) {
+						t.Fatalf("field %d sensor %v: XReject clears %v, which VisibleFree blocks", fi, p, c)
+					}
+				}
+				if row.TriviallyVisible() || !xr.Clear(run[0].X) || !xr.Clear(run[len(run)-1].X) {
+					continue
+				}
+				demoted++
+				for _, c := range run {
+					if f.Free(c) && !bruteVisible(f, p, c) {
+						t.Fatalf("field %d sensor %v: row y=%v is clear at both ends, but bruteVisible blocks %v", fi, p, y, c)
+					}
+				}
+			}
+		}
+	}
+	if cleared == 0 || tested == 0 || demoted == 0 {
+		t.Fatalf("inputs too easy: %d cleared free cells, %d tested columns, %d demoted rows", cleared, tested, demoted)
+	}
+	t.Logf("%d cleared free cells, %d tested columns, %d demoted rows", cleared, tested, demoted)
+}

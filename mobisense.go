@@ -106,7 +106,7 @@ func resultFromWorld(cfg Config, w *core.World, tr *tracer) Result {
 		tr.wt.sync(w)
 		cov, cov2 = tr.wt.t.Fraction(), tr.wt.t.KFraction(2)
 	} else {
-		cov, cov2 = coveragePair(cfg, cfg.estimatorFor(w.F), layout)
+		cov, cov2 = cfg.estimatorFor(w.F).FractionPair(layout, cfg.Rs)
 	}
 	res := resultWithCoverage(cfg, w.F, layout, w.AvgTraveled(), cov, cov2)
 	res.Messages = w.Msg.Total()
@@ -119,7 +119,7 @@ func resultFromWorld(cfg Config, w *core.World, tr *tracer) Result {
 // resultFromLayout computes the layout-dependent metrics shared by all
 // schemes.
 func resultFromLayout(cfg Config, f *ifield.Field, layout []geom.Vec, avgDist float64) Result {
-	cov, cov2 := coveragePair(cfg, cfg.estimatorFor(f), layout)
+	cov, cov2 := cfg.estimatorFor(f).FractionPair(layout, cfg.Rs)
 	return resultWithCoverage(cfg, f, layout, avgDist, cov, cov2)
 }
 

@@ -1,10 +1,13 @@
 package mobisense
 
 import (
+	"math"
+	"math/rand/v2"
 	"testing"
 
 	"mobisense/internal/core"
 	"mobisense/internal/coverage"
+	"mobisense/internal/geom"
 )
 
 // samplingBenchWorld builds the narrow-door field with 240 sensors placed
@@ -28,10 +31,9 @@ func samplingBenchWorld(b *testing.B, spread bool) *core.World {
 	return w
 }
 
-// BenchmarkTrackerSeedLOS measures one full re-seed of the incremental
+// BenchmarkTrackerSeedLOS measures one full seed of the incremental
 // coverage tracker for 240 sensors on the narrow-door field: the cost of
-// every transient trace sample, where the hybrid sync re-seeds because
-// most of the fleet moved.
+// a traced run's first sample.
 func BenchmarkTrackerSeedLOS(b *testing.B) {
 	w := samplingBenchWorld(b, true)
 	defer w.Release()
@@ -43,6 +45,35 @@ func BenchmarkTrackerSeedLOS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Seed(layout, nil)
+	}
+}
+
+// BenchmarkTrackerMoveLOS measures one transient trace sample of the
+// incremental coverage tracker: every one of 240 sensors on the
+// narrow-door field moves one 2 m step (V·T at the default speed and
+// period) in a seeded direction, and Fraction is read. The tracker is
+// seeded untimed; ops alternate between the two layouts, so every op
+// moves every sensor.
+func BenchmarkTrackerMoveLOS(b *testing.B) {
+	w := samplingBenchWorld(b, true)
+	defer w.Release()
+	est := coverage.NewEstimator(w.F, 5)
+	layouts := [2][]geom.Vec{w.Layout(), nil}
+	rng := rand.New(rand.NewPCG(15, 2))
+	for _, p := range layouts[0] {
+		a := rng.Float64() * 2 * math.Pi
+		layouts[1] = append(layouts[1], p.Add(geom.V(2*math.Cos(a), 2*math.Sin(a))))
+	}
+	tr := est.AcquireTracker(40, len(layouts[0]))
+	defer tr.Release()
+	tr.Seed(layouts[0], nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for id, p := range layouts[(i+1)%2] {
+			tr.Set(id, p)
+		}
+		tr.Fraction()
 	}
 }
 
