@@ -4,19 +4,21 @@
 //
 // Snapshot a baseline (done once per perf-sensitive PR):
 //
-//	go run ./cmd/bench -count 5 -out BENCH_PR15.json
+//	go run ./cmd/bench -count 5 -out BENCH_PR16.json
 //
 // Gate the current tree against it (CI's bench-gate job):
 //
-//	go run ./cmd/bench -count 5 -compare BENCH_PR15.json -ns-gate -ns-tol 0.75
+//	go run ./cmd/bench -count 5 -compare BENCH_PR16.json -ns-gate -ns-tol 0.75
 //
 // The gate fails when any benchmark's allocs/op regresses by more than
-// -allocs-tol (default 10%). Wall-clock (ns/op) is machine-dependent, so
-// ns/op regressions beyond -ns-tol (default 15%) only warn unless -ns-gate
-// is set; CI gates with a generous tolerance that still catches the
-// multi-x cost of losing a kernel fast path. With -count > 1 the best
-// (minimum) of the repetitions is used, which suppresses GC-timing noise
-// in pooled allocation counts and scheduler jitter in wall-clock numbers.
+// -allocs-tol (default 10%), or, for a benchmark recorded at 0 allocs/op,
+// when it reads 1 alloc/op or more. Wall-clock (ns/op) is
+// machine-dependent, so ns/op regressions beyond -ns-tol (default 15%)
+// only warn unless -ns-gate is set; CI gates with a generous tolerance
+// that still catches the multi-x cost of losing a kernel fast path. With
+// -count > 1 the best (minimum) of the repetitions is used, which
+// suppresses GC-timing noise in pooled allocation counts and scheduler
+// jitter in wall-clock numbers.
 //
 // To profile a kernel, narrow -pkgs to one package and pass the profile
 // through:
@@ -27,8 +29,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"runtime"
@@ -39,13 +43,13 @@ import (
 // defaultBenchRegexp selects the perf-tracking benchmarks: the end-to-end
 // batch sweep (the headline allocs/op number), the store writer, the
 // pooled hot-path micro benches in internal/coverage and internal/spatial,
-// the world's padded neighbor query, the geometry/connectivity kernel
-// benches guarded by the ns/op gate (FirstHit, LOS coverage, exclusive
-// area, unit-disk flood), and the trace-sampling kernels (incremental
-// coverage, tracker seed, a transient sample's fleet-wide move,
-// per-sample world telemetry).
+// the world's padded neighbor query, the event engine's queue, the
+// geometry/connectivity kernel benches guarded by the ns/op gate
+// (FirstHit, LOS coverage, exclusive area, unit-disk flood), and the
+// trace-sampling kernels (incremental coverage, tracker seed, a transient
+// sample's fleet-wide move, per-sample world telemetry).
 const defaultBenchRegexp = "^(BenchmarkBatchSweepSequential|BenchmarkBatchSweepParallel|" +
-	"BenchmarkStoreWrite|BenchmarkFractionReuse|BenchmarkInsertMoveQuery|BenchmarkNeighborsWithin|" +
+	"BenchmarkStoreWrite|BenchmarkFractionReuse|BenchmarkInsertMoveQuery|BenchmarkNeighborsWithin|BenchmarkEngineStep|" +
 	"BenchmarkFirstHit|BenchmarkFractionLOS|BenchmarkExclusiveArea|BenchmarkUnitDiskReachable|" +
 	"BenchmarkFractionIncremental|BenchmarkIncrementalTraceSweep|" +
 	"BenchmarkTrackerSeedLOS|BenchmarkTrackerMoveLOS|BenchmarkSampleTrace)$"
@@ -71,25 +75,42 @@ type Snapshot struct {
 }
 
 func main() {
-	var (
-		benchRe   = flag.String("bench", defaultBenchRegexp, "benchmark regexp passed to go test -bench")
-		benchTime = flag.String("benchtime", "1x", "go test -benchtime value")
-		count     = flag.Int("count", 1, "repetitions; the best (min) of each metric is kept")
-		pkgs      = flag.String("pkgs", "./...", "packages to benchmark")
-		out       = flag.String("out", "", "write the snapshot JSON to this path")
-		compare   = flag.String("compare", "", "compare against the snapshot JSON at this path")
-		allocsTol = flag.Float64("allocs-tol", 0.10, "max allowed fractional allocs/op regression")
-		nsTol     = flag.Float64("ns-tol", 0.15, "ns/op regression fraction that triggers a warning")
-		nsGate    = flag.Bool("ns-gate", false, "fail (not just warn) on ns/op regressions beyond -ns-tol")
-		cpuProf   = flag.String("cpuprofile", "", "pass -cpuprofile to go test (requires -pkgs to name a single package)")
-		memProf   = flag.String("memprofile", "", "pass -memprofile to go test (requires -pkgs to name a single package)")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	cur, err := run(*benchRe, *benchTime, *count, *pkgs, *cpuProf, *memProf)
+// run is the command: it parses args, runs the suite, and writes the
+// table, the snapshot and the gate verdict. It returns the exit code:
+// 0 on success or -h, 1 on a failed gate or a run error, 2 on bad flags.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		benchRe   = fs.String("bench", defaultBenchRegexp, "benchmark regexp passed to go test -bench")
+		benchTime = fs.String("benchtime", "1x", "go test -benchtime value")
+		count     = fs.Int("count", 1, "repetitions; the best (min) of each metric is kept")
+		pkgs      = fs.String("pkgs", "./...", "packages to benchmark")
+		out       = fs.String("out", "", "write the snapshot JSON to this path")
+		compare   = fs.String("compare", "", "compare against the snapshot JSON at this path")
+		allocsTol = fs.Float64("allocs-tol", 0.10, "max allowed fractional allocs/op regression")
+		nsTol     = fs.Float64("ns-tol", 0.15, "ns/op regression fraction that triggers a warning")
+		nsGate    = fs.Bool("ns-gate", false, "fail (not just warn) on ns/op regressions beyond -ns-tol")
+		cpuProf   = fs.String("cpuprofile", "", "pass -cpuprofile to go test (requires -pkgs to name a single package)")
+		memProf   = fs.String("memprofile", "", "pass -memprofile to go test (requires -pkgs to name a single package)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "bench:", err)
+		return 1
+	}
+
+	cur, err := goTestBench(stderr, *benchRe, *benchTime, *count, *pkgs, *cpuProf, *memProf)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	snap := Snapshot{
 		GoVersion:  runtime.Version(),
@@ -104,43 +125,42 @@ func main() {
 
 	for _, name := range sortedNames(cur) {
 		r := cur[name]
-		fmt.Printf("%-32s %14.0f ns/op %12.0f B/op %10.0f allocs/op\n", name, r.NsOp, r.BOp, r.AllocsOp)
+		fmt.Fprintf(stdout, "%-32s %14.0f ns/op %12.0f B/op %10.0f allocs/op\n", name, r.NsOp, r.BOp, r.AllocsOp)
 	}
 
 	if *out != "" {
 		buf, err := json.MarshalIndent(snap, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		if err := os.WriteFile(*out, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		fmt.Println("snapshot written to", *out)
+		fmt.Fprintln(stdout, "snapshot written to", *out)
 	}
 
 	if *compare != "" {
 		base, err := load(*compare)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		if base.GOMAXPROCS != snap.GOMAXPROCS {
-			fmt.Printf("note: snapshot taken at GOMAXPROCS=%d, running at %d; "+
+			fmt.Fprintf(stdout, "note: snapshot taken at GOMAXPROCS=%d, running at %d; "+
 				"ns/op comparisons are indicative only\n", base.GOMAXPROCS, snap.GOMAXPROCS)
 		}
-		printDelta(base, snap)
-		if !gate(base, snap, *allocsTol, *nsTol, *nsGate) {
-			os.Exit(1)
+		printDelta(stdout, base, snap)
+		if !gate(stdout, base, snap, *allocsTol, *nsTol, *nsGate) {
+			return 1
 		}
-		fmt.Println("bench gate: PASS")
+		fmt.Fprintln(stdout, "bench gate: PASS")
 	}
+	return 0
 }
 
-// run executes the benchmark suite `count` times and keeps the minimum of
-// every metric per benchmark.
-func run(benchRe, benchTime string, count int, pkgs, cpuProf, memProf string) (map[string]Result, error) {
+// goTestBench executes the benchmark suite `count` times and keeps the
+// minimum of every metric per benchmark. go test's stderr goes to
+// stderr.
+func goTestBench(stderr io.Writer, benchRe, benchTime string, count int, pkgs, cpuProf, memProf string) (map[string]Result, error) {
 	args := []string{"test", "-run", "^$", "-bench", benchRe, "-benchmem",
 		"-benchtime", benchTime, "-count", strconv.Itoa(count)}
 	// Profile passthrough: go test rejects profile flags across multiple
@@ -154,7 +174,7 @@ func run(benchRe, benchTime string, count int, pkgs, cpuProf, memProf string) (m
 	}
 	args = append(args, strings.Fields(pkgs)...)
 	cmd := exec.Command("go", args...)
-	cmd.Stderr = os.Stderr
+	cmd.Stderr = stderr
 	outBuf, err := cmd.Output()
 	if err != nil {
 		return nil, fmt.Errorf("go test -bench: %w", err)
@@ -221,7 +241,7 @@ func parse(out string) map[string]Result {
 // and allocs/op — covering every benchmark present in either side, so
 // before/after tables in the README and PR descriptions can be pasted
 // instead of hand-assembled.
-func printDelta(base, cur Snapshot) {
+func printDelta(w io.Writer, base, cur Snapshot) {
 	all := make(map[string]Result, len(base.Benchmarks)+len(cur.Benchmarks))
 	for n, r := range base.Benchmarks {
 		all[n] = r
@@ -229,8 +249,8 @@ func printDelta(base, cur Snapshot) {
 	for n, r := range cur.Benchmarks {
 		all[n] = r
 	}
-	fmt.Printf("\n%-32s %35s  %35s  %35s\n", "", "ns/op", "B/op", "allocs/op")
-	fmt.Printf("%-32s %12s %12s %9s  %12s %12s %9s  %12s %12s %9s\n",
+	fmt.Fprintf(w, "\n%-32s %35s  %35s  %35s\n", "", "ns/op", "B/op", "allocs/op")
+	fmt.Fprintf(w, "%-32s %12s %12s %9s  %12s %12s %9s  %12s %12s %9s\n",
 		"benchmark", "old", "new", "delta", "old", "new", "delta", "old", "new", "delta")
 	for _, name := range sortedNames(all) {
 		b, inBase := base.Benchmarks[name]
@@ -240,9 +260,9 @@ func printDelta(base, cur Snapshot) {
 			row += fmt.Sprintf(" %12s %12s %9s ",
 				cell(m[0], inBase), cell(m[1], inCur), delta(m[0], m[1], inBase && inCur))
 		}
-		fmt.Println(row)
+		fmt.Fprintln(w, row)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // cell renders one metric value ("-" for a side the benchmark is missing
@@ -268,28 +288,38 @@ func delta(old, new float64, comparable bool) string {
 	}
 }
 
-// gate compares current results against the baseline snapshot. It returns
-// false when any gated threshold is exceeded or a baseline benchmark is
-// missing from the current run.
-func gate(base, cur Snapshot, allocsTol, nsTol float64, nsGate bool) bool {
+// gate compares current results against the baseline snapshot, writing
+// one line per verdict to w. It returns false when any gated threshold
+// is exceeded or a baseline benchmark is missing from the current run.
+// A baseline of 0 allocs/op has no fractional tolerance: the gate fails
+// once the best reading reaches 1 alloc/op.
+func gate(w io.Writer, base, cur Snapshot, allocsTol, nsTol float64, nsGate bool) bool {
 	ok := true
 	for _, name := range sortedNames(base.Benchmarks) {
 		b := base.Benchmarks[name]
 		c, found := cur.Benchmarks[name]
 		if !found {
-			fmt.Printf("FAIL %s: benchmark missing from current run\n", name)
+			fmt.Fprintf(w, "FAIL %s: benchmark missing from current run\n", name)
 			ok = false
 			continue
 		}
-		if b.AllocsOp > 0 {
+		switch {
+		case b.AllocsOp > 0:
 			frac := c.AllocsOp/b.AllocsOp - 1
 			if frac > allocsTol {
-				fmt.Printf("FAIL %s: allocs/op %.0f -> %.0f (%+.1f%%, tolerance %.0f%%)\n",
+				fmt.Fprintf(w, "FAIL %s: allocs/op %.0f -> %.0f (%+.1f%%, tolerance %.0f%%)\n",
 					name, b.AllocsOp, c.AllocsOp, 100*frac, 100*allocsTol)
 				ok = false
 			} else {
-				fmt.Printf("ok   %s: allocs/op %.0f -> %.0f (%+.1f%%)\n",
+				fmt.Fprintf(w, "ok   %s: allocs/op %.0f -> %.0f (%+.1f%%)\n",
 					name, b.AllocsOp, c.AllocsOp, 100*frac)
+			}
+		case b.AllocsOp == 0:
+			if c.AllocsOp >= 1 {
+				fmt.Fprintf(w, "FAIL %s: allocs/op 0 -> %.0f (zero baseline)\n", name, c.AllocsOp)
+				ok = false
+			} else {
+				fmt.Fprintf(w, "ok   %s: allocs/op 0 -> %.0f\n", name, c.AllocsOp)
 			}
 		}
 		if b.NsOp > 0 {
@@ -300,7 +330,7 @@ func gate(base, cur Snapshot, allocsTol, nsTol float64, nsGate bool) bool {
 					verdict = "FAIL"
 					ok = false
 				}
-				fmt.Printf("%s %s: ns/op %.0f -> %.0f (%+.1f%%, tolerance %.0f%%)\n",
+				fmt.Fprintf(w, "%s %s: ns/op %.0f -> %.0f (%+.1f%%, tolerance %.0f%%)\n",
 					verdict, name, b.NsOp, c.NsOp, 100*frac, 100*nsTol)
 			}
 		}

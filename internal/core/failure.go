@@ -26,6 +26,7 @@ func (w *World) Kill(id int) []int {
 	w.stepFrom[id], w.stepTo[id] = pos, pos
 	w.stepT0[id], w.stepT1[id] = now, now
 	w.moveEpoch[id]++
+	w.writes++
 	s.Failed = true
 	s.Connected = false
 

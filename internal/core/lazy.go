@@ -102,15 +102,11 @@ func (lc *LazyCoordinator) Step(id int) LazyResult {
 	// motion keeps it in range: the new parent only learns about us at its
 	// next decision, so the link must survive the remainder of its current
 	// step (Appendix A's conditions, applied to the join).
-	// When the connect radius is rc (CPVF, and FLOOR unless 2·rs < rc),
-	// the path-parent pass below reads this same list: nothing moves in
-	// between.
 	joined := NoParent
 	best := math.Inf(1)
 	pos := w.Pos(id)
 	now := w.Now()
-	nbrs := w.NeighborsWithin(id, lc.cfg.ConnectRadius)
-	for _, n := range nbrs {
+	for _, n := range w.NeighborsWithin(id, lc.cfg.ConnectRadius) {
 		if !w.Sensors[n.ID].Connected {
 			continue
 		}
@@ -149,10 +145,7 @@ func (lc *LazyCoordinator) Step(id int) LazyResult {
 	myDist := pos.Dist(target)
 	cand := NoParent
 	candDist := math.Inf(1)
-	if lc.cfg.ConnectRadius != w.P.Rc {
-		nbrs = w.NeighborsWithin(id, w.P.Rc)
-	}
-	for _, n := range nbrs {
+	for _, n := range w.NeighborsWithin(id, w.P.Rc) {
 		if w.Sensors[n.ID].Connected || lc.rejected[id][n.ID] {
 			continue
 		}

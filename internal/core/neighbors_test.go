@@ -70,9 +70,12 @@ func randomMotion(w *World, rng *rand.Rand) {
 // once, with their exact current positions, for radii below, at and
 // above the index's cell size. It also checks the invariant the query's
 // 2·MaxStep pad rests on: every live sensor's indexed position is within
-// MaxStep of its current one, and dead sensors are not indexed.
+// MaxStep of its current one, and dead sensors are not indexed. At each
+// instant, checkRepeats probes the same-instant memo, and once warm a
+// repeated query and a fresh scan allocate nothing.
 func TestNeighborsWithinMatchesBrute(t *testing.T) {
 	instants := 0
+	var stats repeatStats
 	for trial := 0; trial < 3; trial++ {
 		rng := rand.New(rand.NewPCG(1407, uint64(trial)))
 		f := field.MustNew(geom.R(0, 0, 300, 240), nil)
@@ -107,31 +110,179 @@ func TestNeighborsWithinMatchesBrute(t *testing.T) {
 						trial, now, id, d, p.MaxStep())
 				}
 				for _, r := range radii {
-					want := bruteNeighbors(w, id, r)
-					var got []int
-					for _, n := range w.NeighborsWithin(id, r) {
-						if n.Pos != w.PosAt(n.ID, now) {
-							t.Fatalf("trial %d t=%v: neighbor %d of %d at %v, current position %v",
-								trial, now, n.ID, id, n.Pos, w.PosAt(n.ID, now))
-						}
-						got = append(got, n.ID)
-					}
-					slices.Sort(got)
-					if !slices.Equal(got, want) || len(slices.Compact(got)) != len(want) {
-						t.Fatalf("trial %d t=%v: NeighborsWithin(%d, %v) = %v, brute %v", trial, now, id, r, got, want)
-					}
-					if ids := w.Neighbors(id, r); !slices.Equal(ids, want) {
+					checkQuery(t, w, id, r)
+					if ids, want := w.Neighbors(id, r), bruteNeighbors(w, id, r); !slices.Equal(ids, want) {
 						t.Fatalf("trial %d t=%v: Neighbors(%d, %v) = %v, brute %v", trial, now, id, r, ids, want)
 					}
 				}
 			}
+			checkRepeats(t, w, rng, radii, &stats)
 		}
 		if w.AliveCount() == p.N {
 			t.Fatalf("trial %d: no sensor died; the test must cover dead sensors", trial)
 		}
+		id := 0
+		for w.Sensors[id].Failed {
+			id++
+		}
+		if allocs := testing.AllocsPerRun(100, func() { w.NeighborsWithin(id, p.Rc) }); allocs != 0 {
+			t.Errorf("trial %d: a repeated query allocates %v times, want 0", trial, allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			w.NeighborsWithin(id, p.Rc)
+			w.NeighborsWithin(id, 2*p.Rs)
+		}); allocs != 0 {
+			t.Errorf("trial %d: alternating radii allocate %v times per pair, want 0", trial, allocs)
+		}
 	}
 	if instants < 50 {
 		t.Fatalf("checked %d instants, want >= 50", instants)
+	}
+	for op, n := range stats.changed {
+		if n == 0 && op != opStay {
+			t.Errorf("no %s between two identical queries changed the answer; the memo's counter is untested there", opNames[op])
+		}
+	}
+}
+
+// checkQuery checks NeighborsWithin(id, r) against the O(N) scan at the
+// world's current instant: the same IDs, each once, with their current
+// positions.
+func checkQuery(t *testing.T, w *World, id int, r float64) {
+	t.Helper()
+	now := w.Now()
+	var got []int
+	for _, n := range w.NeighborsWithin(id, r) {
+		if n.Pos != w.PosAt(n.ID, now) {
+			t.Fatalf("t=%v: neighbor %d of %d at %v, current position %v", now, n.ID, id, n.Pos, w.PosAt(n.ID, now))
+		}
+		got = append(got, n.ID)
+	}
+	slices.Sort(got)
+	if want := bruteNeighbors(w, id, r); !slices.Equal(got, want) || len(slices.Compact(got)) != len(want) {
+		t.Fatalf("t=%v: NeighborsWithin(%d, %v) = %v, brute %v", now, id, r, got, want)
+	}
+}
+
+// TestNeighborsWithinMemoScope: the memo answers only within one instant
+// of one run. A world rebuilt from the pool, whose first question repeats
+// the previous run's last one, and a clock that moved mid-step with no
+// write in between both get a fresh scan.
+func TestNeighborsWithinMemoScope(t *testing.T) {
+	f := field.MustNew(geom.R(0, 0, 300, 240), nil)
+	p := DefaultParams()
+	p.N = 60
+	p.InitRegion = f.Bounds()
+	for seed := uint64(1); seed <= 4; seed++ {
+		p.Seed = seed
+		w, err := NewWorld(f, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkQuery(t, w, 0, p.Rc)
+		rng := rand.New(rand.NewPCG(seed, 1408))
+		for id := range w.Sensors {
+			from := w.Pos(id)
+			to := from.Add(geom.V(rng.NormFloat64(), rng.NormFloat64()).Unit().Scale(p.MaxStep())).Clamp(f.Bounds())
+			w.BeginStep(id, to, from.Dist(to), p.Period)
+		}
+		checkQuery(t, w, 0, p.Rc)
+		w.E.RunUntil(p.Period / 2)
+		checkQuery(t, w, 0, p.Rc)
+		// Leave a memo keyed like the next world's first question.
+		w.memoID, w.memoR, w.memoNow, w.memoWrites = 0, p.Rc, 0, 0
+		w.Release()
+	}
+}
+
+// Writes applied between two identical queries by checkRepeats.
+const (
+	opKill = iota
+	opTeleport
+	opBeginStep
+	opStay
+	numOps
+)
+
+var opNames = [numOps]string{"Kill", "Teleport", "BeginStep", "Stay"}
+
+// repeatStats counts, per write, the repeats whose fresh answer differs
+// from the answer before the write: in membership for Kill and Teleport,
+// in order for BeginStep, whose Insert moves the sensor to the end of its
+// cell's slots. A Stay cannot change an answer at the same instant (the
+// sensor's current position is the one it stays at), so its repeats
+// check only that the memo stays correct.
+type repeatStats struct{ changed [numOps]int }
+
+// checkRepeats probes the same-instant memo of NeighborsWithin at the
+// world's current instant: for a few live sensors it asks one question,
+// a second radius, and the first again, each checked against the O(N)
+// scan; then it applies a Kill, Teleport, BeginStep or Stay to a sensor
+// in or near the answer and asks the first question again, which must
+// equal a fresh scan (IDs, order and positions) with the memo cleared.
+func checkRepeats(t *testing.T, w *World, rng *rand.Rand, radii []float64, stats *repeatStats) {
+	t.Helper()
+	now := w.Now()
+	fresh := func(id int, r float64) []Neighbor {
+		w.memoID = -1
+		return slices.Clone(w.NeighborsWithin(id, r))
+	}
+	for op := range numOps {
+		id := rng.IntN(len(w.Sensors))
+		for w.Sensors[id].Failed {
+			id = (id + 1) % len(w.Sensors)
+		}
+		r := radii[rng.IntN(len(radii))]
+		other := radii[rng.IntN(len(radii))]
+		before := slices.Clone(w.NeighborsWithin(id, r))
+		for _, q := range []float64{other, r, r} {
+			checkQuery(t, w, id, q)
+		}
+		if got := w.NeighborsWithin(id, r); !slices.Equal(got, before) {
+			t.Fatalf("t=%v: repeated NeighborsWithin(%d, %v) = %v, first answer %v", now, id, r, got, before)
+		}
+		// The written sensor: an answer member, or a live sensor just
+		// outside the answer when it is empty.
+		var target int
+		if len(before) > 0 {
+			target = before[rng.IntN(len(before))].ID
+		} else {
+			target = (id + 1 + rng.IntN(len(w.Sensors)-1)) % len(w.Sensors)
+			if w.Sensors[target].Failed {
+				continue
+			}
+		}
+		center := w.Pos(id)
+		switch op {
+		case opKill:
+			if w.AliveCount() <= len(w.Sensors)/2 {
+				continue
+			}
+			w.Kill(target)
+		case opTeleport:
+			// Members leave the answer; an outsider joins it.
+			if len(before) > 0 {
+				w.Teleport(target, center.Add(geom.V(r+1, 0)).Clamp(w.F.Bounds()))
+			} else {
+				w.Teleport(target, center.Add(geom.V(r/2, 0)).Clamp(w.F.Bounds()))
+			}
+		case opBeginStep:
+			from := w.Pos(target)
+			to := from.Add(geom.V(rng.NormFloat64(), rng.NormFloat64()).Unit().Scale(w.P.MaxStep() / 2)).Clamp(w.F.Bounds())
+			w.BeginStep(target, to, from.Dist(to), w.P.Period)
+		case opStay:
+			w.Stay(target, w.P.Period)
+		}
+		got := slices.Clone(w.NeighborsWithin(id, r))
+		want := fresh(id, r)
+		if !slices.Equal(got, want) {
+			t.Fatalf("t=%v: NeighborsWithin(%d, %v) after %s(%d) = %v, fresh scan %v",
+				now, id, r, opNames[op], target, got, want)
+		}
+		checkQuery(t, w, id, r)
+		if !slices.Equal(want, before) {
+			stats.changed[op]++
+		}
 	}
 }
 

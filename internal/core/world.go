@@ -28,7 +28,9 @@ type Sensor struct {
 	Connected bool
 
 	// Failed marks a dead sensor (§7 failure recovery): it no longer
-	// moves, communicates, or counts toward coverage.
+	// moves, communicates, or counts toward coverage. Only World.Kill
+	// sets it, which keeps neighbor queries' memo sound (see
+	// World.NeighborsWithin).
 	Failed bool
 
 	// Phase is the offset of this sensor's period boundaries.
@@ -71,6 +73,16 @@ type World struct {
 	candScratch []int32
 	nbrScratch  []Neighbor
 	idScratch   []int
+
+	// writes counts the world writes a neighbor query reads (BeginStep,
+	// Stay, Teleport, Kill). nbrScratch answers the query (memoID,
+	// memoR) at time memoNow, asked when writes read memoWrites; memoID
+	// is -1 when it answers none.
+	writes     uint64
+	memoID     int
+	memoR      float64
+	memoNow    float64
+	memoWrites uint64
 
 	// Flood scratch (see FloodFromBase), reused across floods and runs.
 	floodPos     []geom.Vec
@@ -117,6 +129,7 @@ func NewWorld(f *field.Field, p Params) (*World, error) {
 	w.msgStore = MsgStats{}
 	w.Msg = &w.msgStore
 	w.lastMove = 0
+	w.writes, w.memoID = 0, -1
 	w.Sensors = resize(w.Sensors, p.N)
 	w.stepFrom = resize(w.stepFrom, p.N)
 	w.stepTo = resize(w.stepTo, p.N)
@@ -214,6 +227,7 @@ func (w *World) BeginStep(id int, to geom.Vec, pathLen, dur float64) {
 	w.stepT0[id] = now
 	w.stepT1[id] = now + dur
 	w.moveEpoch[id]++
+	w.writes++
 	w.Sensors[id].Traveled += pathLen
 	if pathLen > 1e-9 {
 		w.lastMove = now + dur
@@ -232,6 +246,7 @@ func (w *World) Teleport(id int, pos geom.Vec) {
 	w.stepT0[id] = now
 	w.stepT1[id] = now
 	w.moveEpoch[id]++
+	w.writes++
 	w.idx.Insert(id, pos)
 }
 
@@ -246,6 +261,7 @@ func (w *World) Stay(id int, dur float64) {
 	w.stepTo[id] = pos
 	w.stepT0[id] = now
 	w.stepT1[id] = now + dur
+	w.writes++
 }
 
 // NeighborsWithin returns every other live sensor within radius r of
@@ -255,9 +271,17 @@ func (w *World) Stay(id int, dur float64) {
 // order is the grid's, deterministic for a fixed history. The result is
 // scratch owned by the world, valid until the next NeighborsWithin or
 // Neighbors call: a caller ranging over it must not query again inside
-// its loop.
+// its loop, and must not modify it.
+//
+// Asking the previous question again (same sensor, radius and instant,
+// with no BeginStep, Stay, Teleport or Kill since) returns the previous
+// answer without a scan: the answer is a function of exactly those
+// inputs.
 func (w *World) NeighborsWithin(id int, r float64) []Neighbor {
 	now := w.Now()
+	if id == w.memoID && r == w.memoR && now == w.memoNow && w.writes == w.memoWrites {
+		return w.nbrScratch
+	}
 	center := w.PosAt(id, now)
 	pad := 2 * w.P.MaxStep()
 	w.candScratch = w.idx.AppendWithin(w.candScratch[:0], id, center, r+pad)
@@ -271,6 +295,7 @@ func (w *World) NeighborsWithin(id int, r float64) []Neighbor {
 		}
 	}
 	w.nbrScratch = out
+	w.memoID, w.memoR, w.memoNow, w.memoWrites = id, r, now, w.writes
 	return out
 }
 

@@ -12,41 +12,57 @@ import (
 // Engine is a discrete-event scheduler. Time is in seconds. Events
 // scheduled for the same instant fire in scheduling order, which makes runs
 // with the same seed byte-for-byte reproducible.
+//
+// Pending events live in two queues. Most pushes are at or after the
+// newest event already in the in-order lane (a sensor rescheduling itself
+// one period on), and the lane takes them in O(1); every other push goes
+// to a binary heap. Events pop in (time, seq) order: that order is strict
+// and total and seq only grows, so the lane stays sorted and the earliest
+// pending event is always one of the two heads.
 type Engine struct {
-	now    float64
-	seq    uint64
-	events eventHeap
-	rng    *rand.Rand
+	now  float64
+	seq  uint64
+	heap eventHeap
+	lane eventRing
+	rng  *rand.Rand
 }
 
-// heapPool recycles event-heap backing arrays across engines: batch
-// sweeps build one engine per run, and regrowing the heap to thousands
-// of events every run is pure GC pressure.
-var heapPool sync.Pool
+// queues holds an engine's event arrays while they sit in queuePool.
+type queues struct {
+	heap eventHeap
+	lane []event
+}
+
+// queuePool recycles event arrays across engines: batch sweeps build one
+// engine per run, and regrowing the queues to thousands of events every
+// run is pure GC pressure.
+var queuePool sync.Pool
 
 // NewEngine creates an engine whose random source is seeded with seed.
-// The event heap reuses a pooled backing array when one is available
-// (see Release); heap capacity never influences event ordering, so
-// pooled engines stay byte-for-byte deterministic.
+// The event queues reuse pooled arrays when available (see Release);
+// their capacity never influences event ordering, so pooled engines stay
+// byte-for-byte deterministic.
 func NewEngine(seed uint64) *Engine {
 	e := &Engine{
 		rng: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
 	}
-	if v := heapPool.Get(); v != nil {
-		e.events = (*v.(*eventHeap))[:0]
+	if v := queuePool.Get(); v != nil {
+		q := v.(*queues)
+		e.heap = q.heap[:0]
+		e.lane.buf = q.lane
 	}
 	return e
 }
 
-// Release returns the engine's event-heap backing array to the shared
-// pool for future engines. Pending events are dropped and their closures
-// released. The engine must not be used after Release.
+// Release returns the engine's event arrays to the shared pool for future
+// engines. Pending events are dropped and their closures released. The
+// engine must not be used after Release.
 func (e *Engine) Release() {
-	h := e.events[:cap(e.events)]
+	h := e.heap[:cap(e.heap)]
 	clear(h) // drop closure references so pooled arrays retain nothing
-	h = h[:0]
-	e.events = nil
-	heapPool.Put(&h)
+	clear(e.lane.buf)
+	queuePool.Put(&queues{heap: h[:0], lane: e.lane.buf})
+	e.heap, e.lane = nil, eventRing{}
 }
 
 // Now returns the current simulation time in seconds.
@@ -72,7 +88,12 @@ func (e *Engine) ScheduleAt(t float64, fn func()) {
 		t = e.now
 	}
 	e.seq++
-	e.events.push(event{time: t, seq: e.seq, fn: fn})
+	ev := event{time: t, seq: e.seq, fn: fn}
+	if e.lane.n == 0 || t >= e.lane.last().time {
+		e.lane.push(ev)
+	} else {
+		e.heap.push(ev)
+	}
 }
 
 // ScheduleEvery enqueues fn at absolute time start and then every stride
@@ -98,33 +119,108 @@ func (e *Engine) ScheduleEvery(start, stride float64, fn func() bool) {
 // Step executes the earliest pending event. It returns false when the queue
 // is empty.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	ev, fromLane := e.next()
+	if ev == nil {
 		return false
 	}
-	ev := e.events.pop()
-	e.now = ev.time
-	ev.fn()
+	e.fire(fromLane)
 	return true
 }
 
 // RunUntil executes events in order until the queue is empty or the next
 // event is later than t, then advances the clock to t.
 func (e *Engine) RunUntil(t float64) {
-	for len(e.events) > 0 && e.events[0].time <= t {
-		e.Step()
+	for {
+		ev, fromLane := e.next()
+		if ev == nil || ev.time > t {
+			break
+		}
+		e.fire(fromLane)
 	}
 	if e.now < t {
 		e.now = t
 	}
 }
 
+// next returns the earliest pending event, nil when nothing is pending,
+// and whether it is the lane's head rather than the heap's.
+func (e *Engine) next() (ev *event, fromLane bool) {
+	switch {
+	case e.lane.n == 0:
+		if len(e.heap) == 0 {
+			return nil, false
+		}
+		return &e.heap[0], false
+	case len(e.heap) == 0:
+		return &e.lane.buf[e.lane.head], true
+	}
+	l := &e.lane.buf[e.lane.head]
+	if l.before(&e.heap[0]) {
+		return l, true
+	}
+	return &e.heap[0], false
+}
+
+// fire pops the head of the lane or of the heap and runs it.
+func (e *Engine) fire(fromLane bool) {
+	var ev event
+	if fromLane {
+		ev = e.lane.pop()
+	} else {
+		ev = e.heap.pop()
+	}
+	e.now = ev.time
+	ev.fn()
+}
+
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return len(e.heap) + e.lane.n }
 
 type event struct {
 	time float64
 	seq  uint64
 	fn   func()
+}
+
+// before reports whether ev precedes o in (time, seq) order.
+func (ev *event) before(o *event) bool {
+	if ev.time != o.time {
+		return ev.time < o.time
+	}
+	return ev.seq < o.seq
+}
+
+// eventRing is the in-order lane: a FIFO ring whose length is zero or a
+// power of two, holding n events from buf[head] on. Popped slots are
+// cleared, so the ring retains no closure it no longer queues. It grows
+// only when full, doubling from 64, so its length is 64 or at most twice
+// the most events it has held at once.
+type eventRing struct {
+	buf     []event
+	head, n int
+}
+
+func (r *eventRing) last() *event {
+	return &r.buf[(r.head+r.n-1)&(len(r.buf)-1)]
+}
+
+func (r *eventRing) push(ev event) {
+	if r.n == len(r.buf) {
+		buf := make([]event, max(64, 2*len(r.buf)))
+		k := copy(buf, r.buf[r.head:])
+		copy(buf[k:], r.buf[:r.head])
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = ev
+	r.n++
+}
+
+func (r *eventRing) pop() event {
+	ev := r.buf[r.head]
+	r.buf[r.head] = event{} // release the closure
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return ev
 }
 
 // eventHeap is a hand-rolled binary min-heap over (time, seq). The
@@ -135,12 +231,7 @@ type event struct {
 // sequence is unique and independent of the heap's internal layout.
 type eventHeap []event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
-}
+func (h eventHeap) less(i, j int) bool { return h[i].before(&h[j]) }
 
 func (h *eventHeap) push(ev event) {
 	*h = append(*h, ev)

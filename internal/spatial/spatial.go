@@ -4,11 +4,12 @@
 // O(neighbors) instead of O(n).
 //
 // When the point population lives inside known bounds (the usual case: a
-// deployment field), the index uses a dense cell array over a flat int32
-// arena instead of a map of slices, so Insert/Move/Neighbors touch no
-// per-cell heap objects. Points that stray outside the bounds fall back
-// to a small overflow map, so bounded construction is an optimization,
-// never a correctness constraint.
+// deployment field), the index uses a dense cell array over a flat arena
+// of IDs, with each slot's position kept beside it, instead of a map of
+// slices, so Insert/Move/Neighbors touch no per-cell heap objects. Points
+// that stray outside the bounds fall back to a small overflow map, so
+// bounded construction is an optimization, never a correctness
+// constraint.
 package spatial
 
 import (
@@ -26,12 +27,15 @@ type Index struct {
 
 	// Dense grid (bounded mode). Cell (cx, cy) in key space maps to
 	// dense[(cy-oy)*ncx + (cx-ox)] when ox <= cx < ox+ncx and likewise
-	// for y; its elements live in arena[off : off+n].
+	// for y; its elements live in arena[off : off+n], and apos[i] is
+	// the position of the point in arena slot i, so a query reads the
+	// cell's positions in slot order instead of through pos.
 	bounded  bool
 	ox, oy   int32
 	ncx, ncy int32
 	dense    []bucket
 	arena    []int32
+	apos     []geom.Vec
 	freeByC  [arenaClasses][]int32 // free block offsets by capacity class
 
 	// overflow holds cells outside the dense range (and every cell in
@@ -142,6 +146,7 @@ func (ix *Index) reset(cellSize float64, bounded bool, b geom.Rect) {
 		ix.dense = ix.dense[:0]
 	}
 	ix.arena = ix.arena[:0]
+	ix.apos = ix.apos[:0]
 	for c := range ix.freeByC {
 		ix.freeByC[c] = ix.freeByC[c][:0]
 	}
@@ -181,15 +186,12 @@ func (ix *Index) allocBlock(class int32) int32 {
 		ix.freeByC[class] = fl[:len(fl)-1]
 		return off
 	}
-	off := int32(len(ix.arena))
-	if end := len(ix.arena) + 1<<class; end <= cap(ix.arena) {
-		// Reuse capacity left by a reset without a temporary slice; the
-		// block's stale contents are never read before being written.
-		ix.arena = ix.arena[:end]
-	} else {
-		ix.arena = append(ix.arena, make([]int32, 1<<class)...)
-	}
-	return off
+	// Extending the arenas reuses capacity left by a reset; a block's
+	// stale contents are never read before being written.
+	off := len(ix.arena)
+	ix.arena = slices.Grow(ix.arena, 1<<class)[:off+1<<class]
+	ix.apos = slices.Grow(ix.apos, 1<<class)[:off+1<<class]
+	return int32(off)
 }
 
 func classOf(capacity int32) int32 {
@@ -200,10 +202,10 @@ func classOf(capacity int32) int32 {
 	return c
 }
 
-// appendDense appends id to the dense cell di, growing its arena block
-// when full. Element order within a cell is append order (with
-// swap-remove), matching the map-of-slices implementation exactly.
-func (ix *Index) appendDense(di int32, id int32) {
+// appendDense appends id at position p to the dense cell di, growing its
+// arena block when full. Element order within a cell is append order
+// (with swap-remove), matching the map-of-slices implementation exactly.
+func (ix *Index) appendDense(di int32, id int32, p geom.Vec) {
 	b := &ix.dense[di]
 	if b.n == b.cap {
 		newCap := int32(1) << minClass
@@ -213,12 +215,14 @@ func (ix *Index) appendDense(di int32, id int32) {
 		class := classOf(newCap)
 		newOff := ix.allocBlock(class)
 		copy(ix.arena[newOff:newOff+b.n], ix.arena[b.off:b.off+b.n])
+		copy(ix.apos[newOff:newOff+b.n], ix.apos[b.off:b.off+b.n])
 		if b.cap > 0 {
 			ix.freeByC[classOf(b.cap)] = append(ix.freeByC[classOf(b.cap)], b.off)
 		}
 		b.off, b.cap = newOff, int32(1)<<class
 	}
 	ix.arena[b.off+b.n] = id
+	ix.apos[b.off+b.n] = p
 	b.n++
 }
 
@@ -238,7 +242,7 @@ func (ix *Index) Insert(id int, p geom.Vec) {
 	ix.present[id] = true
 	k := ix.key(p)
 	if di := ix.denseIdx(k); di >= 0 {
-		ix.appendDense(di, int32(id))
+		ix.appendDense(di, int32(id), p)
 	} else {
 		ix.overflow[k] = append(ix.overflow[k], int32(id))
 	}
@@ -260,7 +264,8 @@ func (ix *Index) removeFromCell(id int, k cellKey) {
 		elems := ix.arena[b.off : b.off+b.n]
 		for i, v := range elems {
 			if v == int32(id) {
-				elems[i] = elems[len(elems)-1]
+				j, last := b.off+int32(i), b.off+b.n-1
+				ix.arena[j], ix.apos[j] = ix.arena[last], ix.apos[last]
 				b.n--
 				return
 			}
@@ -297,8 +302,9 @@ func (ix *Index) cellElems(k cellKey) []int32 {
 // AppendWithin appends to dst the ID of every indexed point within
 // radius r of p (Dist2 <= r²), except the point with ID skip, and
 // returns the extended slice; a querying sensor excludes itself by
-// passing its own ID, and a negative skip excludes nothing. The order is
-// rows bottom-up, cells left to right, slot order within a cell:
+// passing its own ID, and a negative skip excludes nothing. When nothing
+// matches, dst is returned as passed, so a nil dst stays nil. The order
+// is rows bottom-up, cells left to right, slot order within a cell:
 // deterministic for a fixed insertion history, and identical whether the
 // index is bounded or not.
 func (ix *Index) AppendWithin(dst []int32, skip int, p geom.Vec, r float64) []int32 {
@@ -308,19 +314,41 @@ func (ix *Index) AppendWithin(dst []int32, skip int, p geom.Vec, r float64) []in
 	sk := int32(skip)
 	if ix.bounded && lo.x >= ix.ox && hi.x < ix.ox+ix.ncx && lo.y >= ix.oy && hi.y < ix.oy+ix.ncy {
 		// The window lies inside the dense grid, so each of its rows is
-		// one contiguous run of buckets.
+		// one contiguous run of buckets, and each bucket's positions sit
+		// beside its IDs. With room made for a bucket's IDs first, the
+		// filter writes each ID and advances past it only if it matches:
+		// a conditional set, where a branch on the distance test would
+		// mispredict.
 		w := hi.x - lo.x + 1
-		for gy := lo.y - ix.oy; gy <= hi.y-ix.oy; gy++ {
-			start := gy*ix.ncx + lo.x - ix.ox
-			for _, b := range ix.dense[start : start+w] {
-				for _, id := range ix.arena[b.off : b.off+b.n] {
-					if id != sk && ix.pos[id].Dist2(p) <= r2 {
-						dst = append(dst, id)
+		gy0, gy1, gx0 := lo.y-ix.oy, hi.y-ix.oy, lo.x-ix.ox
+		k := len(dst)
+		out := dst[:cap(dst)]
+		for gy := gy0; gy <= gy1; gy++ {
+			for _, b := range ix.dense[gy*ix.ncx+gx0:][:w] {
+				if b.n == 0 {
+					continue
+				}
+				if len(out)-k < int(b.n) {
+					out = slices.Grow(out[:k], int(b.n))
+					out = out[:cap(out)]
+				}
+				pts := ix.apos[b.off : b.off+b.n]
+				ids := ix.arena[b.off : b.off+b.n][:len(pts)]
+				for i, q := range pts {
+					id := ids[i]
+					out[k] = id
+					keep := q.Dist2(p) <= r2
+					if id == sk {
+						keep = false
 					}
+					k += b2i(keep)
 				}
 			}
 		}
-		return dst
+		if k == len(dst) {
+			return dst
+		}
+		return out[:k]
 	}
 	for cy := lo.y; cy <= hi.y; cy++ {
 		for cx := lo.x; cx <= hi.x; cx++ {
@@ -334,6 +362,13 @@ func (ix *Index) AppendWithin(dst []int32, skip int, p geom.Vec, r float64) []in
 	return dst
 }
 
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // TakeWithin removes every indexed point within radius r of p (the same
 // predicate as AppendWithin) and appends their IDs to dst, returning the
 // extended slice. A search that visits each point once — a flood fill —
@@ -345,7 +380,15 @@ func (ix *Index) TakeWithin(p geom.Vec, r float64, dst []int) []int {
 	for cy := lo.y; cy <= hi.y; cy++ {
 		for cx := lo.x; cx <= hi.x; cx++ {
 			k := cellKey{cx, cy}
-			elems := ix.cellElems(k)
+			di := ix.denseIdx(k)
+			var elems []int32
+			var pts []geom.Vec // a dense cell's positions, moved with its IDs
+			if di >= 0 {
+				b := ix.dense[di]
+				elems, pts = ix.arena[b.off:b.off+b.n], ix.apos[b.off:b.off+b.n]
+			} else {
+				elems = ix.overflow[k]
+			}
 			n := len(elems)
 			for i := 0; i < n; {
 				id := elems[i]
@@ -358,11 +401,14 @@ func (ix *Index) TakeWithin(p geom.Vec, r float64, dst []int) []int {
 				ix.count--
 				n--
 				elems[i] = elems[n]
+				if pts != nil {
+					pts[i] = pts[n]
+				}
 			}
 			if n == len(elems) {
 				continue
 			}
-			if di := ix.denseIdx(k); di >= 0 {
+			if di >= 0 {
 				ix.dense[di].n = int32(n)
 			} else {
 				ix.overflow[k] = elems[:n]

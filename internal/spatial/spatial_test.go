@@ -144,34 +144,58 @@ func TestZeroCellSizeDefaults(t *testing.T) {
 
 // Property: a bounded index returns the same results AND the same
 // iteration order as the unbounded map-backed mode under random
-// insert / move / remove workloads, including points that stray outside
-// the declared bounds (overflow cells).
+// insert / move / remove / take workloads, including points that stray
+// outside the declared bounds (overflow cells). Half of the inserts land
+// in one crowded cell, which forces its arena block to grow, and
+// TakeWithin's swap-removes must carry each position with its ID.
 func TestBoundedMatchesUnbounded(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 14))
 	bounds := geom.R(0, 0, 400, 300)
 	bi := NewBounded(25, bounds, 64)
 	ui := New(25, 64)
-	for step := 0; step < 3000; step++ {
-		id := rng.IntN(48)
-		switch rng.IntN(3) {
-		case 0, 1:
+	crowd := geom.V(100, 150) // lower-left corner of the crowded cell
+	maxCrowd, taken := 0, 0
+	for step := 0; step < 4000; step++ {
+		id := rng.IntN(64)
+		switch rng.IntN(8) {
+		case 0, 1, 2, 3:
 			p := geom.V(rng.Float64()*600-100, rng.Float64()*500-100)
+			if rng.IntN(2) == 0 {
+				p = crowd.Add(geom.V(rng.Float64()*24.9, rng.Float64()*24.9))
+			}
 			bi.Insert(id, p)
 			ui.Insert(id, p)
-		case 2:
+		case 4, 5:
 			bi.Remove(id)
 			ui.Remove(id)
+		case 6:
+			q := crowd.Add(geom.V(rng.Float64()*50-12, rng.Float64()*50-12))
+			r := rng.Float64() * 10
+			gotB := bi.TakeWithin(q, r, nil)
+			gotU := ui.TakeWithin(q, r, nil)
+			if !slices.Equal(gotB, gotU) {
+				t.Fatalf("step %d: TakeWithin(%v, %v) diverged: bounded %v unbounded %v", step, q, r, gotB, gotU)
+			}
+			taken += len(gotB)
 		}
 		q := geom.V(rng.Float64()*600-100, rng.Float64()*500-100)
+		if rng.IntN(2) == 0 {
+			q = crowd.Add(geom.V(rng.Float64()*50-12, rng.Float64()*50-12))
+		}
 		r := rng.Float64() * 90
 		gotB := bi.AppendWithin(nil, -1, q, r)
 		gotU := ui.AppendWithin(nil, -1, q, r)
 		if !reflect.DeepEqual(gotB, gotU) {
 			t.Fatalf("step %d: iteration order diverged: bounded %v unbounded %v", step, gotB, gotU)
 		}
+		maxCrowd = max(maxCrowd, int(bi.dense[bi.denseIdx(bi.key(crowd))].n))
 	}
 	if bi.Len() != ui.Len() {
 		t.Fatalf("Len diverged: %d vs %d", bi.Len(), ui.Len())
+	}
+	if maxCrowd <= 16 || taken < 100 {
+		t.Fatalf("crowded cell peaked at %d points and TakeWithin took %d; want > 16 (three block growths) and >= 100",
+			maxCrowd, taken)
 	}
 }
 
