@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -145,6 +146,11 @@ type BatchResult struct {
 	Spec   RunSpec
 	Result Result
 	Err    error
+	// Stack is the goroutine stack of a run that panicked, whose Err then
+	// reads "mobisense: run panicked: <value>"; nil otherwise. It never
+	// reaches the store, so stores stay byte-identical across worker
+	// counts.
+	Stack []byte
 }
 
 // skipped reports whether this run was never executed (batch cancelled).
@@ -265,8 +271,8 @@ func runSpecs(ctx context.Context, specs []RunSpec, opts BatchOptions, m istore.
 				cfg := specs[i].Config
 				cfg.estimators = cache
 				start := time.Now()
-				res, err := Run(cfg)
-				out[i] = BatchResult{Spec: specs[i], Result: res, Err: err}
+				res, stack, err := runIsolated(cfg)
+				out[i] = BatchResult{Spec: specs[i], Result: res, Err: err, Stack: stack}
 				if sess != nil {
 					sess.append(seq, specs[i], res, err, time.Since(start))
 				}
@@ -309,6 +315,21 @@ dispatch:
 		}
 	}
 	return out, ctx.Err()
+}
+
+// runIsolated is Run with a panic contained to its run: the panic
+// becomes the run's error and its stack is returned beside it, so one bad
+// run (a scheme tripping World.BeginStep's speed limit, say) fails alone
+// instead of killing the process that runs the batch.
+func runIsolated(cfg Config) (res Result, stack []byte, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			runsFailed.Inc()
+			res, stack, err = Result{}, debug.Stack(), fmt.Errorf("mobisense: run panicked: %v", v)
+		}
+	}()
+	res, err = Run(cfg)
+	return res, nil, err
 }
 
 // Sweep describes a cross-product experiment: every combination of

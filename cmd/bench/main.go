@@ -4,11 +4,11 @@
 //
 // Snapshot a baseline (done once per perf-sensitive PR):
 //
-//	go run ./cmd/bench -count 5 -out BENCH_PR16.json
+//	go run ./cmd/bench -count 5 -out BENCH_PR17.json
 //
 // Gate the current tree against it (CI's bench-gate job):
 //
-//	go run ./cmd/bench -count 5 -compare BENCH_PR16.json -ns-gate -ns-tol 0.75
+//	go run ./cmd/bench -count 5 -compare BENCH_PR17.json -ns-gate -ns-tol 0.75
 //
 // The gate fails when any benchmark's allocs/op regresses by more than
 // -allocs-tol (default 10%), or, for a benchmark recorded at 0 allocs/op,
@@ -43,13 +43,16 @@ import (
 // defaultBenchRegexp selects the perf-tracking benchmarks: the end-to-end
 // batch sweep (the headline allocs/op number), the store writer, the
 // pooled hot-path micro benches in internal/coverage and internal/spatial,
-// the world's padded neighbor query, the event engine's queue, the
+// the world's padded neighbor query and its kept walk answers, the event
+// engine's queue with and without a periodic ticker, the
 // geometry/connectivity kernel benches guarded by the ns/op gate
 // (FirstHit, LOS coverage, exclusive area, unit-disk flood), and the
 // trace-sampling kernels (incremental coverage, tracker seed, a transient
-// sample's fleet-wide move, per-sample world telemetry).
+// sample's fleet-wide move, per-sample world telemetry). The expression
+// is anchored at both ends, so no name matches another by prefix.
 const defaultBenchRegexp = "^(BenchmarkBatchSweepSequential|BenchmarkBatchSweepParallel|" +
-	"BenchmarkStoreWrite|BenchmarkFractionReuse|BenchmarkInsertMoveQuery|BenchmarkNeighborsWithin|BenchmarkEngineStep|" +
+	"BenchmarkStoreWrite|BenchmarkFractionReuse|BenchmarkInsertMoveQuery|BenchmarkNeighborsWithin|BenchmarkWalkNeighbors|" +
+	"BenchmarkEngineStep|BenchmarkEngineStepTicked|" +
 	"BenchmarkFirstHit|BenchmarkFractionLOS|BenchmarkExclusiveArea|BenchmarkUnitDiskReachable|" +
 	"BenchmarkFractionIncremental|BenchmarkIncrementalTraceSweep|" +
 	"BenchmarkTrackerSeedLOS|BenchmarkTrackerMoveLOS|BenchmarkSampleTrace)$"

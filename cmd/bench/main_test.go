@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -138,6 +139,21 @@ func TestRunFlags(t *testing.T) {
 		}
 		if !strings.Contains(stderr.String(), tc.stderr) || stdout.Len() != 0 {
 			t.Errorf("%s: stdout %q, stderr %q", tc.arg, stdout.String(), stderr.String())
+		}
+	}
+}
+
+// TestDefaultBenchRegexpExact: the suite's expression selects each
+// tracked benchmark by its whole name, so a benchmark whose name extends
+// another's (EngineStep, EngineStepTicked) is selected only when listed.
+func TestDefaultBenchRegexpExact(t *testing.T) {
+	re := regexp.MustCompile(defaultBenchRegexp)
+	for _, name := range []string{"BenchmarkEngineStep", "BenchmarkEngineStepTicked", "BenchmarkNeighborsWithin", "BenchmarkWalkNeighbors"} {
+		if !re.MatchString(name) {
+			t.Errorf("%s is not selected", name)
+		}
+		if re.MatchString(name+"X") || re.MatchString("X"+name) {
+			t.Errorf("names extending %s are selected", name)
 		}
 	}
 }

@@ -46,6 +46,7 @@ import (
 	"expvar"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	_ "net/http/pprof"
@@ -59,23 +60,28 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run is the command: it parses args, then serves until interrupted. It
+// returns the exit code: 0 on a clean shutdown or -h, 1 when the service
+// fails, 2 on bad flags or a bad -field spec.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		dataDir   = flag.String("data", "serve-data", "server data directory (jobs, stores, cache source)")
-		workers   = flag.Int("workers", 0, "batch worker-pool size per job (0 = GOMAXPROCS)")
-		jobs      = flag.Int("jobs", 1, "number of jobs executing concurrently")
-		jobsTTL   = flag.Duration("jobs-ttl", 0, "prune finished jobs (and their stores) older than this at startup and periodically (0 = keep forever)")
-		cacheSize = flag.Int("cache-size", 0, "max entries in the fingerprint result cache, evicted LRU (0 = server default of 1024)")
-		logFormat = flag.String("log-format", "text", "structured log format: text or json")
-		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
-		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof and expvar on this extra listener (e.g. localhost:6060); off when empty")
+		addr      = fs.String("addr", ":8080", "listen address")
+		dataDir   = fs.String("data", "serve-data", "server data directory (jobs, stores, cache source)")
+		workers   = fs.Int("workers", 0, "batch worker-pool size per job (0 = GOMAXPROCS)")
+		jobs      = fs.Int("jobs", 1, "number of jobs executing concurrently")
+		jobsTTL   = fs.Duration("jobs-ttl", 0, "prune finished jobs (and their stores) older than this at startup and periodically (0 = keep forever)")
+		cacheSize = fs.Int("cache-size", 0, "max entries in the fingerprint result cache, evicted LRU (0 = server default of 1024)")
+		logFormat = fs.String("log-format", "text", "structured log format: text or json")
+		logLevel  = fs.String("log-level", "info", "minimum log level: debug, info, warn or error")
+		debugAddr = fs.String("debug-addr", "", "serve net/http/pprof and expvar on this extra listener (e.g. localhost:6060); off when empty")
 	)
 	var fieldErr error
-	flag.Func("field", "register a custom scenario from a field-spec JSON file (named by the spec's \"name\"); repeatable",
+	fs.Func("field", "register a custom scenario from a field-spec JSON file (named by the spec's \"name\"); repeatable",
 		func(path string) error {
 			spec, err := mobisense.LoadFieldSpecFile(path)
 			if err != nil {
@@ -97,15 +103,20 @@ func run() int {
 			})
 			return nil
 		})
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if fieldErr != nil {
-		fmt.Fprintln(os.Stderr, fieldErr)
+		fmt.Fprintln(stderr, fieldErr)
 		return 2
 	}
 
-	logger, err := buildLogger(*logFormat, *logLevel)
+	logger, err := buildLogger(stderr, *logFormat, *logLevel)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
@@ -116,7 +127,7 @@ func run() int {
 		Logger:    logger,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 
@@ -148,7 +159,7 @@ func run() int {
 		go func() {
 			for {
 				if n := svc.GC(*jobsTTL); n > 0 {
-					fmt.Fprintf(os.Stderr, "pruned %d finished job(s) older than %s\n", n, *jobsTTL)
+					fmt.Fprintf(stderr, "pruned %d finished job(s) older than %s\n", n, *jobsTTL)
 				}
 				<-ticker.C
 			}
@@ -158,7 +169,7 @@ func run() int {
 	hs := &http.Server{Addr: *addr, Handler: svc.Handler()}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "serving deployment API on %s (data in %s)\n", *addr, *dataDir)
+	fmt.Fprintf(stderr, "serving deployment API on %s (data in %s)\n", *addr, *dataDir)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -170,12 +181,12 @@ func run() int {
 		defer cancel()
 		hs.Shutdown(shutdownCtx)
 		svc.Close()
-		fmt.Fprintln(os.Stderr, "shut down; interrupted jobs resume on the next start")
+		fmt.Fprintln(stderr, "shut down; interrupted jobs resume on the next start")
 		return 0
 	case err := <-errCh:
 		svc.Close()
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		return 0
@@ -183,9 +194,9 @@ func run() int {
 }
 
 // buildLogger assembles the service's slog logger from the -log-format
-// and -log-level flags; records go to stderr, keeping stdout clean for
-// scripting.
-func buildLogger(format, level string) (*slog.Logger, error) {
+// and -log-level flags; records go to w (stderr), keeping stdout clean
+// for scripting.
+func buildLogger(w io.Writer, format, level string) (*slog.Logger, error) {
 	var lv slog.Level
 	if err := lv.UnmarshalText([]byte(level)); err != nil {
 		return nil, fmt.Errorf("bad -log-level %q (want debug, info, warn or error)", level)
@@ -193,9 +204,9 @@ func buildLogger(format, level string) (*slog.Logger, error) {
 	opts := &slog.HandlerOptions{Level: lv}
 	switch strings.ToLower(format) {
 	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
+		return slog.New(slog.NewTextHandler(w, opts)), nil
 	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
+		return slog.New(slog.NewJSONHandler(w, opts)), nil
 	default:
 		return nil, fmt.Errorf("bad -log-format %q (want text or json)", format)
 	}

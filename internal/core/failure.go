@@ -23,6 +23,8 @@ func (w *World) Kill(id int) []int {
 	}
 	now := w.Now()
 	pos := w.PosAt(id, now)
+	w.dropNbrs(id)
+	w.dropSettledNear(pos)
 	w.stepFrom[id], w.stepTo[id] = pos, pos
 	w.stepT0[id], w.stepT1[id] = now, now
 	w.moveEpoch[id]++

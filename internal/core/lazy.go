@@ -110,7 +110,7 @@ func (lc *LazyCoordinator) Step(id int) LazyResult {
 		if !w.Sensors[n.ID].Connected {
 			continue
 		}
-		if w.PosAt(n.ID, math.Max(w.StepEndTime(n.ID), now)).Dist(pos) > lc.cfg.ConnectRadius {
+		if !w.PosAt(n.ID, max(w.StepEndTime(n.ID), now)).WithinDist(pos, lc.cfg.ConnectRadius) {
 			continue
 		}
 		if d := n.Pos.Dist(pos); d < best {

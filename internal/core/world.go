@@ -84,6 +84,12 @@ type World struct {
 	memoNow    float64
 	memoWrites uint64
 
+	// Neighbors' answers at radius rc, by sensor ID (see Neighbors), and
+	// how many of them are settled.
+	rcNbrs      []rcNbrs
+	settled     int
+	dropScratch []int32
+
 	// Flood scratch (see FloodFromBase), reused across floods and runs.
 	floodPos     []geom.Vec
 	floodVisited []bool
@@ -137,6 +143,11 @@ func NewWorld(f *field.Field, p Params) (*World, error) {
 	w.stepT1 = resize(w.stepT1, p.N)
 	w.moveEpoch = resize(w.moveEpoch, p.N)
 	clear(w.moveEpoch)
+	w.rcNbrs = resize(w.rcNbrs, p.N)
+	for i := range w.rcNbrs {
+		w.rcNbrs[i].state = nbrsNone // keep the ID arrays' capacity
+	}
+	w.settled = 0
 	rng := w.E.Rand()
 	for i := 0; i < p.N; i++ {
 		pos := f.RandomFreePoint(rng, p.InitRegion)
@@ -233,6 +244,10 @@ func (w *World) BeginStep(id int, to geom.Vec, pathLen, dur float64) {
 		w.lastMove = now + dur
 		w.idx.Insert(id, from)
 	}
+	if from != to {
+		w.dropNbrs(id)
+		w.unsettleStep(from, to)
+	}
 }
 
 // Teleport instantly places sensor id at pos without charging moving
@@ -241,6 +256,9 @@ func (w *World) BeginStep(id int, to geom.Vec, pathLen, dur float64) {
 // of §6.2).
 func (w *World) Teleport(id int, pos geom.Vec) {
 	now := w.Now()
+	w.dropNbrs(id)
+	w.dropSettledNear(w.PosAt(id, now))
+	w.dropSettledNear(pos)
 	w.stepFrom[id] = pos
 	w.stepTo[id] = pos
 	w.stepT0[id] = now
@@ -282,6 +300,14 @@ func (w *World) NeighborsWithin(id int, r float64) []Neighbor {
 	if id == w.memoID && r == w.memoR && now == w.memoNow && w.writes == w.memoWrites {
 		return w.nbrScratch
 	}
+	w.scan(id, r, now)
+	return w.nbrScratch
+}
+
+// scan answers NeighborsWithin(id, r) at time now into nbrScratch and
+// records it as the memo. The padded window's candidates stay in
+// candScratch until the next grid query.
+func (w *World) scan(id int, r, now float64) {
 	center := w.PosAt(id, now)
 	pad := 2 * w.P.MaxStep()
 	w.candScratch = w.idx.AppendWithin(w.candScratch[:0], id, center, r+pad)
@@ -296,23 +322,160 @@ func (w *World) NeighborsWithin(id int, r float64) []Neighbor {
 	}
 	w.nbrScratch = out
 	w.memoID, w.memoR, w.memoNow, w.memoWrites = id, r, now, w.writes
-	return out
 }
 
 // Neighbors returns the IDs of sensors within radius r of sensor id at the
-// current time, in ascending order. The returned slice is scratch reused
-// by the next Neighbors call on this world (callers never retain it past
-// their period handler; this is a per-sensor-per-period hot path).
+// current time, in ascending order. The returned slice is owned by the
+// world: callers must not modify it, and it is valid until the next
+// Neighbors call.
+//
+// Answers at radius rc (FLOOR's invitation walks, which look up the same
+// sensors over and over) are kept per sensor. One computed while the
+// sensor or a sensor that may cross its circle is moving holds at its
+// instant until the next world write, like NeighborsWithin's memo. One
+// computed while the sensor is live and static and every mid-step sensor
+// in the padded window keeps to one side of its rc circle for the rest of
+// its step is settled: no position or liveness it depends on can change
+// without a BeginStep, Teleport or Kill, so it holds across instants
+// until one of those drops it (see unsettleStep and dropSettledNear).
+// Sensors outside the window cannot come within rc before their next
+// BeginStep: every indexed position is within MaxStep of every position
+// of the current step, and the pad is 2·MaxStep. The IDs are sorted, so a
+// kept answer is the scan's bit for bit.
 func (w *World) Neighbors(id int, r float64) []int {
-	out := w.idScratch[:0]
-	for _, n := range w.NeighborsWithin(id, r) {
-		out = append(out, n.ID)
+	if r != w.P.Rc {
+		out := w.idScratch[:0]
+		for _, n := range w.NeighborsWithin(id, r) {
+			out = append(out, n.ID)
+		}
+		// NeighborsWithin returns grid order; sort for determinism
+		// across index states.
+		slices.Sort(out)
+		w.idScratch = out
+		return out
 	}
-	// NeighborsWithin returns grid order; sort for determinism across
-	// index states.
-	slices.Sort(out)
-	w.idScratch = out
-	return out
+	now := w.Now()
+	e := &w.rcNbrs[id]
+	if e.state == nbrsSettled || (e.state == nbrsInstant && e.at == now && e.writes == w.writes) {
+		return e.ids
+	}
+	w.scan(id, r, now)
+	ids := e.ids[:0]
+	for _, n := range w.nbrScratch {
+		ids = append(ids, n.ID)
+	}
+	slices.Sort(ids)
+	*e = rcNbrs{ids: ids, at: now, writes: w.writes, state: nbrsInstant}
+	if w.settles(id, now) {
+		e.state = nbrsSettled
+		w.settled++
+	}
+	return ids
+}
+
+// rcNbrs is one sensor's kept Neighbors answer at radius rc: ids, asked
+// at time at when the world's write count read writes.
+type rcNbrs struct {
+	ids    []int
+	at     float64
+	writes uint64
+	state  uint8
+}
+
+// rcNbrs states.
+const (
+	nbrsNone    = iota // no answer kept
+	nbrsInstant        // valid at its instant while the write count holds
+	nbrsSettled        // valid until a write drops it
+)
+
+// settleEps is the margin, in meters, by which a settled answer's movers
+// must clear its circle. Squared distances and interpolated positions
+// round far below it, so a step that clears the circle by settleEps on
+// paper stays on its side under WithinDist at every instant.
+const settleEps = 1e-6
+
+// settles reports whether sensor id's rc answer at time now, just
+// scanned, is settled: the sensor is live (writes find settled sensors
+// through the grid, which holds only live ones) and static for the rest
+// of its step record, and every candidate of the padded window (left in
+// candScratch by the scan) that is mid-step keeps to one side of the
+// circle until its step ends.
+func (w *World) settles(id int, now float64) bool {
+	if w.Sensors[id].Failed || (now < w.stepT1[id] && w.stepFrom[id] != w.stepTo[id]) {
+		return false
+	}
+	center := w.stepTo[id]
+	for _, j := range w.candScratch {
+		if now >= w.stepT1[j] || w.stepFrom[j] == w.stepTo[j] {
+			continue
+		}
+		if !oneSide(center, w.PosAt(int(j), now), w.stepTo[j], w.P.Rc) {
+			return false
+		}
+	}
+	return true
+}
+
+// oneSide reports whether every point of segment ab is on one side of
+// the circle of radius r around c, with margin settleEps: both ends at
+// most r − settleEps from c (the disk is convex), or the whole segment
+// more than r + settleEps away.
+func oneSide(c, a, b geom.Vec, r float64) bool {
+	in, out := r-settleEps, r+settleEps
+	if a.Dist2(c) <= in*in && b.Dist2(c) <= in*in {
+		return true
+	}
+	return geom.Seg(a, b).ClosestPoint(c).Dist2(c) > out*out
+}
+
+// dropNbrs forgets sensor id's kept rc answer.
+func (w *World) dropNbrs(id int) {
+	if w.rcNbrs[id].state == nbrsSettled {
+		w.settled--
+	}
+	w.rcNbrs[id].state = nbrsNone
+}
+
+// settledNear leaves in dropScratch the grid's candidates for the sensors
+// within r of p: a settled sensor is static, so it sits at stepTo, and
+// the grid's position for it lags by at most MaxStep, which the scan's
+// 2·MaxStep pad covers.
+func (w *World) settledNear(p geom.Vec, r float64) {
+	w.dropScratch = w.idx.AppendWithin(w.dropScratch[:0], -1, p, r+2*w.P.MaxStep())
+}
+
+// unsettleStep drops the settled answers a new step from → to may
+// change: those of the sensors whose rc circle the step does not keep to
+// one side of. Only sensors within rc + |to − from| + settleEps of from
+// can be near the step at all.
+func (w *World) unsettleStep(from, to geom.Vec) {
+	if w.settled == 0 {
+		return
+	}
+	rc := w.P.Rc
+	reach := rc + from.Dist(to) + settleEps
+	w.settledNear(from, reach)
+	for _, c := range w.dropScratch {
+		if w.rcNbrs[c].state == nbrsSettled && w.stepTo[c].Dist2(from) <= reach*reach && !oneSide(w.stepTo[c], from, to, rc) {
+			w.dropNbrs(int(c))
+		}
+	}
+}
+
+// dropSettledNear drops the settled answers of every sensor within
+// rc + settleEps of p, where a sensor appears or disappears.
+func (w *World) dropSettledNear(p geom.Vec) {
+	if w.settled == 0 {
+		return
+	}
+	r := w.P.Rc + settleEps
+	w.settledNear(p, r)
+	for _, c := range w.dropScratch {
+		if w.rcNbrs[c].state == nbrsSettled && w.stepTo[c].Dist2(p) <= r*r {
+			w.dropNbrs(int(c))
+		}
+	}
 }
 
 // NearBase reports whether sensor id is within radius r of the base

@@ -88,6 +88,7 @@ type Scheme struct {
 	// Per-period scratch, reused across decisions (one decision runs at a
 	// time on this scheme's world).
 	linkScratch []link
+	peerScratch []peer
 	subScratch  []int
 	inSub       []int32
 	subEpoch    int32
@@ -303,16 +304,19 @@ func (c *Scheme) decideConnected(id int) {
 	w.Msg.Count(core.MsgBeacon, len(links))
 
 	force := c.force(id, pos)
-	if force.Len() < 1e-9 {
+	fl := force.Len()
+	if fl < 1e-9 {
 		w.Stay(id, T)
 		c.recordEnd(id, pos)
 		return
 	}
-	dir := force.Unit()
+	// force/fl is force.Unit() bit for bit: Unit divides by the same Len,
+	// and fl >= 1e-9 = geom.Eps skips its zero-vector branch.
+	dir := geom.V(force.X/fl, force.Y/fl)
 	// The desired step scales with the force magnitude and saturates at
 	// V·T, so near-equilibrium sensors make the small dithering steps that
 	// §6.3's oscillation avoidance suppresses.
-	desired := w.P.MaxStep() * math.Min(1, c.cfg.ForceGain*force.Len())
+	desired := w.P.MaxStep() * min(1, c.cfg.ForceGain*fl)
 
 	step := c.maxValidStep(id, pos, dir, desired, links)
 	if step <= 1e-9 && c.cfg.AllowParentChange {
@@ -420,24 +424,61 @@ func (c *Scheme) maintainedLinks(id int) []link {
 // connectivity-preserving conditions for every maintained link.
 func (c *Scheme) maxValidStep(id int, pos, dir geom.Vec, desired float64, links []link) float64 {
 	w := c.w
-	limit := math.Min(desired, w.P.MaxStep())
+	limit := min(desired, w.P.MaxStep())
 
 	// Free-space limit along dir, with a small wall stand-off.
 	freeLimit := limit
 	if hit, ok := w.F.FirstHit(geom.Seg(pos, pos.Add(dir.Scale(limit)))); ok {
-		freeLimit = math.Max(0, hit.T*limit-0.1)
+		freeLimit = max(0, hit.T*limit-0.1)
 	}
 
+	peers := c.linkPeers(links)
 	for k := 10; k >= 1; k-- {
 		step := float64(k) / 10 * limit
 		if step > freeLimit {
 			continue
 		}
-		if c.stepPreservesLinks(id, pos, dir, step, links) {
+		if stepPreservesLinks(pos, dir, step, w.P.Rc, peers) {
 			return step
 		}
 	}
 	return 0
+}
+
+// peer is one maintained link's far end as a decision sees it: its
+// position at t′, the end of its current period clamped to at least the
+// decision time t (the base station and idle peers pin t′ = t), and
+// (t′ − t)/T capped at 1, the share of our step done by then.
+type peer struct {
+	pos  geom.Vec
+	frac float64
+}
+
+// linkPeers resolves the links' peers once per decision; every candidate
+// step reads them. The returned slice is scratch reused by the next
+// linkPeers call on this scheme.
+func (c *Scheme) linkPeers(links []link) []peer {
+	w := c.w
+	now := w.Now()
+	out := c.peerScratch[:0]
+	for _, l := range links {
+		var peerT1 float64
+		var peerAtT1 geom.Vec
+		if l.isBase {
+			peerT1 = now
+			peerAtT1 = w.F.Reference()
+		} else {
+			peerT1 = max(w.StepEndTime(l.id), now) // t' ≤ t+T; idle peers pin t' = t
+			peerAtT1 = w.PosAt(l.id, peerT1)
+		}
+		frac := (peerT1 - now) / w.P.Period
+		if frac > 1 {
+			frac = 1
+		}
+		out = append(out, peer{pos: peerAtT1, frac: frac})
+	}
+	c.peerScratch = out
+	return out
 }
 
 // stepPreservesLinks checks the two connectivity-preserving conditions of
@@ -447,34 +488,19 @@ func (c *Scheme) maxValidStep(id int, pos, dir geom.Vec, desired float64, links 
 //     period) is no greater than rc, and
 //  2. the distance between s′'s position at t′ and s's position at t+T is
 //     no greater than rc.
-func (c *Scheme) stepPreservesLinks(id int, pos, dir geom.Vec, step float64, links []link) bool {
-	w := c.w
-	now := w.Now()
-	T := w.P.Period
-	rc := w.P.Rc
+//
+// WithinDist is Dist <= rc bit for bit, without the square root in
+// almost every call.
+func stepPreservesLinks(pos, dir geom.Vec, step, rc float64, peers []peer) bool {
 	end := pos.Add(dir.Scale(step))
-
-	for _, l := range links {
-		var peerT1 float64
-		var peerAtT1 geom.Vec
-		if l.isBase {
-			peerT1 = now
-			peerAtT1 = w.F.Reference()
-		} else {
-			peerT1 = math.Max(w.StepEndTime(l.id), now) // t' ≤ t+T; idle peers pin t' = t
-			peerAtT1 = w.PosAt(l.id, peerT1)
-		}
+	for _, p := range peers {
 		// Condition 1: our interpolated position at t'.
-		frac := (peerT1 - now) / T
-		if frac > 1 {
-			frac = 1
-		}
-		mine := pos.Add(dir.Scale(step * frac))
-		if mine.Dist(peerAtT1) > rc {
+		mine := pos.Add(dir.Scale(step * p.frac))
+		if !mine.WithinDist(p.pos, rc) {
 			return false
 		}
 		// Condition 2: peer at t' vs our endpoint at t+T.
-		if peerAtT1.Dist(end) > rc {
+		if !p.pos.WithinDist(end, rc) {
 			return false
 		}
 	}
@@ -509,7 +535,7 @@ func (c *Scheme) tryParentChange(id int, pos geom.Vec) bool {
 		}
 		// The candidate only learns of the new link at its next decision:
 		// its committed step must not carry it out of range first.
-		if w.PosAt(j, math.Max(w.StepEndTime(j), now)).Dist(pos) > w.P.Rc {
+		if !w.PosAt(j, max(w.StepEndTime(j), now)).WithinDist(pos, w.P.Rc) {
 			continue
 		}
 		if d := pos.Dist(n.Pos); d < bestDist {

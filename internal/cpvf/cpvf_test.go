@@ -2,6 +2,7 @@ package cpvf
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"mobisense/internal/core"
@@ -264,5 +265,152 @@ func TestCPVFConvergesEventually(t *testing.T) {
 	}
 	if math.IsNaN(w.AvgTraveled()) {
 		t.Fatal("NaN traveled distance")
+	}
+}
+
+// refMaxValidStep is maxValidStep as it was before each decision resolved
+// its peers once: every candidate step re-reads each peer's t′, position
+// and step fraction, and compares Dist against rc. It is the oracle for
+// the step search.
+func refMaxValidStep(c *Scheme, id int, pos, dir geom.Vec, desired float64, links []link) float64 {
+	w := c.w
+	limit := math.Min(desired, w.P.MaxStep())
+	freeLimit := limit
+	if hit, ok := w.F.FirstHit(geom.Seg(pos, pos.Add(dir.Scale(limit)))); ok {
+		freeLimit = math.Max(0, hit.T*limit-0.1)
+	}
+	for k := 10; k >= 1; k-- {
+		step := float64(k) / 10 * limit
+		if step > freeLimit {
+			continue
+		}
+		if refStepPreservesLinks(c, pos, dir, step, links) {
+			return step
+		}
+	}
+	return 0
+}
+
+func refStepPreservesLinks(c *Scheme, pos, dir geom.Vec, step float64, links []link) bool {
+	w := c.w
+	now := w.Now()
+	T := w.P.Period
+	rc := w.P.Rc
+	end := pos.Add(dir.Scale(step))
+	for _, l := range links {
+		var peerT1 float64
+		var peerAtT1 geom.Vec
+		if l.isBase {
+			peerT1 = now
+			peerAtT1 = w.F.Reference()
+		} else {
+			peerT1 = math.Max(w.StepEndTime(l.id), now)
+			peerAtT1 = w.PosAt(l.id, peerT1)
+		}
+		frac := (peerT1 - now) / T
+		if frac > 1 {
+			frac = 1
+		}
+		mine := pos.Add(dir.Scale(step * frac))
+		if mine.Dist(peerAtT1) > rc {
+			return false
+		}
+		if peerAtT1.Dist(end) > rc {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMaxValidStepMatchesReference: the step search returns the same step
+// as refMaxValidStep, bit for bit, on seeded decisions in a field with an
+// obstacle. Peers are idle, mid-step (some with t′ past t + T) or the
+// base station, decisions fall at jittered instants, and many peers sit
+// within 1e-6 of rc (down to a few ulps) from the decider's position or
+// from one candidate step's end, where Dist and a squared comparison
+// part.
+func TestMaxValidStepMatchesReference(t *testing.T) {
+	f := field.MustNew(geom.R(0, 0, 300, 300), []geom.Polygon{geom.R(120, 40, 150, 260).Polygon()})
+	p := smallParams()
+	p.N = 30
+	p.InitRegion = f.Bounds()
+	rng := rand.New(rand.NewPCG(1417, 3))
+	unit := func() geom.Vec { return geom.V(rng.NormFloat64(), rng.NormFloat64()).Unit() }
+	var full, partial, zero, boundary int
+	for trial := uint64(1); trial <= 4; trial++ {
+		p.Seed = trial
+		w, err := core.NewWorld(f, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := New(DefaultConfig())
+		c.w = w
+		for inst := 0; inst < 40; inst++ {
+			for id := range w.Sensors {
+				if rng.IntN(3) == 0 {
+					from := w.Pos(id)
+					to := from.Add(unit().Scale(rng.Float64() * p.MaxStep()))
+					w.BeginStep(id, to, from.Dist(to), p.Period)
+				}
+			}
+			w.E.RunUntil(w.Now() + rng.Float64()*p.Period)
+			for range 25 {
+				id := rng.IntN(p.N)
+				pos := w.Pos(id)
+				dir := unit()
+				desired := rng.Float64() * 1.5 * p.MaxStep()
+				var links []link
+				if rng.IntN(4) == 0 {
+					links = append(links, link{isBase: true})
+				}
+				for range rng.IntN(4) {
+					if j := rng.IntN(p.N); j != id {
+						links = append(links, link{id: j})
+					}
+				}
+				if len(links) > 0 && !links[len(links)-1].isBase && rng.IntN(2) == 0 {
+					// Put the last peer's t′ position on the boundary of
+					// the decider's position or of a candidate's end.
+					j := links[len(links)-1].id
+					anchor := pos
+					if rng.IntN(2) == 0 {
+						k := float64(1 + rng.IntN(10))
+						anchor = pos.Add(dir.Scale(k / 10 * min(desired, p.MaxStep())))
+					}
+					delta := []float64{0, 1e-14, 1e-12, 1e-9, 1e-6}[rng.IntN(5)]
+					if rng.IntN(2) == 0 {
+						delta = -delta
+					}
+					at := anchor.Add(unit().Scale(p.Rc + delta))
+					if rng.IntN(2) == 0 {
+						w.Teleport(j, at) // idle: t′ = t
+					} else {
+						// Mid-step, with t′ at t + T or beyond it.
+						w.Teleport(j, at.Add(unit().Scale(p.MaxStep()/2)))
+						w.BeginStep(j, at, p.MaxStep()/2, p.Period*float64(1+rng.IntN(2)))
+					}
+					boundary++
+				}
+				got := c.maxValidStep(id, pos, dir, desired, links)
+				want := refMaxValidStep(c, id, pos, dir, desired, links)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d t=%v sensor %d: maxValidStep = %v, reference %v (links %v)",
+						trial, w.Now(), id, got, want, links)
+				}
+				switch {
+				case got == 0:
+					zero++
+				case got == min(desired, p.MaxStep()):
+					full++
+				default:
+					partial++
+				}
+			}
+		}
+		w.Release()
+	}
+	if full == 0 || partial == 0 || zero == 0 || boundary < 500 {
+		t.Fatalf("decisions: %d full, %d partial, %d zero steps and %d boundary peers; want each > 0 and >= 500 boundary peers",
+			full, partial, zero, boundary)
 	}
 }

@@ -172,14 +172,16 @@ func (a *accel) edgeSeg(i int32) geom.Segment {
 // segment passes through and reduces the candidate edges to the
 // lexicographic minimum of (t, solid, edge) — exactly the winner the
 // brute-force solid-by-solid scan selects (strictly smaller t wins there,
-// with ties broken by solid order and then edge order).
+// with ties broken by solid order and then edge order). Most calls reject
+// every candidate on the bounding-box test, so the segment length (a
+// Hypot) is computed only once an edge survives it.
 func (a *accel) firstHit(s geom.Segment) (Hit, bool) {
 	sDir := s.B.Sub(s.A)
-	sLen := sDir.Len()
-	sbMinX := math.Min(s.A.X, s.B.X) - accelPad
-	sbMinY := math.Min(s.A.Y, s.B.Y) - accelPad
-	sbMaxX := math.Max(s.A.X, s.B.X) + accelPad
-	sbMaxY := math.Max(s.A.Y, s.B.Y) + accelPad
+	sLen := -1.0
+	sbMinX := min(s.A.X, s.B.X) - accelPad
+	sbMinY := min(s.A.Y, s.B.Y) - accelPad
+	sbMaxX := max(s.A.X, s.B.X) + accelPad
+	sbMaxY := max(s.A.Y, s.B.Y) + accelPad
 
 	bestT := math.Inf(1)
 	bestSolid, bestEdge := int32(-1), int32(-1)
@@ -214,11 +216,14 @@ func (a *accel) firstHit(s geom.Segment) (Hit, bool) {
 					a.bbMinY[ei] > sbMaxY || a.bbMaxY[ei] < sbMinY {
 					continue
 				}
+				if sLen < 0 {
+					sLen = sDir.Len()
+				}
 				e := a.edgeSeg(ei)
 				// Identical predicates to Polygon.IntersectSegment: skip
 				// parallel edges (grazing is not a crossing), then take
 				// the exact segment-segment parameter.
-				if math.Abs(sDir.Cross(e.B.Sub(e.A))) < geom.Eps*math.Max(1, sLen*a.elen[ei]) {
+				if math.Abs(sDir.Cross(e.B.Sub(e.A))) < geom.Eps*max(1, sLen*a.elen[ei]) {
 					continue
 				}
 				ti, hit := s.IntersectParam(e)
@@ -252,8 +257,8 @@ func segXRange(s geom.Segment, yLo, yHi float64) (xLo, xHi float64, ok bool) {
 		if ta > tb {
 			ta, tb = tb, ta
 		}
-		t0 = math.Max(t0, ta)
-		t1 = math.Min(t1, tb)
+		t0 = max(t0, ta)
+		t1 = min(t1, tb)
 		if t0 > t1 {
 			return 0, 0, false
 		}
@@ -263,7 +268,7 @@ func segXRange(s geom.Segment, yLo, yHi float64) (xLo, xHi float64, ok bool) {
 	dx := s.B.X - s.A.X
 	x0 := s.A.X + dx*t0
 	x1 := s.A.X + dx*t1
-	return math.Min(x0, x1), math.Max(x0, x1), true
+	return min(x0, x1), max(x0, x1), true
 }
 
 // dist2ToPaddedRect returns the squared distance from (x, y) to the

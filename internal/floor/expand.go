@@ -79,7 +79,6 @@ func (s *Scheme) expandStep(id int) {
 		return
 	}
 	head := s.pendings[id][0]
-	s.walks.next()
 	for k := 0; k < s.cfg.MaxInvitesPerPeriod; k++ {
 		s.sendInvitation(id, epCandidate{pos: head.pos, kind: head.kind})
 	}

@@ -157,9 +157,6 @@ type Scheme struct {
 	decideFns []func()
 	monitorFn func()
 
-	// walks memoizes neighbor lists for one expandStep's invitation walks.
-	walks walkMemo
-
 	// Per-run scratch reused across periods by the discovery and
 	// classification hot paths.
 	epScratch     []epCandidate
@@ -234,7 +231,6 @@ func (s *Scheme) Attach(w *core.World) {
 	s.ownedVirtuals = make([][]virtualAnchor, n)
 	s.firstInvite = make([]float64, n)
 	s.pendings = make([][]pendingEP, n)
-	s.walks = walkMemo{ent: make([]memoEntry, n)}
 	s.phase = 1
 	s.decideFns = make([]func(), n)
 	for i := 0; i < n; i++ {

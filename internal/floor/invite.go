@@ -9,48 +9,6 @@ import (
 	"mobisense/internal/core"
 )
 
-// walkMemo holds the sorted neighbor lists that one expandStep's
-// invitation walks look up. All of those walks run at one instant and
-// nothing moves between them, so each sensor's list is computed once per
-// expandStep. The lists live back to back in one arena that next empties,
-// so steady-state walks allocate nothing.
-type walkMemo struct {
-	gen   uint32
-	ent   []memoEntry // by sensor ID
-	arena []int
-}
-
-// memoEntry locates one sensor's list, arena[off : off+n], valid while
-// stamp equals the memo's generation.
-type memoEntry struct {
-	stamp  uint32
-	off, n int32
-}
-
-// next forgets every list in O(1), falling back to an O(n) clear only
-// when the 32-bit generation wraps.
-func (m *walkMemo) next() {
-	m.arena = m.arena[:0]
-	m.gen++
-	if m.gen == 0 {
-		clear(m.ent)
-		m.gen = 1
-	}
-}
-
-// neighbors returns sensor id's neighbors within rc in ascending ID
-// order (World.Neighbors), querying the world on the generation's first
-// lookup only. The slice is valid until the next lookup.
-func (m *walkMemo) neighbors(w *core.World, id int) []int {
-	e := &m.ent[id]
-	if e.stamp != m.gen {
-		off := len(m.arena)
-		m.arena = append(m.arena, w.Neighbors(id, w.P.Rc)...)
-		*e = memoEntry{stamp: m.gen, off: int32(off), n: int32(len(m.arena) - off)}
-	}
-	return m.arena[e.off : e.off+e.n]
-}
-
 // nextHop draws a walk's next sensor from the sorted neighbor list nbrs,
 // never straight back to prev when any alternative exists: a uniform
 // draw over nbrs with prev removed. prev is skipped by index instead of
@@ -79,15 +37,16 @@ func nextHop(rng *rand.Rand, nbrs []int, prev int) (next int, ok bool) {
 // for the given EP (§5.5.2, Algorithm 2). The walk hops between arbitrary
 // sensors — non-backtracking, so its reach grows near-linearly with the
 // TTL — and the first movable sensor it reaches collects the invitation.
-// Every hop is one MsgInvite transmission. The caller starts a fresh
-// walkMemo generation at each expandStep.
+// Every hop is one MsgInvite transmission. World.Neighbors keeps each
+// sensor's list, so a hop rescans only when the sensor's neighborhood may
+// have changed.
 func (s *Scheme) sendInvitation(id int, ep epCandidate) {
 	w := s.w
 	rng := w.E.Rand()
 	cur := id
 	prev := -1
 	for hop := 1; hop <= s.cfg.TTL; hop++ {
-		next, ok := nextHop(rng, s.walks.neighbors(w, cur), prev)
+		next, ok := nextHop(rng, w.Neighbors(cur, w.P.Rc), prev)
 		if !ok {
 			return
 		}

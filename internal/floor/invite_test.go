@@ -4,10 +4,6 @@ import (
 	"math/rand/v2"
 	"slices"
 	"testing"
-
-	"mobisense/internal/core"
-	"mobisense/internal/field"
-	"mobisense/internal/geom"
 )
 
 // filterThenDraw is the reference non-backtracking hop: copy the list
@@ -79,46 +75,5 @@ func TestNextHopMatchesFilterThenDraw(t *testing.T) {
 		if cases[c] == 0 {
 			t.Errorf("case %q never drawn", c)
 		}
-	}
-}
-
-// TestWalkMemoMatchesNeighbors: within a generation a memoized list is
-// the world's current sorted neighbor list, and the first lookup after
-// next sees motion since the previous generation. Once the arena has
-// grown, a generation of lookups allocates nothing.
-func TestWalkMemoMatchesNeighbors(t *testing.T) {
-	f := field.MustNew(geom.R(0, 0, 300, 300), nil)
-	p := core.DefaultParams()
-	p.N = 60
-	p.InitRegion = f.Bounds()
-	w, err := core.NewWorld(f, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(1408, 3))
-	m := walkMemo{ent: make([]memoEntry, p.N)}
-	for gen := 0; gen < 30; gen++ {
-		m.next()
-		for k := 0; k < 3*p.N; k++ {
-			id := rng.IntN(p.N)
-			if got, want := m.neighbors(w, id), w.Neighbors(id, p.Rc); !slices.Equal(got, want) {
-				t.Fatalf("generation %d: memo for %d = %v, world %v", gen, id, got, want)
-			}
-		}
-		// Move everyone between generations.
-		for id := 0; id < p.N; id++ {
-			from := w.Pos(id)
-			to := from.Add(geom.V(rng.Float64()*2-1, rng.Float64()*2-1).Scale(p.MaxStep() / 2)).Clamp(f.Bounds())
-			w.BeginStep(id, to, from.Dist(to), p.Period)
-		}
-		w.E.RunUntil(w.Now() + p.Period)
-	}
-	if allocs := testing.AllocsPerRun(20, func() {
-		m.next()
-		for id := 0; id < p.N; id++ {
-			m.neighbors(w, id)
-		}
-	}); allocs != 0 {
-		t.Errorf("a warm memo generation allocates %v times, want 0", allocs)
 	}
 }

@@ -1,19 +1,24 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
 
 // stubEngine completes every job instantly with a fixed result; the
 // fingerprint is the raw request body, so distinct bodies are distinct
-// computations. A non-nil gate blocks Execute until the gate closes.
+// computations. A non-nil gate blocks Execute until the gate closes, and
+// a job whose body equals poison panics.
 type stubEngine struct {
-	gate chan struct{}
+	gate   chan struct{}
+	poison string
 }
 
 func (e *stubEngine) Prepare(kind string, req json.RawMessage) (Prepared, error) {
@@ -21,6 +26,9 @@ func (e *stubEngine) Prepare(kind string, req json.RawMessage) (Prepared, error)
 }
 
 func (e *stubEngine) Execute(ctx context.Context, job ExecJob) (json.RawMessage, error) {
+	if e.poison != "" && string(job.Request) == e.poison {
+		panic("stub engine: poison job")
+	}
 	if e.gate != nil {
 		select {
 		case <-e.gate:
@@ -52,6 +60,30 @@ func submitAndWait(t *testing.T, m *Manager, body string) JobView {
 		v, _ = m.Get(v.ID)
 	}
 	return v
+}
+
+// TestPanickingJobFails: a job whose execution panics ends failed with
+// the panic in its error and its stack in the log, and the worker goes on
+// to complete the next job.
+func TestPanickingJobFails(t *testing.T) {
+	var log bytes.Buffer
+	m, err := NewManager(t.TempDir(), &stubEngine{poison: `{"bad":1}`}, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	m.SetLogger(slog.New(slog.NewTextHandler(&log, nil))) // the handler serializes writes
+	bad := submitAndWait(t, m, `{"bad":1}`)
+	if bad.State != StateFailed || !strings.Contains(bad.Error, "job panicked: stub engine: poison job") {
+		t.Errorf("poison job: state %s, error %q", bad.State, bad.Error)
+	}
+	if good := submitAndWait(t, m, `{"good":1}`); good.State != StateDone {
+		t.Errorf("next job: state %s, error %q", good.State, good.Error)
+	}
+	m.Close() // the log is complete once the workers stop
+	if !strings.Contains(log.String(), "job panicked") || !strings.Contains(log.String(), "Execute") {
+		t.Errorf("log lacks the panic and its stack:\n%s", log.String())
+	}
 }
 
 // TestResultCacheLRUBound: the fingerprint cache holds at most cacheSize

@@ -24,6 +24,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -594,6 +595,20 @@ func (m *Manager) Subscribe(id string) (<-chan Event, func(), bool) {
 	return ch, unsub, true
 }
 
+// execute runs one job on the engine. A panic ends the job with an
+// error and its stack goes to the log, so the worker keeps serving: left
+// to crash the process, a poison job would crash it again on every
+// restart, since interrupted jobs resume.
+func (m *Manager) execute(ctx context.Context, id string, exec ExecJob) (result json.RawMessage, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			m.Logger().Error("job panicked", "job", id, "panic", fmt.Sprint(v), "stack", string(debug.Stack()))
+			result, err = nil, fmt.Errorf("server: job panicked: %v", v)
+		}
+	}()
+	return m.engine.Execute(ctx, exec)
+}
+
 // worker executes queued jobs until the manager closes.
 func (m *Manager) worker() {
 	defer m.wg.Done()
@@ -641,7 +656,7 @@ func (m *Manager) worker() {
 		}
 		m.mu.Unlock()
 
-		result, err := m.engine.Execute(ctx, exec)
+		result, err := m.execute(ctx, id, exec)
 		cancel()
 
 		m.mu.Lock()

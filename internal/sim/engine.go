@@ -13,24 +13,34 @@ import (
 // scheduled for the same instant fire in scheduling order, which makes runs
 // with the same seed byte-for-byte reproducible.
 //
-// Pending events live in two queues. Most pushes are at or after the
-// newest event already in the in-order lane (a sensor rescheduling itself
-// one period on), and the lane takes them in O(1); every other push goes
-// to a binary heap. Events pop in (time, seq) order: that order is strict
-// and total and seq only grows, so the lane stays sorted and the earliest
-// pending event is always one of the two heads.
+// Pending events live in a few in-order FIFO lanes and a binary heap. A
+// push goes to the first lane whose newest event is not later than it,
+// in O(1), and to the heap only when every lane's tail is later. Most
+// pushes are a sensor rescheduling itself one period on; a periodic tick
+// further ahead (a trace sampler, a failure injector) sits at one lane's
+// tail, and the next lane takes the period reschedules behind it. Events
+// pop in (time, seq) order: that order is strict and total and seq only
+// grows, so every lane stays sorted and the earliest pending event is
+// always one of the heads.
 type Engine struct {
-	now  float64
-	seq  uint64
-	heap eventHeap
-	lane eventRing
-	rng  *rand.Rand
+	now   float64
+	seq   uint64
+	heap  eventHeap
+	lanes [numLanes]eventRing
+	rng   *rand.Rand
 }
+
+// numLanes is the number of in-order lanes, sized from measured traffic.
+// A run's period reschedules need one lane, and a ticker stepping further
+// ahead than a period (the trace sampler) needs one more, so two lanes
+// keep nearly every push of every e2ebench workload off the heap. A trace
+// sampler together with a failure injector would need three.
+const numLanes = 2
 
 // queues holds an engine's event arrays while they sit in queuePool.
 type queues struct {
-	heap eventHeap
-	lane []event
+	heap  eventHeap
+	lanes [numLanes][]event
 }
 
 // queuePool recycles event arrays across engines: batch sweeps build one
@@ -49,7 +59,9 @@ func NewEngine(seed uint64) *Engine {
 	if v := queuePool.Get(); v != nil {
 		q := v.(*queues)
 		e.heap = q.heap[:0]
-		e.lane.buf = q.lane
+		for i := range e.lanes {
+			e.lanes[i].buf = q.lanes[i]
+		}
 	}
 	return e
 }
@@ -60,9 +72,13 @@ func NewEngine(seed uint64) *Engine {
 func (e *Engine) Release() {
 	h := e.heap[:cap(e.heap)]
 	clear(h) // drop closure references so pooled arrays retain nothing
-	clear(e.lane.buf)
-	queuePool.Put(&queues{heap: h[:0], lane: e.lane.buf})
-	e.heap, e.lane = nil, eventRing{}
+	q := &queues{heap: h[:0]}
+	for i := range e.lanes {
+		clear(e.lanes[i].buf)
+		q.lanes[i] = e.lanes[i].buf
+	}
+	queuePool.Put(q)
+	e.heap, e.lanes = nil, [numLanes]eventRing{}
 }
 
 // Now returns the current simulation time in seconds.
@@ -89,11 +105,13 @@ func (e *Engine) ScheduleAt(t float64, fn func()) {
 	}
 	e.seq++
 	ev := event{time: t, seq: e.seq, fn: fn}
-	if e.lane.n == 0 || t >= e.lane.last().time {
-		e.lane.push(ev)
-	} else {
-		e.heap.push(ev)
+	for i := range e.lanes {
+		if l := &e.lanes[i]; l.n == 0 || t >= l.last().time {
+			l.push(ev)
+			return
+		}
 	}
+	e.heap.push(ev)
 }
 
 // ScheduleEvery enqueues fn at absolute time start and then every stride
@@ -119,11 +137,11 @@ func (e *Engine) ScheduleEvery(start, stride float64, fn func() bool) {
 // Step executes the earliest pending event. It returns false when the queue
 // is empty.
 func (e *Engine) Step() bool {
-	ev, fromLane := e.next()
+	ev, src := e.next()
 	if ev == nil {
 		return false
 	}
-	e.fire(fromLane)
+	e.fire(src)
 	return true
 }
 
@@ -131,11 +149,11 @@ func (e *Engine) Step() bool {
 // event is later than t, then advances the clock to t.
 func (e *Engine) RunUntil(t float64) {
 	for {
-		ev, fromLane := e.next()
+		ev, src := e.next()
 		if ev == nil || ev.time > t {
 			break
 		}
-		e.fire(fromLane)
+		e.fire(src)
 	}
 	if e.now < t {
 		e.now = t
@@ -143,29 +161,28 @@ func (e *Engine) RunUntil(t float64) {
 }
 
 // next returns the earliest pending event, nil when nothing is pending,
-// and whether it is the lane's head rather than the heap's.
-func (e *Engine) next() (ev *event, fromLane bool) {
-	switch {
-	case e.lane.n == 0:
-		if len(e.heap) == 0 {
-			return nil, false
+// and where its queue is: a lane index, or -1 for the heap.
+func (e *Engine) next() (ev *event, src int) {
+	src = -1
+	if len(e.heap) > 0 {
+		ev = &e.heap[0]
+	}
+	for i := range e.lanes {
+		if l := &e.lanes[i]; l.n > 0 {
+			if h := &l.buf[l.head]; ev == nil || h.before(ev) {
+				ev, src = h, i
+			}
 		}
-		return &e.heap[0], false
-	case len(e.heap) == 0:
-		return &e.lane.buf[e.lane.head], true
 	}
-	l := &e.lane.buf[e.lane.head]
-	if l.before(&e.heap[0]) {
-		return l, true
-	}
-	return &e.heap[0], false
+	return ev, src
 }
 
-// fire pops the head of the lane or of the heap and runs it.
-func (e *Engine) fire(fromLane bool) {
+// fire pops the head of lane src, or of the heap when src is -1, and
+// runs it.
+func (e *Engine) fire(src int) {
 	var ev event
-	if fromLane {
-		ev = e.lane.pop()
+	if src >= 0 {
+		ev = e.lanes[src].pop()
 	} else {
 		ev = e.heap.pop()
 	}
@@ -174,7 +191,13 @@ func (e *Engine) fire(fromLane bool) {
 }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.heap) + e.lane.n }
+func (e *Engine) Pending() int {
+	n := len(e.heap)
+	for i := range e.lanes {
+		n += e.lanes[i].n
+	}
+	return n
+}
 
 type event struct {
 	time float64
@@ -190,7 +213,7 @@ func (ev *event) before(o *event) bool {
 	return ev.seq < o.seq
 }
 
-// eventRing is the in-order lane: a FIFO ring whose length is zero or a
+// eventRing is an in-order lane: a FIFO ring whose length is zero or a
 // power of two, holding n events from buf[head] on. Popped slots are
 // cleared, so the ring retains no closure it no longer queues. It grows
 // only when full, doubling from 64, so its length is 64 or at most twice

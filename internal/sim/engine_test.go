@@ -278,40 +278,165 @@ func runProgram(q scheduler, seed uint64, horizon float64) []float64 {
 	return obs
 }
 
-// TestEngineMatchesReferenceOrder: the engine with its in-order lane
+// startTicked schedules a traced run's event shape on q: period-1 actors
+// at jittered phases, each rescheduling itself one period on, beside
+// ScheduleEvery tickers whose strides are far longer than the period —
+// the trace sampler's stride 10, the failure injector's 20. Shape 0 runs
+// one stride-10 ticker from time 0, shape 1 adds a stride-20 ticker,
+// and shape 2 starts a stride-10 ticker from inside a handler a third
+// of the way through. With noise set, handlers also schedule zero-delay
+// children and clamped pushes into the past. Fired events append their
+// label and time to obs.
+func startTicked(q scheduler, rng *rand.Rand, obs *[]float64, horizon float64, shape int, noise bool) {
+	ticker := func(label float64, start, stride float64) {
+		q.ScheduleEvery(start, stride, func() bool {
+			*obs = append(*obs, label, q.Now())
+			return q.Now() < horizon
+		})
+	}
+	midRun := shape == 2
+	for a := range 20 + rng.IntN(60) {
+		label := -float64(a + 1)
+		var act func()
+		act = func() {
+			*obs = append(*obs, label, q.Now())
+			if q.Now() < horizon {
+				q.Schedule(1, act)
+			}
+			if midRun && q.Now() >= horizon/3 {
+				midRun = false
+				ticker(1e9+2, q.Now()+rng.Float64()*10, 10)
+			}
+			if noise && rng.IntN(30) == 0 {
+				child := func() { *obs = append(*obs, label-0.5, q.Now()) }
+				if rng.IntN(2) == 0 {
+					q.Schedule(0, child)
+				} else {
+					q.ScheduleAt(q.Now()-rng.Float64(), child)
+				}
+			}
+		}
+		q.ScheduleAt(rng.Float64()*0.5, act)
+	}
+	switch shape {
+	case 0:
+		ticker(1e9, 0, 10)
+	case 1:
+		ticker(1e9, 0, 10)
+		ticker(1e9+1, 20, 20)
+	case 2:
+		ticker(1e9+1, 0, 20)
+	}
+}
+
+// runTickedProgram runs startTicked's shape to its end on q, alternating
+// Step with RunUntil boundaries on and between event times, and returns
+// the observations: each fired event's label and time, and after every
+// call the clock and the pending count.
+func runTickedProgram(q scheduler, seed uint64, horizon float64, shape int) []float64 {
+	rng := rand.New(rand.NewPCG(seed, 17))
+	var obs []float64
+	startTicked(q, rng, &obs, horizon, shape, true)
+	for q.Pending() > 0 {
+		if rng.IntN(3) == 0 {
+			q.Step()
+		} else {
+			d := rng.Float64() * 4
+			if rng.IntN(2) == 0 {
+				d = float64(rng.IntN(12))
+			}
+			q.RunUntil(q.Now() + d)
+		}
+		obs = append(obs, q.Now(), float64(q.Pending()))
+	}
+	return obs
+}
+
+// TestEngineMatchesReferenceOrder: the engine with its in-order lanes
 // fires the same events at the same times as the heap-only queue, with
 // the same clock and pending count after every Step and RunUntil, over
-// seeded random programs. Each program runs on an engine built from the
+// seeded random programs and over traced-run programs whose tickers step
+// 10 or 20 periods ahead. Each program runs on an engine built from the
 // pool after the previous one was released mid-run with events still
-// queued.
+// queued. On the trace sampler's shape at most 2% of the events pass
+// through the heap.
 func TestEngineMatchesReferenceOrder(t *testing.T) {
+	check := func(name string, seed uint64, got, want []float64) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			i := 0
+			for i < min(len(got), len(want)) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("%s seed %d: observations diverge at %d of %d/%d: lanes+heap %v, heap-only %v",
+				name, seed, i, len(got), len(want), got[i:min(i+8, len(got))], want[i:min(i+8, len(want))])
+		}
+	}
+	release := func(e *Engine) {
+		// Leave events queued in the pooled arrays for the next engine.
+		e.Schedule(1, func() {})
+		e.ScheduleAt(0, func() {})
+		e.Release()
+	}
 	fired, ring := 0, 0
 	for seed := uint64(1); seed <= 60; seed++ {
 		horizon := float64(5 + seed%20)
 		want := runProgram(&heapEngine{}, seed, horizon)
 		e := NewEngine(seed)
 		got := runProgram(e, seed, horizon)
-		if !slices.Equal(got, want) {
-			i := 0
-			for i < min(len(got), len(want)) && got[i] == want[i] {
-				i++
-			}
-			t.Fatalf("seed %d: observations diverge at %d of %d/%d: lane+heap %v, heap-only %v",
-				seed, i, len(got), len(want), got[i:min(i+8, len(got))], want[i:min(i+8, len(want))])
-		}
+		check("random program", seed, got, want)
 		fired += len(got)
-		ring = max(ring, len(e.lane.buf))
-		// Leave events queued in the pooled arrays for the next engine.
-		e.Schedule(1, func() {})
-		e.ScheduleAt(0, func() {})
-		e.Release()
+		for i := range e.lanes {
+			ring = max(ring, len(e.lanes[i].buf))
+		}
+		release(e)
 	}
 	if fired < 20000 {
 		t.Fatalf("programs recorded %d observations, want >= 20000", fired)
 	}
 	if ring < 256 {
-		t.Fatalf("the lane grew to %d slots; the programs must grow it past 128", ring)
+		t.Fatalf("the lanes grew to %d slots; the programs must grow one past 128", ring)
 	}
+	ticks := 0
+	for seed := uint64(1); seed <= 18; seed++ {
+		horizon := float64(60 + 10*(seed%5))
+		shape := int(seed % 3)
+		want := runTickedProgram(&heapEngine{}, seed, horizon, shape)
+		e := NewEngine(seed)
+		got := runTickedProgram(e, seed, horizon, shape)
+		check("ticked program", seed, got, want)
+		for i := 0; i < len(got); i++ {
+			if got[i] >= 1e9 {
+				ticks++
+			}
+		}
+		release(e)
+	}
+	if ticks < 100 {
+		t.Fatalf("ticked programs fired %d ticks, want >= 100", ticks)
+	}
+
+	// The trace sampler's shape, driven one event at a time: count the
+	// events that pop from the heap.
+	e := NewEngine(1)
+	var obs []float64
+	startTicked(e, rand.New(rand.NewPCG(1, 17)), &obs, 200, 0, false)
+	pops, heapPops := 0, 0
+	for {
+		ev, src := e.next()
+		if ev == nil {
+			break
+		}
+		pops++
+		if src < 0 {
+			heapPops++
+		}
+		e.Step()
+	}
+	if pops < 4000 || float64(heapPops) > 0.02*float64(pops) {
+		t.Errorf("trace-sampler program: %d of %d events went through the heap, want <= 2%%", heapPops, pops)
+	}
+	e.Release()
 }
 
 // BenchmarkEngineStep measures the event queue under a deployment run's
@@ -334,6 +459,33 @@ func BenchmarkEngineStep(b *testing.B) {
 		e.ScheduleAt(rng.Float64()*period, fns[i])
 	}
 	e.RunUntil(2 * period)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.RunUntil(e.Now() + 100*period)
+	}
+}
+
+// BenchmarkEngineStepTicked is BenchmarkEngineStep's program plus one
+// ticker stepping 10 periods at a time, the trace sampler's shape, which
+// sits at one lane's tail while the period reschedules queue behind it.
+func BenchmarkEngineStepTicked(b *testing.B) {
+	const n, period = 480, 1.0
+	e := NewEngine(1)
+	rng := rand.New(rand.NewPCG(16, n))
+	noop := func() {}
+	fns := make([]func(), n)
+	for i := range fns {
+		fns[i] = func() {
+			e.Schedule(period, fns[i])
+			if i == 0 {
+				e.Schedule(0, noop)
+			}
+		}
+		e.ScheduleAt(rng.Float64()*period, fns[i])
+	}
+	e.ScheduleEvery(0, 10*period, func() bool { return true })
+	e.RunUntil(20 * period)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -262,7 +262,11 @@ type Service struct {
 // re-queued immediately and resume from their stores, re-executing only
 // the runs that never finished.
 func NewService(dataDir string, opts ServiceOptions) (*Service, error) {
-	m, err := server.NewManager(dataDir, &serviceEngine{workers: opts.Workers}, opts.Jobs, opts.CacheSize)
+	log := opts.Logger
+	if log == nil {
+		log = slog.New(slog.DiscardHandler)
+	}
+	m, err := server.NewManager(dataDir, &serviceEngine{workers: opts.Workers, log: log}, opts.Jobs, opts.CacheSize)
 	if err != nil {
 		return nil, err
 	}
@@ -287,6 +291,18 @@ func (s *Service) Close() { s.m.Close() }
 // serviceEngine implements internal/server.Engine on the batch runner.
 type serviceEngine struct {
 	workers int
+	log     *slog.Logger // receives the stacks of runs that panicked
+}
+
+// logPanics writes the stack of every run that panicked to the service
+// log. The job's result and its store carry only the error.
+func (e *serviceEngine) logPanics(job server.ExecJob, runs []BatchResult) {
+	for _, br := range runs {
+		if br.Stack != nil {
+			e.log.Error("run panicked", "store", job.StoreDir, "index", br.Spec.Index, "seed", br.Spec.Seed,
+				"err", br.Err, "stack", string(br.Stack))
+		}
+	}
 }
 
 // decodeStrict unmarshals a request body, rejecting unknown fields so
@@ -413,6 +429,7 @@ func (e *serviceEngine) Execute(ctx context.Context, job server.ExecJob) (json.R
 		if err != nil {
 			return nil, err
 		}
+		e.logPanics(job, out)
 		br := out[0]
 		if br.Err != nil {
 			return nil, br.Err
@@ -436,6 +453,7 @@ func (e *serviceEngine) Execute(ctx context.Context, job server.ExecJob) (json.R
 		if err != nil {
 			return nil, err
 		}
+		e.logPanics(job, sr.Runs)
 		sum := SweepJobResult{Aggregates: sr.Aggregates}
 		for _, br := range sr.Runs {
 			switch {
