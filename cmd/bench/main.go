@@ -43,7 +43,8 @@ import (
 // defaultBenchRegexp selects the perf-tracking benchmarks: the end-to-end
 // batch sweep (the headline allocs/op number), the store writer, the
 // pooled hot-path micro benches in internal/coverage and internal/spatial,
-// the world's padded neighbor query and its kept walk answers, the event
+// the world's padded neighbor query, its kept walk answers and the lazy
+// steps of waiting sensors that read them, the event
 // engine's queue with and without a periodic ticker, the
 // geometry/connectivity kernel benches guarded by the ns/op gate
 // (FirstHit, LOS coverage, exclusive area, unit-disk flood), and the
@@ -51,7 +52,7 @@ import (
 // sample's fleet-wide move, per-sample world telemetry). The expression
 // is anchored at both ends, so no name matches another by prefix.
 const defaultBenchRegexp = "^(BenchmarkBatchSweepSequential|BenchmarkBatchSweepParallel|" +
-	"BenchmarkStoreWrite|BenchmarkFractionReuse|BenchmarkInsertMoveQuery|BenchmarkNeighborsWithin|BenchmarkWalkNeighbors|" +
+	"BenchmarkStoreWrite|BenchmarkFractionReuse|BenchmarkInsertMoveQuery|BenchmarkNeighborsWithin|BenchmarkWalkNeighbors|BenchmarkLazyWait|" +
 	"BenchmarkEngineStep|BenchmarkEngineStepTicked|" +
 	"BenchmarkFirstHit|BenchmarkFractionLOS|BenchmarkExclusiveArea|BenchmarkUnitDiskReachable|" +
 	"BenchmarkFractionIncremental|BenchmarkIncrementalTraceSweep|" +

@@ -148,7 +148,7 @@ func TestRunFlags(t *testing.T) {
 // another's (EngineStep, EngineStepTicked) is selected only when listed.
 func TestDefaultBenchRegexpExact(t *testing.T) {
 	re := regexp.MustCompile(defaultBenchRegexp)
-	for _, name := range []string{"BenchmarkEngineStep", "BenchmarkEngineStepTicked", "BenchmarkNeighborsWithin", "BenchmarkWalkNeighbors"} {
+	for _, name := range []string{"BenchmarkEngineStep", "BenchmarkEngineStepTicked", "BenchmarkNeighborsWithin", "BenchmarkWalkNeighbors", "BenchmarkLazyWait"} {
 		if !re.MatchString(name) {
 			t.Errorf("%s is not selected", name)
 		}

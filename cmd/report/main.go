@@ -36,6 +36,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"strconv"
@@ -46,36 +47,46 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run is the command: it parses args, reads the stores and writes the
+// tables and exports. It returns the exit code: 0 on success or -h, 1 on
+// a read or write error, 2 on bad flags or no store arguments.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("report", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		csvPath    = flag.String("csv", "", "write the aggregate table as CSV to this path")
-		tracesPath = flag.String("traces", "", "write the aggregated per-group trace curves (mean + CI per sample time) as CSV to this path; needs stores written with deploy -trace")
-		showRuns   = flag.Bool("runs", false, "print one line per stored run instead of aggregates only")
-		showFields = flag.Bool("fields", false, "dump the field specs embedded in the store manifests as JSON (rebuild any store's environments without the originating binary)")
-		watch      = flag.Bool("watch", false, "poll the store directories and live-refresh the table until they complete")
-		interval   = flag.Duration("interval", 2*time.Second, "poll interval for -watch")
+		csvPath    = flags.String("csv", "", "write the aggregate table as CSV to this path")
+		tracesPath = flags.String("traces", "", "write the aggregated per-group trace curves (mean + CI per sample time) as CSV to this path; needs stores written with deploy -trace")
+		showRuns   = flags.Bool("runs", false, "print one line per stored run instead of aggregates only")
+		showFields = flags.Bool("fields", false, "dump the field specs embedded in the store manifests as JSON (rebuild any store's environments without the originating binary)")
+		watch      = flags.Bool("watch", false, "poll the store directories and live-refresh the table until they complete")
+		interval   = flags.Duration("interval", 2*time.Second, "poll interval for -watch")
 	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: report [flags] store-dir-or-url [store-dir-or-url ...]\n")
-		flag.PrintDefaults()
+	flags.Usage = func() {
+		fmt.Fprintf(stderr, "usage: report [flags] store-dir-or-url [store-dir-or-url ...]\n")
+		flags.PrintDefaults()
 	}
-	flag.Parse()
-	dirs := flag.Args()
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	dirs := flags.Args()
 	if len(dirs) == 0 {
-		flag.Usage()
+		flags.Usage()
 		return 2
 	}
 
 	if *watch {
-		return watchStores(dirs, *interval, *showRuns)
+		return watchStores(stdout, stderr, dirs, *interval, *showRuns)
 	}
 
 	data, err := mobisense.LoadStores(dirs...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 
@@ -88,39 +99,39 @@ func run() int {
 		if st.ShardCount > 1 {
 			shard = fmt.Sprintf(" shard %d/%d", st.ShardIndex, st.ShardCount)
 		}
-		fmt.Printf("%s: %s store%s, %s, compute time %s\n",
+		fmt.Fprintf(stdout, "%s: %s store%s, %s, compute time %s\n",
 			st.Dir, st.Kind, shard, state, st.Elapsed.Round(1e6))
 	}
-	fmt.Printf("merged: %d runs, %d aggregate group(s)\n\n", len(data.Runs), len(data.Aggregates))
+	fmt.Fprintf(stdout, "merged: %d runs, %d aggregate group(s)\n\n", len(data.Runs), len(data.Aggregates))
 
 	if *showFields {
-		printFields(data.Stores)
+		printFields(stdout, data.Stores)
 	}
 
 	if *showRuns {
-		printRuns(data.Runs)
+		printRuns(stdout, data.Runs)
 	}
 
-	printAggregateTable(data.Aggregates)
+	printAggregateTable(stdout, data.Aggregates)
 
 	if *csvPath != "" {
 		if err := os.WriteFile(*csvPath, []byte(aggregatesCSV(data.Aggregates)), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write csv: %v\n", err)
+			fmt.Fprintf(stderr, "write csv: %v\n", err)
 			return 1
 		}
-		fmt.Printf("\nwrote %s\n", *csvPath)
+		fmt.Fprintf(stdout, "\nwrote %s\n", *csvPath)
 	}
 	if *tracesPath != "" {
 		traces := mobisense.AggregateTraces(data.Runs)
 		if len(traces) == 0 {
-			fmt.Fprintln(os.Stderr, "no trace series in the stores (write them with deploy -trace ... -store)")
+			fmt.Fprintln(stderr, "no trace series in the stores (write them with deploy -trace ... -store)")
 			return 1
 		}
 		if err := os.WriteFile(*tracesPath, []byte(tracesCSV(traces)), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write traces csv: %v\n", err)
+			fmt.Fprintf(stderr, "write traces csv: %v\n", err)
 			return 1
 		}
-		fmt.Printf("\nwrote %s\n", *tracesPath)
+		fmt.Fprintf(stdout, "\nwrote %s\n", *tracesPath)
 	}
 	return 0
 }
@@ -158,7 +169,7 @@ func tracesCSV(traces []mobisense.TraceAggregate) string {
 // successfully and later disappears (directory deleted, server job
 // pruned) is a hard error — silently waiting for it to reappear would
 // hang scripts that use -watch as a wait-for-completion.
-func watchStores(dirs []string, interval time.Duration, showRuns bool) int {
+func watchStores(stdout, stderr io.Writer, dirs []string, interval time.Duration, showRuns bool) int {
 	if interval <= 0 {
 		interval = 2 * time.Second
 	}
@@ -191,7 +202,7 @@ func watchStores(dirs []string, interval time.Duration, showRuns bool) int {
 				ps, err := mobisense.ReadStoreProgress(dir)
 				if err != nil {
 					if seen[dir] && errors.Is(err, fs.ErrNotExist) {
-						fmt.Fprintf(os.Stderr, "report: store %s disappeared mid-watch: %v\n", dir, err)
+						fmt.Fprintf(stderr, "report: store %s disappeared mid-watch: %v\n", dir, err)
 						return 1
 					}
 					statusLines = append(statusLines, fmt.Sprintf("%s: waiting for store...", dir))
@@ -216,27 +227,27 @@ func watchStores(dirs []string, interval time.Duration, showRuns bool) int {
 		prevDone, prevTime = done, time.Now()
 
 		// Redraw from the top of the terminal.
-		fmt.Print("\033[H\033[2J")
+		fmt.Fprint(stdout, "\033[H\033[2J")
 		for _, line := range statusLines {
-			fmt.Println(line)
+			fmt.Fprintln(stdout, line)
 		}
 		switch {
 		case complete:
-			fmt.Printf("total: %d/%d runs, complete\n\n", done, total)
+			fmt.Fprintf(stdout, "total: %d/%d runs, complete\n\n", done, total)
 		case snap.ETA > 0:
-			fmt.Printf("total: %d/%d runs, ETA %s\n\n", done, total, snap.ETA.Round(time.Second))
+			fmt.Fprintf(stdout, "total: %d/%d runs, ETA %s\n\n", done, total, snap.ETA.Round(time.Second))
 		default:
-			fmt.Printf("total: %d/%d runs\n\n", done, total)
+			fmt.Fprintf(stdout, "total: %d/%d runs\n\n", done, total)
 		}
 
 		if loadErr != nil {
 			// Mid-write inconsistencies resolve on the next poll.
-			fmt.Printf("(stores not mergeable yet: %v)\n", loadErr)
+			fmt.Fprintf(stdout, "(stores not mergeable yet: %v)\n", loadErr)
 		} else {
 			if showRuns {
-				printRuns(data.Runs)
+				printRuns(stdout, data.Runs)
 			}
-			printAggregateTable(data.Aggregates)
+			printAggregateTable(stdout, data.Aggregates)
 		}
 		if complete && loadErr == nil {
 			return 0
@@ -249,7 +260,7 @@ func watchStores(dirs []string, interval time.Duration, showRuns bool) int {
 // the geometry every run deployed into, reproducible with deploy -field
 // or the serve API on any machine. Stores written before the field-spec
 // refactor carry none.
-func printFields(stores []mobisense.StoreInfo) {
+func printFields(stdout io.Writer, stores []mobisense.StoreInfo) {
 	printed := map[string]bool{}
 	for _, st := range stores {
 		for _, fe := range st.Fields {
@@ -261,13 +272,13 @@ func printFields(stores []mobisense.StoreInfo) {
 				continue // shards repeat the same specs
 			}
 			printed[string(data)] = true
-			fmt.Printf("field %s:\n%s\n", scenarioLabel(fe.Scenario), data)
+			fmt.Fprintf(stdout, "field %s:\n%s\n", scenarioLabel(fe.Scenario), data)
 		}
 	}
 	if len(printed) == 0 {
-		fmt.Println("no embedded field specs (store predates the field-spec format)")
+		fmt.Fprintln(stdout, "no embedded field specs (store predates the field-spec format)")
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 }
 
 func scenarioLabel(s string) string {
@@ -306,7 +317,7 @@ func axisCell(a mobisense.Aggregate, name string) string {
 }
 
 // printRuns prints one line per stored run.
-func printRuns(runs []mobisense.BatchResult) {
+func printRuns(stdout io.Writer, runs []mobisense.BatchResult) {
 	for _, br := range runs {
 		sp := br.Spec
 		axes := ""
@@ -314,15 +325,15 @@ func printRuns(runs []mobisense.BatchResult) {
 			axes += fmt.Sprintf(" %s=%g", ax.Name, ax.Value)
 		}
 		if br.Err != nil {
-			fmt.Printf("%5d  %-8s %-16s N=%-4d r%-3d%s FAILED: %v\n",
+			fmt.Fprintf(stdout, "%5d  %-8s %-16s N=%-4d r%-3d%s FAILED: %v\n",
 				sp.Index, sp.Scheme, scenarioLabel(sp.Scenario), sp.N, sp.Repeat, axes, br.Err)
 			continue
 		}
-		fmt.Printf("%5d  %-8s %-16s N=%-4d r%-3d%s cov=%.3f dist=%.1f connected=%v\n",
+		fmt.Fprintf(stdout, "%5d  %-8s %-16s N=%-4d r%-3d%s cov=%.3f dist=%.1f connected=%v\n",
 			sp.Index, sp.Scheme, scenarioLabel(sp.Scenario), sp.N, sp.Repeat, axes,
 			br.Result.Coverage, br.Result.AvgMoveDistance, br.Result.Connected)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 }
 
 // anyConvergence reports whether any aggregate carries trace-derived
@@ -340,7 +351,7 @@ func anyConvergence(aggs []mobisense.Aggregate) bool {
 // printAggregateTable renders the aggregates as an aligned text table,
 // with one extra column per generalized axis the stores swept and —
 // for traced stores — the trace-derived convergence summaries.
-func printAggregateTable(aggs []mobisense.Aggregate) {
+func printAggregateTable(stdout io.Writer, aggs []mobisense.Aggregate) {
 	axes := axisNames(aggs)
 	conv := anyConvergence(aggs)
 	header := append([]string{"scheme", "scenario", "N"}, axes...)
@@ -405,7 +416,7 @@ func printAggregateTable(aggs []mobisense.Aggregate) {
 				sb.WriteString(pad + cell)
 			}
 		}
-		fmt.Println(sb.String())
+		fmt.Fprintln(stdout, sb.String())
 	}
 }
 

@@ -1,6 +1,10 @@
 package core
 
-import "math"
+import (
+	"math"
+
+	"mobisense/internal/geom"
+)
 
 // LazyOutcome describes what a disconnected sensor did in one period under
 // the lazy-movement strategy (§3.3).
@@ -33,7 +37,8 @@ type LazyResult struct {
 // LazyConfig tunes the lazy-movement strategy.
 type LazyConfig struct {
 	// ConnectRadius is the distance at which a sensor attaches to a
-	// connected node: rc for CPVF, min(rc, 2*rs) for FLOOR (§5.2).
+	// connected node: rc for CPVF, min(rc, 2*rs) for FLOOR (§5.2). Zero,
+	// or anything beyond rc (no link reaches that far), selects rc.
 	ConnectRadius float64
 	// LoopCheckAfter is how many consecutive waiting periods pass before
 	// the sensor starts sending PathParentInquiry loop probes.
@@ -55,6 +60,9 @@ type LazyCoordinator struct {
 	pathParent []int
 	stalled    []int
 	rejected   []map[int]bool
+
+	// fallbacks counts the argmins decided by the grid-order scan.
+	fallbacks int
 }
 
 // NewLazyCoordinator creates a coordinator for the given per-sensor
@@ -63,7 +71,7 @@ func NewLazyCoordinator(w *World, walkers []Walker, cfg LazyConfig) *LazyCoordin
 	if cfg.LoopCheckAfter <= 0 {
 		cfg.LoopCheckAfter = 3
 	}
-	if cfg.ConnectRadius <= 0 {
+	if cfg.ConnectRadius <= 0 || cfg.ConnectRadius > w.P.Rc {
 		cfg.ConnectRadius = w.P.Rc
 	}
 	lc := &LazyCoordinator{
@@ -101,29 +109,42 @@ func (lc *LazyCoordinator) Step(id int) LazyResult {
 	// In range of a connected sensor? Join the nearest whose committed
 	// motion keeps it in range: the new parent only learns about us at its
 	// next decision, so the link must survive the remainder of its current
-	// step (Appendix A's conditions, applied to the join).
-	joined := NoParent
-	best := math.Inf(1)
+	// step (Appendix A's conditions, applied to the join). Otherwise pick
+	// a path parent: the nearest neighbor strictly closer to the current
+	// destination (§3.3). The communication radius (not the connect
+	// radius) governs who can be seen.
+	//
+	// One pass over the kept rc answer (World.Neighbors), in ID order,
+	// feeds both argmins: join candidates are connected, path-parent
+	// candidates are not, and the connect radius is at most rc. "Nearest"
+	// is the first candidate of smallest Dist in the grid order of
+	// NeighborsWithin, so the pass only decides when its winner is
+	// nearest by a margin no rounding can close; otherwise the grid-order
+	// scan decides (see argmin).
 	pos := w.Pos(id)
 	now := w.Now()
-	for _, n := range w.NeighborsWithin(id, lc.cfg.ConnectRadius) {
-		if !w.Sensors[n.ID].Connected {
-			continue
+	walker := lc.walkers[id]
+	target := walker.Target()
+	ahead := pos.Dist(target) - 1e-9
+	join, parent := newArgmin(), newArgmin()
+	for _, j := range w.Neighbors(id, w.P.Rc) {
+		p := w.PosAt(j, now)
+		switch {
+		case lc.canJoin(j, p, pos, now):
+			join.add(j, p.Dist2(pos))
+		case lc.leads(id, j, p, target, ahead):
+			parent.add(j, p.Dist2(pos))
 		}
-		if !w.PosAt(n.ID, max(w.StepEndTime(n.ID), now)).WithinDist(pos, lc.cfg.ConnectRadius) {
-			continue
-		}
-		if d := n.Pos.Dist(pos); d < best {
-			best = d
-			joined = n.ID
-		}
+	}
+	joined := join.id
+	if !join.clear() {
+		joined = lc.gridNearest(id, true, pos, target, ahead, now)
 	}
 	if joined != NoParent {
 		w.Stay(id, T)
 		return LazyResult{Outcome: LazyJoined, Parent: joined}
 	}
 
-	walker := lc.walkers[id]
 	if walker.Stuck() {
 		w.Stay(id, T)
 		return LazyResult{Outcome: LazyStuck}
@@ -138,24 +159,9 @@ func (lc *LazyCoordinator) Step(id int) LazyResult {
 		return LazyResult{Outcome: LazyMoved}
 	}
 
-	// Path-parent selection: the nearest neighbor strictly closer to the
-	// current destination (§3.3). The communication radius (not the
-	// connect radius) governs who can be seen.
-	target := walker.Target()
-	myDist := pos.Dist(target)
-	cand := NoParent
-	candDist := math.Inf(1)
-	for _, n := range w.NeighborsWithin(id, w.P.Rc) {
-		if w.Sensors[n.ID].Connected || lc.rejected[id][n.ID] {
-			continue
-		}
-		if n.Pos.Dist(target) >= myDist-1e-9 {
-			continue
-		}
-		if d := n.Pos.Dist(pos); d < candDist {
-			candDist = d
-			cand = n.ID
-		}
+	cand := parent.id
+	if !parent.clear() {
+		cand = lc.gridNearest(id, false, pos, target, ahead, now)
 	}
 
 	// A neighbor already waiting on us cannot be our path parent.
@@ -190,6 +196,71 @@ func (lc *LazyCoordinator) Step(id int) LazyResult {
 	}
 	return LazyResult{Outcome: LazyMoved}
 }
+
+// canJoin reports whether a sensor at pos can join sensor j, at p now:
+// j is connected, within the connect radius, and stays there until its
+// current step ends.
+func (lc *LazyCoordinator) canJoin(j int, p, pos geom.Vec, now float64) bool {
+	w, cr := lc.w, lc.cfg.ConnectRadius
+	return w.Sensors[j].Connected && p.WithinDist(pos, cr) && w.PosAt(j, max(w.StepEndTime(j), now)).WithinDist(pos, cr)
+}
+
+// leads reports whether sensor j, at p, can be sensor id's path parent:
+// disconnected, closer to target than ahead, and not rejected.
+func (lc *LazyCoordinator) leads(id, j int, p, target geom.Vec, ahead float64) bool {
+	return !lc.w.Sensors[j].Connected && p.CloserThan(target, ahead) && !lc.rejected[id][j]
+}
+
+// gridNearest is the step's argmin as it is defined: over NeighborsWithin
+// in grid order (the connect radius for a join, rc for a path parent),
+// the first candidate of strictly smallest Dist from pos, or NoParent.
+func (lc *LazyCoordinator) gridNearest(id int, join bool, pos, target geom.Vec, ahead, now float64) int {
+	w := lc.w
+	lc.fallbacks++
+	r := w.P.Rc
+	if join {
+		r = lc.cfg.ConnectRadius
+	}
+	best, bestD := NoParent, math.Inf(1)
+	for _, n := range w.NeighborsWithin(id, r) {
+		ok := lc.leads(id, n.ID, n.Pos, target, ahead)
+		if join {
+			ok = lc.canJoin(n.ID, n.Pos, pos, now)
+		}
+		if !ok {
+			continue
+		}
+		if d := n.Pos.Dist(pos); d < bestD {
+			best, bestD = n.ID, d
+		}
+	}
+	return best
+}
+
+// argmin keeps the candidate of smallest squared distance and the
+// runner-up's squared distance.
+type argmin struct {
+	id        int
+	d2, next2 float64
+}
+
+func newArgmin() argmin { return argmin{id: NoParent, d2: math.Inf(1), next2: math.Inf(1)} }
+
+func (a *argmin) add(id int, d2 float64) {
+	switch {
+	case d2 < a.d2:
+		a.id, a.d2, a.next2 = id, d2, a.d2
+	case d2 < a.next2:
+		a.next2 = d2
+	}
+}
+
+// clear reports whether the winner is also the unique nearest under
+// Dist, so that any visit order picks it: no runner-up, or one whose
+// squared distance exceeds the winner's by more than WithinDist's 1e-9
+// relative guard band, which no rounding of either side (~1e-16) can
+// close. Exact ties, and near ones, fall to the grid-order scan.
+func (a *argmin) clear() bool { return a.id == NoParent || a.next2 > a.d2*(1+1e-9) }
 
 // loopDetected sends a PathParentInquiry along the path-parent chain and
 // reports whether it returns to the sender.

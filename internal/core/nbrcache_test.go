@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -32,6 +33,9 @@ type cacheStats struct {
 	// Writes at one instant between two identical questions whose fresh
 	// answer differed from the first.
 	changedBetween int
+	// Answers that settled at the end of a step that moved the sensor,
+	// where the step record's start is not the sensor's position.
+	settledAfterStep int
 }
 
 // lookupPath classifies how Neighbors(id, Rc) is about to answer.
@@ -51,11 +55,59 @@ func lookupPath(w *World, id int) int {
 func checkNeighbors(t *testing.T, w *World, id int, st *cacheStats) []int {
 	t.Helper()
 	st.paths[lookupPath(w, id)]++
+	was := w.rcNbrs[id].state
 	got := w.Neighbors(id, w.P.Rc)
+	if was != nbrsSettled && w.rcNbrs[id].state == nbrsSettled && w.stepFrom[id] != w.stepTo[id] {
+		st.settledAfterStep++
+	}
 	if want := bruteNeighbors(w, id, w.P.Rc); !slices.Equal(got, want) {
 		t.Fatalf("t=%v: Neighbors(%d, rc) = %v, scan %v (kept state %d)", w.Now(), id, got, want, w.rcNbrs[id].state)
 	}
+	checkSettledLists(t, w)
 	return got
+}
+
+// checkSettledLists checks the per-cell settled lists against the kept
+// answers: each list is well linked and holds settled sensors only, each
+// once and in the cell of its current position (clamped to the grid,
+// computed here from the coordinates), and the lists together hold every
+// settled sensor.
+func checkSettledLists(t *testing.T, w *World) {
+	t.Helper()
+	coord := func(v, lo float64, n int32) int32 {
+		return int32(min(max(math.Floor((v-lo)/w.cellSize), 0), float64(n-1)))
+	}
+	listed := make([]bool, len(w.Sensors))
+	n := 0
+	for cell, head := range w.cellHead {
+		prev := int32(-1)
+		for c := head; c >= 0; c = w.rcNbrs[c].next {
+			e := w.rcNbrs[c]
+			p := w.Pos(int(c))
+			at := coord(p.Y, w.cellOrigin.Y, w.ncy)*w.ncx + coord(p.X, w.cellOrigin.X, w.ncx)
+			switch {
+			case listed[c]:
+				t.Fatalf("t=%v: sensor %d listed twice", w.Now(), c)
+			case e.state != nbrsSettled:
+				t.Fatalf("t=%v: sensor %d listed in cell %d with state %d", w.Now(), c, cell, e.state)
+			case e.prev != prev || int(e.cell) != cell:
+				t.Fatalf("t=%v: sensor %d in cell %d links prev %d cell %d, want prev %d", w.Now(), c, cell, e.prev, e.cell, prev)
+			case int(at) != cell:
+				t.Fatalf("t=%v: sensor %d at %v listed in cell %d, its position's cell is %d", w.Now(), c, p, cell, at)
+			}
+			listed[c] = true
+			prev = c
+			n++
+		}
+	}
+	for i := range w.rcNbrs {
+		if w.rcNbrs[i].state == nbrsSettled && !listed[i] {
+			t.Fatalf("t=%v: settled sensor %d is on no list", w.Now(), i)
+		}
+	}
+	if n != w.settled {
+		t.Fatalf("t=%v: %d sensors listed, settled count %d", w.Now(), n, w.settled)
+	}
 }
 
 // cacheMotion schedules every sensor's writes at jittered times. Most
@@ -96,12 +148,14 @@ func cacheMotion(t *testing.T, w *World, rng *rand.Rand, st *cacheStats) {
 		}
 		st.boundary[shape]++
 		w.Teleport(m, from)
+		checkSettledLists(t, w)
 		checkNeighbors(t, w, c, st)
 		settled := make([]bool, len(w.Sensors))
 		for i := range w.Sensors {
 			settled[i] = w.rcNbrs[i].state == nbrsSettled
 		}
 		w.BeginStep(m, to, from.Dist(to), w.P.Period)
+		checkSettledLists(t, w)
 		reach := rc + from.Dist(to) + settleEps
 		for i, was := range settled {
 			if !was || i == m || !w.Pos(i).WithinDist(from, reach) {
@@ -122,6 +176,7 @@ func cacheMotion(t *testing.T, w *World, rng *rand.Rand, st *cacheStats) {
 			if w.Sensors[id].Failed {
 				return
 			}
+			defer checkSettledLists(t, w)
 			k := rng.IntN(40)
 			if anchor && k < 30 {
 				k = 39 // anchors mostly stay
@@ -131,6 +186,13 @@ func cacheMotion(t *testing.T, w *World, rng *rand.Rand, st *cacheStats) {
 			case k < 8:
 				to := from.Add(unit().Scale(rng.Float64() * maxStep))
 				w.BeginStep(id, to, from.Dist(to), w.P.Period)
+				// Ask at the step's end before any later write, as a
+				// lazy step does at its next period start.
+				w.E.Schedule(w.P.Period, func() {
+					if !w.Sensors[id].Failed {
+						checkNeighbors(t, w, id, st)
+					}
+				})
 			case k < 14:
 				boundaryStep(id)
 			case k < 16:
@@ -164,7 +226,8 @@ func cacheMotion(t *testing.T, w *World, rng *rand.Rand, st *cacheStats) {
 // World.Neighbors against a fresh sorted O(N) scan (PosAt + WithinDist):
 // across instants, several times within one instant, around boundary
 // steps, and around a write between two identical questions at one
-// instant. The worlds are seeded and pooled, with jittered phases; some
+// instant. After every write and every lookup, checkSettledLists checks
+// the per-cell lists that writes find settled answers through. The worlds are seeded and pooled, with jittered phases; some
 // instants also run a flood and padded queries between lookups, which
 // share the world's query scratch. It asserts that all three paths
 // answer, that BeginStep both drops and keeps settled answers near its
@@ -172,7 +235,7 @@ func cacheMotion(t *testing.T, w *World, rng *rand.Rand, st *cacheStats) {
 func TestNeighborsCacheMatchesScan(t *testing.T) {
 	var st cacheStats
 	instants := 0
-	for trial := 0; trial < 4; trial++ {
+	for trial := 0; trial < 5; trial++ {
 		rng := rand.New(rand.NewPCG(1417, uint64(trial)))
 		f := field.MustNew(geom.R(0, 0, 300, 240), nil)
 		p := DefaultParams()
@@ -180,9 +243,15 @@ func TestNeighborsCacheMatchesScan(t *testing.T) {
 		p.Seed = uint64(trial + 1)
 		p.PhaseJitter = 0.5
 		p.InitRegion = f.Bounds()
+		if trial == 4 {
+			p.Rc = 3 // rc cells would overflow maxSettledCells
+		}
 		w, err := NewWorld(f, p)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if cells := int(w.ncx) * int(w.ncy); cells > maxSettledCells || (trial == 4) != (w.cellSize > p.Rc) {
+			t.Fatalf("trial %d: %d settled-list cells of %v m at rc %v", trial, cells, w.cellSize, p.Rc)
 		}
 		cacheMotion(t, w, rng, &st)
 		for k := 0; k < 60; k++ {
@@ -217,6 +286,7 @@ func TestNeighborsCacheMatchesScan(t *testing.T) {
 				default:
 					w.Teleport(target, w.Pos(id).Add(geom.V(p.Rc/2, 0)))
 				}
+				checkSettledLists(t, w)
 				if got := checkNeighbors(t, w, id, &st); !slices.Equal(got, before) {
 					st.changedBetween++
 				}
@@ -237,8 +307,8 @@ func TestNeighborsCacheMatchesScan(t *testing.T) {
 		}
 		w.Release()
 	}
-	t.Logf("%d instants; paths %v; BeginStep near settled answers: %d dropped, %d kept; boundary steps %v; %d writes changed an answer between identical questions",
-		instants, st.paths, st.stepDrops, st.stepKeeps, st.boundary, st.changedBetween)
+	t.Logf("%d instants; paths %v; BeginStep near settled answers: %d dropped, %d kept; boundary steps %v; %d writes changed an answer between identical questions; %d answers settled at a step's end",
+		instants, st.paths, st.stepDrops, st.stepKeeps, st.boundary, st.changedBetween, st.settledAfterStep)
 	for path, n := range st.paths {
 		if n == 0 {
 			t.Errorf("no lookup took the %s path", pathNames[path])
@@ -254,6 +324,9 @@ func TestNeighborsCacheMatchesScan(t *testing.T) {
 	}
 	if st.changedBetween == 0 {
 		t.Error("no write between two identical questions changed the answer")
+	}
+	if st.settledAfterStep == 0 {
+		t.Error("no answer settled at the end of a step")
 	}
 }
 

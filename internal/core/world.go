@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"iter"
+	"math"
 	"slices"
 	"sync"
 
@@ -86,9 +88,18 @@ type World struct {
 
 	// Neighbors' answers at radius rc, by sensor ID (see Neighbors), and
 	// how many of them are settled.
-	rcNbrs      []rcNbrs
-	settled     int
-	dropScratch []int32
+	rcNbrs  []rcNbrs
+	settled int
+
+	// Settled sensors by cell of a grid over the field bounds: cellHead
+	// is the first sensor of each cell's list (-1 when empty), linked
+	// through rcNbrs' next and prev. A settled sensor is static, so it
+	// stays in the cell of its position until its answer drops. Points
+	// outside the bounds belong to the nearest edge cell.
+	cellHead   []int32
+	cellOrigin geom.Vec
+	cellSize   float64
+	ncx, ncy   int32
 
 	// Flood scratch (see FloodFromBase), reused across floods and runs.
 	floodPos     []geom.Vec
@@ -148,6 +159,7 @@ func NewWorld(f *field.Field, p Params) (*World, error) {
 		w.rcNbrs[i].state = nbrsNone // keep the ID arrays' capacity
 	}
 	w.settled = 0
+	w.resetCells(f.Bounds())
 	rng := w.E.Rand()
 	for i := 0; i < p.N; i++ {
 		pos := f.RandomFreePoint(rng, p.InitRegion)
@@ -367,19 +379,20 @@ func (w *World) Neighbors(id int, r float64) []int {
 	slices.Sort(ids)
 	*e = rcNbrs{ids: ids, at: now, writes: w.writes, state: nbrsInstant}
 	if w.settles(id, now) {
-		e.state = nbrsSettled
-		w.settled++
+		w.settle(id)
 	}
 	return ids
 }
 
 // rcNbrs is one sensor's kept Neighbors answer at radius rc: ids, asked
-// at time at when the world's write count read writes.
+// at time at when the world's write count read writes. A settled answer
+// sits on the list of cell, between prev and next (-1 at the ends).
 type rcNbrs struct {
-	ids    []int
-	at     float64
-	writes uint64
-	state  uint8
+	ids              []int
+	at               float64
+	writes           uint64
+	state            uint8
+	cell, prev, next int32
 }
 
 // rcNbrs states.
@@ -396,9 +409,8 @@ const (
 const settleEps = 1e-6
 
 // settles reports whether sensor id's rc answer at time now, just
-// scanned, is settled: the sensor is live (writes find settled sensors
-// through the grid, which holds only live ones) and static for the rest
-// of its step record, and every candidate of the padded window (left in
+// scanned, is settled: the sensor is live and static for the rest of its
+// step record, and every candidate of the padded window (left in
 // candScratch by the scan) that is mid-step keeps to one side of the
 // circle until its step ends.
 func (w *World) settles(id int, now float64) bool {
@@ -429,35 +441,117 @@ func oneSide(c, a, b geom.Vec, r float64) bool {
 	return geom.Seg(a, b).ClosestPoint(c).Dist2(c) > out*out
 }
 
-// dropNbrs forgets sensor id's kept rc answer.
-func (w *World) dropNbrs(id int) {
-	if w.rcNbrs[id].state == nbrsSettled {
-		w.settled--
+// maxSettledCells bounds the settled-list grid; a tiny rc over a large
+// field gets coarser cells instead of a huge, mostly empty array.
+const maxSettledCells = 1 << 12
+
+// resetCells empties the settled lists and lays their grid over bounds b
+// with cells of rc, doubled until the grid fits maxSettledCells.
+func (w *World) resetCells(b geom.Rect) {
+	w.cellOrigin, w.cellSize = b.Min, w.P.Rc
+	var nx, ny float64
+	for {
+		nx, ny = max(1, math.Ceil(b.W()/w.cellSize)), max(1, math.Ceil(b.H()/w.cellSize))
+		if nx*ny <= maxSettledCells {
+			break
+		}
+		w.cellSize *= 2
 	}
-	w.rcNbrs[id].state = nbrsNone
+	w.ncx, w.ncy = int32(nx), int32(ny)
+	w.cellHead = resize(w.cellHead, int(w.ncx)*int(w.ncy))
+	for i := range w.cellHead {
+		w.cellHead[i] = -1
+	}
 }
 
-// settledNear leaves in dropScratch the grid's candidates for the sensors
-// within r of p: a settled sensor is static, so it sits at stepTo, and
-// the grid's position for it lags by at most MaxStep, which the scan's
-// 2·MaxStep pad covers.
-func (w *World) settledNear(p geom.Vec, r float64) {
-	w.dropScratch = w.idx.AppendWithin(w.dropScratch[:0], -1, p, r+2*w.P.MaxStep())
+// cellCoord returns the grid column (or row) of coordinate v along an
+// axis starting at lo with n cells, clamped to the grid. It is monotone
+// in v, so a rectangle's corner cells bound the cells of every point in
+// it.
+func (w *World) cellCoord(v, lo float64, n int32) int32 {
+	f := (v - lo) / w.cellSize
+	switch {
+	case !(f >= 0):
+		return 0
+	case f >= float64(n):
+		return n - 1
+	}
+	return int32(f)
+}
+
+// cellOf returns the settled-list cell holding p.
+func (w *World) cellOf(p geom.Vec) int32 {
+	return w.cellCoord(p.Y, w.cellOrigin.Y, w.ncy)*w.ncx + w.cellCoord(p.X, w.cellOrigin.X, w.ncx)
+}
+
+// settle marks sensor id's kept answer settled and lists it in the cell
+// of its position.
+func (w *World) settle(id int) {
+	e := &w.rcNbrs[id]
+	e.state = nbrsSettled
+	e.cell = w.cellOf(w.stepTo[id])
+	e.prev, e.next = -1, w.cellHead[e.cell]
+	if e.next >= 0 {
+		w.rcNbrs[e.next].prev = int32(id)
+	}
+	w.cellHead[e.cell] = int32(id)
+	w.settled++
+}
+
+// dropNbrs forgets sensor id's kept rc answer, unlisting it if settled.
+func (w *World) dropNbrs(id int) {
+	e := &w.rcNbrs[id]
+	if e.state == nbrsSettled {
+		if e.prev >= 0 {
+			w.rcNbrs[e.prev].next = e.next
+		} else {
+			w.cellHead[e.cell] = e.next
+		}
+		if e.next >= 0 {
+			w.rcNbrs[e.next].prev = e.prev
+		}
+		w.settled--
+	}
+	e.state = nbrsNone
+}
+
+// settledIn yields the settled sensors listed in the cells over the
+// rectangle [lo, hi], padded by settleEps against rounding at its edges.
+// The loop body may drop the sensor it is given.
+func (w *World) settledIn(lo, hi geom.Vec) iter.Seq[int32] {
+	return func(yield func(int32) bool) {
+		x0, x1 := w.cellCoord(lo.X-settleEps, w.cellOrigin.X, w.ncx), w.cellCoord(hi.X+settleEps, w.cellOrigin.X, w.ncx)
+		y0, y1 := w.cellCoord(lo.Y-settleEps, w.cellOrigin.Y, w.ncy), w.cellCoord(hi.Y+settleEps, w.cellOrigin.Y, w.ncy)
+		for cy := y0; cy <= y1; cy++ {
+			for cx := x0; cx <= x1; cx++ {
+				for c := w.cellHead[cy*w.ncx+cx]; c >= 0; {
+					next := w.rcNbrs[c].next
+					if !yield(c) {
+						return
+					}
+					c = next
+				}
+			}
+		}
+	}
 }
 
 // unsettleStep drops the settled answers a new step from → to may
 // change: those of the sensors whose rc circle the step does not keep to
-// one side of. Only sensors within rc + |to − from| + settleEps of from
-// can be near the step at all.
+// one side of. Such a circle comes within rc + settleEps of the segment,
+// so its sensor is within rc + |to − from| + settleEps of from and in
+// the segment's bounding box widened by rc + settleEps, whose cells'
+// lists are all that is visited.
 func (w *World) unsettleStep(from, to geom.Vec) {
 	if w.settled == 0 {
 		return
 	}
 	rc := w.P.Rc
 	reach := rc + from.Dist(to) + settleEps
-	w.settledNear(from, reach)
-	for _, c := range w.dropScratch {
-		if w.rcNbrs[c].state == nbrsSettled && w.stepTo[c].Dist2(from) <= reach*reach && !oneSide(w.stepTo[c], from, to, rc) {
+	pad := geom.V(rc+settleEps, rc+settleEps)
+	lo, hi := geom.V(min(from.X, to.X), min(from.Y, to.Y)).Sub(pad), geom.V(max(from.X, to.X), max(from.Y, to.Y)).Add(pad)
+	for c := range w.settledIn(lo, hi) {
+		if w.stepTo[c].Dist2(from) <= reach*reach && !oneSide(w.stepTo[c], from, to, rc) {
 			w.dropNbrs(int(c))
 		}
 	}
@@ -470,9 +564,8 @@ func (w *World) dropSettledNear(p geom.Vec) {
 		return
 	}
 	r := w.P.Rc + settleEps
-	w.settledNear(p, r)
-	for _, c := range w.dropScratch {
-		if w.rcNbrs[c].state == nbrsSettled && w.stepTo[c].Dist2(p) <= r*r {
+	for c := range w.settledIn(p.Sub(geom.V(r, r)), p.Add(geom.V(r, r))) {
+		if w.stepTo[c].Dist2(p) <= r*r {
 			w.dropNbrs(int(c))
 		}
 	}

@@ -136,6 +136,10 @@ type Scheme struct {
 	// first sensor has died.
 	failures bool
 
+	// anchor[i] is the fixed sensor movable i last found within rc (see
+	// anchored), or NoParent.
+	anchor []int
+
 	// firstInvite[i] is when movable i received its first pending
 	// invitation (for the patience timeout); zero when none pending.
 	firstInvite []float64
@@ -230,6 +234,10 @@ func (s *Scheme) Attach(w *core.World) {
 	s.nextInvite = make([]float64, n)
 	s.ownedVirtuals = make([][]virtualAnchor, n)
 	s.firstInvite = make([]float64, n)
+	s.anchor = make([]int, n)
+	for i := range s.anchor {
+		s.anchor[i] = core.NoParent
+	}
 	s.pendings = make([][]pendingEP, n)
 	s.phase = 1
 	s.decideFns = make([]func(), n)

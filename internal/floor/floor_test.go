@@ -2,6 +2,8 @@ package floor
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"mobisense/internal/core"
@@ -302,5 +304,57 @@ func TestFloorUniformInitialDistribution(t *testing.T) {
 	w, _ := runFloor(t, f, p, DefaultConfig())
 	if !core.AllConnected(w.Layout(), w.F.Reference(), w.P.Rc) {
 		t.Error("uniform-init run lost connectivity")
+	}
+}
+
+// TestRegistryHeaderMatchesScan checks the kept floor headers against a
+// linear scan of each floor's real records (smallest x, ties to the
+// smaller ID) after every add and remove of real and virtual records.
+// x takes few values, so ties are common, and IDs repeat across adds.
+func TestRegistryHeaderMatchesScan(t *testing.T) {
+	scan := func(r *registry, k int) int {
+		best, bestX := -1, math.Inf(1)
+		for _, rec := range r.perF[k] {
+			if !rec.virtual && (rec.pos.X < bestX || rec.pos.X == bestX && (best == -1 || rec.id < best)) {
+				best, bestX = rec.id, rec.pos.X
+			}
+		}
+		return best
+	}
+	rng := rand.New(rand.NewPCG(18, 3))
+	fl := NewFloors(geom.R(0, 0, 400, 400), 40)
+	r := newRegistry(fl, field.MustNew(geom.R(0, 0, 400, 400), nil))
+	var tokens []int
+	changed := 0
+	for op := 0; op < 5000; op++ {
+		before := make([]int, fl.Count())
+		for k := range before {
+			before[k] = r.header(k)
+		}
+		pos := geom.V(float64(rng.IntN(6))*40, rng.Float64()*400)
+		switch k := rng.IntN(4); {
+		case k == 0:
+			r.addFixed(rng.IntN(30), pos)
+		case k == 1:
+			tokens = append(tokens, r.addVirtual(pos))
+		case k == 2:
+			r.removeFixed(rng.IntN(30))
+		case len(tokens) > 0:
+			i := rng.IntN(len(tokens))
+			r.removeVirtual(tokens[i])
+			tokens = slices.Delete(tokens, i, i+1)
+		}
+		for k := range fl.Count() {
+			got, want := r.header(k), scan(r, k)
+			if got != want {
+				t.Fatalf("op %d: header(%d) = %d, scan %d", op, k, got, want)
+			}
+			if got != before[k] {
+				changed++
+			}
+		}
+	}
+	if changed == 0 {
+		t.Fatal("no header ever changed")
 	}
 }

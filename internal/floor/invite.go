@@ -82,7 +82,7 @@ func (s *Scheme) movableStep(id int) {
 			// range re-runs the connectivity walk, preserving the scheme's
 			// connectivity guarantee even when all its neighbors have
 			// relocated away.
-			if s.nearestFixedWithin(id, w.P.Rc) == core.NoParent && !w.NearBase(id, s.connectR) {
+			if !s.anchored(id) && !w.NearBase(id, s.connectR) {
 				s.st[id] = stateWalking
 				w.Sensors[id].Connected = false
 				w.Tree.Detach(id)
@@ -178,6 +178,27 @@ func (s *Scheme) MovableCount() int {
 		}
 	}
 	return n
+}
+
+// anchored reports whether a fixed sensor is within rc of movable id. An
+// idle movable asks every period, so the fixed sensor found last time
+// answers while it is still fixed, live and within rc; otherwise the
+// first fixed sensor of the kept rc answer (World.Neighbors) becomes the
+// anchor.
+func (s *Scheme) anchored(id int) bool {
+	w := s.w
+	if a := s.anchor[id]; a != core.NoParent && s.st[a] == stateFixed && !w.Sensors[a].Failed &&
+		w.Pos(a).WithinDist(w.Pos(id), w.P.Rc) {
+		return true
+	}
+	for _, j := range w.Neighbors(id, w.P.Rc) {
+		if s.st[j] == stateFixed {
+			s.anchor[id] = j
+			return true
+		}
+	}
+	s.anchor[id] = core.NoParent
+	return false
 }
 
 // nearestFixedWithin returns the nearest fixed sensor within radius r of

@@ -4,6 +4,8 @@ import (
 	"math/rand/v2"
 	"slices"
 	"testing"
+
+	"mobisense/internal/core"
 )
 
 // filterThenDraw is the reference non-backtracking hop: copy the list
@@ -75,5 +77,69 @@ func TestNextHopMatchesFilterThenDraw(t *testing.T) {
 		if cases[c] == 0 {
 			t.Errorf("case %q never drawn", c)
 		}
+	}
+}
+
+// TestAnchoredMatchesNearestFixed runs FLOOR deployments with injected
+// failures, with and without the scheme's repair handler (without it a
+// dead fixed sensor keeps its fixed state), and at many instants asks
+// every idle movable's anchor check. anchored must report a fixed sensor
+// within rc exactly when the full scan nearestFixedWithin finds one, and
+// the anchor it keeps must be fixed, live and within rc. Both of its
+// paths, the previous anchor and the kept rc answer, must answer.
+func TestAnchoredMatchesNearestFixed(t *testing.T) {
+	var kept, scanned, unanchored int
+	for _, repair := range []bool{true, false} {
+		for seed := uint64(1); seed <= 2; seed++ {
+			p := smallParams()
+			p.N = 60
+			p.Seed = seed
+			p.Duration = 500
+			w, err := core.NewWorld(smallField(t), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := New(DefaultConfig())
+			s.Attach(w)
+			inj := &core.FailureInjector{Interval: 25, MaxKills: 12}
+			if repair {
+				inj.OnKill = s.HandleFailure
+			}
+			inj.Attach(w)
+			for now := 0.0; now < p.Duration; now += 0.37 {
+				w.E.RunUntil(now)
+				for id := range w.Sensors {
+					if s.st[id] != stateMovable || w.Sensors[id].Failed {
+						continue
+					}
+					a := s.anchor[id]
+					if a != core.NoParent && s.st[a] == stateFixed && !w.Sensors[a].Failed && w.Pos(a).Dist(w.Pos(id)) <= p.Rc {
+						kept++
+					} else {
+						scanned++
+					}
+					got := s.anchored(id)
+					if want := s.nearestFixedWithin(id, p.Rc) != core.NoParent; got != want {
+						t.Fatalf("t=%v: anchored(%d) = %v, nearestFixedWithin finds a fixed sensor: %v", w.Now(), id, got, want)
+					}
+					if !got {
+						unanchored++
+						continue
+					}
+					if a := s.anchor[id]; s.st[a] != stateFixed || w.Sensors[a].Failed || w.Pos(a).Dist(w.Pos(id)) > p.Rc {
+						t.Fatalf("t=%v: movable %d keeps anchor %d (state %v, failed %v, %v m away)",
+							w.Now(), id, a, s.StateName(a), w.Sensors[a].Failed, w.Pos(a).Dist(w.Pos(id)))
+					}
+				}
+			}
+			if inj.Killed() == 0 {
+				t.Fatalf("seed %d: no sensor died", seed)
+			}
+			w.Release()
+		}
+	}
+	t.Logf("anchor checks: %d kept anchors, %d kept-answer scans, %d unanchored", kept, scanned, unanchored)
+	if kept == 0 || scanned == 0 {
+		t.Errorf("kept anchors answered %d checks and scans %d; want both > 0", kept, scanned)
 	}
 }

@@ -27,14 +27,25 @@ type registry struct {
 	floors Floors
 	f      *field.Field
 	perF   [][]nodeRecord
+	// heads[k] is floor k's header (see header), or headerStale once
+	// the floor's real records have changed since it was found.
+	heads  []int
 	tokens int
 }
 
+// headerStale marks a floor header to be found again.
+const headerStale = -2
+
 func newRegistry(fl Floors, f *field.Field) *registry {
+	heads := make([]int, fl.Count())
+	for k := range heads {
+		heads[k] = -1
+	}
 	return &registry{
 		floors: fl,
 		f:      f,
 		perF:   make([][]nodeRecord, fl.Count()),
+		heads:  heads,
 	}
 }
 
@@ -42,6 +53,7 @@ func newRegistry(fl Floors, f *field.Field) *registry {
 func (r *registry) addFixed(id int, pos geom.Vec) {
 	k := r.floors.Index(pos.Y)
 	r.perF[k] = append(r.perF[k], nodeRecord{id: id, pos: pos})
+	r.heads[k] = headerStale
 }
 
 // addVirtual registers a virtual place-holding node at an EP and returns a
@@ -61,6 +73,7 @@ func (r *registry) removeFixed(id int) {
 			if !list[i].virtual && list[i].id == id {
 				list[i] = list[len(list)-1]
 				r.perF[k] = list[:len(list)-1]
+				r.heads[k] = headerStale
 				return
 			}
 		}
@@ -97,10 +110,15 @@ func (r *registry) queryFloors(p geom.Vec) [3]int {
 }
 
 // header returns the floor header node of floor k: the real fixed node
-// with the smallest x coordinate (§5.4), or -1 if the floor has none.
+// with the smallest x coordinate, ties going to the smaller ID (§5.4), or
+// -1 if the floor has none. The floor is scanned only when its real
+// records changed since the last call.
 func (r *registry) header(k int) int {
 	if k < 0 || k >= len(r.perF) {
 		return -1
+	}
+	if r.heads[k] != headerStale {
+		return r.heads[k]
 	}
 	best := -1
 	bestX := math.Inf(1)
@@ -113,6 +131,7 @@ func (r *registry) header(k int) int {
 			best = rec.id
 		}
 	}
+	r.heads[k] = best
 	return best
 }
 

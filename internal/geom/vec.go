@@ -76,6 +76,24 @@ func (v Vec) WithinDist(w Vec, r float64) bool {
 	return v.Dist(w) <= r
 }
 
+// CloserThan reports v.Dist(w) < r, bit-identically, with WithinDist's
+// guard band: the square root is taken only when d² is within ~1e-9
+// relative of r².
+func (v Vec) CloserThan(w Vec, r float64) bool {
+	if r <= 0 {
+		return false
+	}
+	d2 := v.Dist2(w)
+	r2 := r * r
+	if d2 < r2*(1-1e-9) {
+		return true
+	}
+	if d2 > r2*(1+1e-9) {
+		return false
+	}
+	return v.Dist(w) < r
+}
+
 // Unit returns v normalized to length 1. The zero vector is returned
 // unchanged so callers never divide by zero.
 func (v Vec) Unit() Vec {

@@ -6,16 +6,20 @@ import (
 	"testing"
 )
 
-// TestWithinDistMatchesDist pins WithinDist to the exact Dist comparison
-// it replaces, including pairs engineered to land within float-rounding
-// range of the radius — the regime where a naive squared comparison can
-// order differently than Hypot.
+// TestWithinDistMatchesDist pins WithinDist and CloserThan to the exact
+// Dist comparisons they replace (<= and <), including pairs engineered to
+// land within float-rounding range of the radius — the regime where a
+// naive squared comparison can order differently than Hypot.
 func TestWithinDistMatchesDist(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 42))
 	check := func(v, w Vec, r float64) {
 		t.Helper()
 		if got, want := v.WithinDist(w, r), v.Dist(w) <= r; got != want {
 			t.Fatalf("WithinDist(%v, %v, %.17g) = %v, Dist comparison = %v (d=%.17g)",
+				v, w, r, got, want, v.Dist(w))
+		}
+		if got, want := v.CloserThan(w, r), v.Dist(w) < r; got != want {
+			t.Fatalf("CloserThan(%v, %v, %.17g) = %v, Dist comparison = %v (d=%.17g)",
 				v, w, r, got, want, v.Dist(w))
 		}
 	}
@@ -41,7 +45,8 @@ func TestWithinDistMatchesDist(t *testing.T) {
 	}
 	// Degenerate cases.
 	check(V(1, 2), V(1, 2), 0)
-	if V(0, 0).WithinDist(V(0, 0), -1) {
+	check(V(1, 2), V(1, 2), math.Inf(1))
+	if V(0, 0).WithinDist(V(0, 0), -1) || V(0, 0).CloserThan(V(0, 0), -1) {
 		t.Fatal("negative radius must report false")
 	}
 }
