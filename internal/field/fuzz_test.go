@@ -2,25 +2,20 @@ package field
 
 import (
 	"encoding/json"
-	"math"
 	"reflect"
 	"testing"
-
-	"mobisense/internal/geom"
 )
 
 // FuzzParseSpec: every input parses to a spec that normalizes or fails
-// cleanly. An accepted spec whose obstacles all have area (New rejects
-// the others) has a normal form that is a fixed point and survives a
-// JSON round trip with its fingerprint, and it builds: Build returns a
-// field whose bounds and fingerprint are the spec's, or an error.
-// Building is bounded the way a service would bound a request: specs
-// whose free-space check would walk more than maxFuzzCells cells, or
-// whose generator may place more than maxFuzzObstacles obstacles, are
-// not built (Build has no size budget of its own). The seed corpus is
-// testdata/fuzz/FuzzParseSpec.
+// cleanly. An accepted spec's normal form is a fixed point and survives
+// a JSON round trip with its fingerprint, and it builds without a panic:
+// Build returns a field whose bounds and fingerprint are the spec's, or
+// an error. Normalize bounds a spec's size, so every accepted spec is
+// built except those whose free-space check would walk more than
+// maxFuzzCells cells: valid, but too slow to build once per input. The
+// seed corpus is testdata/fuzz/FuzzParseSpec.
 func FuzzParseSpec(f *testing.F) {
-	const maxFuzzCells, maxFuzzObstacles = 1 << 14, 32
+	const maxFuzzCells = 1 << 14
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseSpec(data)
 		if err != nil {
@@ -29,11 +24,6 @@ func FuzzParseSpec(f *testing.F) {
 		n, err := s.Normalize()
 		if err != nil {
 			t.Fatalf("ParseSpec accepted %q, but Normalize fails: %v", data, err)
-		}
-		for _, ob := range n.Obstacles {
-			if math.Abs(ob.polygon().Area()) < geom.Eps {
-				return // degenerate: New rejects it, and CCW flips it on every pass
-			}
 		}
 		if again, err := n.Normalize(); err != nil || !reflect.DeepEqual(again, n) {
 			t.Fatalf("normal form of %q is not a fixed point: %+v, %v", data, again, err)
@@ -50,8 +40,7 @@ func FuzzParseSpec(f *testing.F) {
 			t.Fatalf("%q: normal form %s parses back with fingerprint %s (%v), want %s", data, enc, back.Fingerprint(), err, fp)
 		}
 		b := n.Bounds
-		cells := ((b.MaxX-b.MinX)/connectivityRes + 1) * ((b.MaxY-b.MinY)/connectivityRes + 1)
-		if !(cells <= maxFuzzCells) || (n.Generator != nil && n.Generator.MaxCount > maxFuzzObstacles) {
+		if cells := ((b.MaxX-b.MinX)/connectivityRes + 1) * ((b.MaxY-b.MinY)/connectivityRes + 1); cells > maxFuzzCells {
 			return
 		}
 		fld, err := s.Build(7)

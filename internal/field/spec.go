@@ -133,17 +133,34 @@ func (s Spec) Clone() Spec {
 	return out
 }
 
+// Size limits on a spec. Specs arrive from files and HTTP requests, and
+// Build's cost grows with the bounds' area (New's free-space check walks
+// a connectivityRes grid over them) and with the generated obstacle
+// count, so Normalize rejects specs beyond these limits. Both sit far
+// above the paper's fields (1000 m square, at most 4 random obstacles).
+const (
+	// maxSpecCells bounds the free-space check's grid, about 10 km square.
+	maxSpecCells = 1 << 22
+	// maxGeneratedObstacles bounds a generator's max_count.
+	maxGeneratedObstacles = 1 << 10
+)
+
 // Normalize validates the spec and returns its canonical form: bounds
-// with positive area, an explicit reference point (defaulting to the
-// lower-left corner), every obstacle as counter-clockwise Points (Rect
-// shorthands expanded), and generator ranges checked. Two specs that
-// normalize equal are the same field; fingerprints, manifests and the
-// registry all work on the normalized form.
+// with positive area within maxSpecCells, an explicit reference point
+// (defaulting to the lower-left corner), every obstacle as
+// counter-clockwise Points with area (Rect shorthands expanded), and
+// generator ranges checked. Two specs that normalize equal are the same
+// field; fingerprints, manifests and the registry all work on the
+// normalized form.
 func (s Spec) Normalize() (Spec, error) {
 	out := s.Clone()
 	b := out.Bounds
 	if !(b.MaxX > b.MinX) || !(b.MaxY > b.MinY) {
 		return Spec{}, fmt.Errorf("field spec: bounds [%g,%g]×[%g,%g] have no area", b.MinX, b.MaxX, b.MinY, b.MaxY)
+	}
+	if cells := ((b.MaxX-b.MinX)/connectivityRes + 1) * ((b.MaxY-b.MinY)/connectivityRes + 1); !(cells <= maxSpecCells) {
+		return Spec{}, fmt.Errorf("field spec: bounds [%g,%g]×[%g,%g] are too large: %.3g cells of %g m, limit %d",
+			b.MinX, b.MaxX, b.MinY, b.MaxY, cells, connectivityRes, maxSpecCells)
 	}
 	if out.Reference == nil {
 		out.Reference = &PointSpec{X: b.MinX, Y: b.MinY}
@@ -156,21 +173,16 @@ func (s Spec) Normalize() (Spec, error) {
 			if len(ob.Rect) != 4 {
 				return Spec{}, fmt.Errorf("field spec: obstacle %d rect has %d coordinates, want 4 ([x0,y0,x1,y1])", i, len(ob.Rect))
 			}
-			poly := geom.R(ob.Rect[0], ob.Rect[1], ob.Rect[2], ob.Rect[3]).Polygon()
-			pts := make([]PointSpec, len(poly))
-			for j, v := range poly {
-				pts[j] = PointSpec{X: v.X, Y: v.Y}
-			}
-			out.Obstacles[i] = ObstacleSpec{Points: pts}
+			out.Obstacles[i] = ObstacleSpec{Points: pointSpecs(geom.R(ob.Rect[0], ob.Rect[1], ob.Rect[2], ob.Rect[3]).Polygon())}
 		case len(ob.Points) >= 3:
-			poly := out.Obstacles[i].polygon().CCW()
-			pts := make([]PointSpec, len(poly))
-			for j, v := range poly {
-				pts[j] = PointSpec{X: v.X, Y: v.Y}
-			}
-			out.Obstacles[i] = ObstacleSpec{Points: pts}
+			out.Obstacles[i] = ObstacleSpec{Points: pointSpecs(out.Obstacles[i].polygon().CCW())}
 		default:
 			return Spec{}, fmt.Errorf("field spec: obstacle %d has %d vertices, want a rect or at least 3 points", i, len(ob.Points))
+		}
+		// New rejects the same obstacles; without area, CCW would also
+		// flip the vertex order on every pass.
+		if abs(out.Obstacles[i].polygon().Area()) < geom.Eps {
+			return Spec{}, fmt.Errorf("field spec: obstacle %d: %w", i, ErrDegenerateObstacle)
 		}
 	}
 	if len(out.Obstacles) == 0 {
@@ -180,11 +192,23 @@ func (s Spec) Normalize() (Spec, error) {
 		if g.MaxCount < g.MinCount || g.MinCount < 0 {
 			return Spec{}, fmt.Errorf("field spec: generator count range [%d,%d] is invalid", g.MinCount, g.MaxCount)
 		}
+		if g.MaxCount > maxGeneratedObstacles {
+			return Spec{}, fmt.Errorf("field spec: generator max_count %d is over the limit of %d", g.MaxCount, maxGeneratedObstacles)
+		}
 		if g.MinSide <= 0 || g.MaxSide < g.MinSide {
 			return Spec{}, fmt.Errorf("field spec: generator side range [%g,%g] is invalid", g.MinSide, g.MaxSide)
 		}
 	}
 	return out, nil
+}
+
+// pointSpecs converts a polygon's vertices to spec points.
+func pointSpecs(poly geom.Polygon) []PointSpec {
+	pts := make([]PointSpec, len(poly))
+	for j, v := range poly {
+		pts[j] = PointSpec{X: v.X, Y: v.Y}
+	}
+	return pts
 }
 
 // Build constructs the field the spec describes. For seeded specs
@@ -283,11 +307,7 @@ func (f *Field) Spec() Spec {
 		Reference: &PointSpec{X: f.reference.X, Y: f.reference.Y},
 	}
 	for _, ob := range f.obstacles {
-		pts := make([]PointSpec, len(ob))
-		for i, v := range ob {
-			pts[i] = PointSpec{X: v.X, Y: v.Y}
-		}
-		s.Obstacles = append(s.Obstacles, ObstacleSpec{Points: pts})
+		s.Obstacles = append(s.Obstacles, ObstacleSpec{Points: pointSpecs(ob)})
 	}
 	return s
 }

@@ -157,14 +157,21 @@ func TestGeneratorSpecMatchesLegacyStream(t *testing.T) {
 // time with messages naming the offending part.
 func TestSpecValidation(t *testing.T) {
 	cases := map[string]string{
-		`{"bounds":{"max_x":0,"max_y":100}}`:                                                                         "no area",
-		`{"bounds":{"max_x":100,"max_y":100},"obstacles":[{"rect":[1,2]}]}`:                                          "want 4",
-		`{"bounds":{"max_x":100,"max_y":100},"obstacles":[{"points":[{"x":1,"y":1},{"x":2,"y":2}]}]}`:                "at least 3 points",
-		`{"bounds":{"max_x":100,"max_y":100},"obstacles":[{"rect":[1,1,2,2],"points":[{"x":1,"y":1}]}]}`:             "both rect and points",
-		`{"bounds":{"max_x":100,"max_y":100},"generator":{"min_count":3,"max_count":1,"min_side":10,"max_side":20}}`: "count range",
-		`{"bounds":{"max_x":100,"max_y":100},"generator":{"min_count":1,"max_count":2,"min_side":0,"max_side":20}}`:  "side range",
-		`{"bounds":{"max_x":100,"max_y":100},"bogus_key":1}`:                                                         "bogus_key",
-		`{"bounds":{"max_x":100,"max_y":100}} trailing`:                                                              "trailing",
+		`{"bounds":{"max_x":0,"max_y":100}}`:                                                                          "no area",
+		`{"bounds":{"max_x":100,"max_y":100},"obstacles":[{"rect":[1,2]}]}`:                                           "want 4",
+		`{"bounds":{"max_x":100,"max_y":100},"obstacles":[{"points":[{"x":1,"y":1},{"x":2,"y":2}]}]}`:                 "at least 3 points",
+		`{"bounds":{"max_x":100,"max_y":100},"obstacles":[{"rect":[1,1,2,2],"points":[{"x":1,"y":1}]}]}`:              "both rect and points",
+		`{"bounds":{"max_x":100,"max_y":100},"generator":{"min_count":3,"max_count":1,"min_side":10,"max_side":20}}`:  "count range",
+		`{"bounds":{"max_x":100,"max_y":100},"generator":{"min_count":1,"max_count":2,"min_side":0,"max_side":20}}`:   "side range",
+		`{"bounds":{"max_x":100,"max_y":100},"bogus_key":1}`:                                                          "bogus_key",
+		`{"bounds":{"max_x":100,"max_y":100},"obstacles":[{"rect":[0,0,0,1]}]}`:                                       "zero area",
+		`{"bounds":{"max_x":100,"max_y":100},"obstacles":[{"points":[{"x":1,"y":1},{"x":2,"y":2},{"x":3,"y":3}]}]}`:   "zero area",
+		`{"bounds":{"max_x":20000,"max_y":20000}}`:                                                                    "too large",
+		`{"bounds":{"min_x":-1e308,"max_x":1e308,"max_y":100}}`:                                                       "too large",
+		`{"bounds":{"max_x":100,"max_y":100},"generator":{"min_count":0,"max_count":1025,"min_side":1,"max_side":2}}`: "over the limit",
+		// MaxCount − MinCount + 1 would overflow in the generator.
+		`{"bounds":{"max_x":100,"max_y":100},"generator":{"min_count":0,"max_count":9223372036854775807,"min_side":1,"max_side":2}}`: "over the limit",
+		`{"bounds":{"max_x":100,"max_y":100}} trailing`: "trailing",
 	}
 	for in, want := range cases {
 		_, err := ParseSpec([]byte(in))
@@ -174,6 +181,22 @@ func TestSpecValidation(t *testing.T) {
 		}
 		if got := err.Error(); !contains(got, want) {
 			t.Errorf("ParseSpec(%s) error %q should mention %q", in, got, want)
+		}
+	}
+}
+
+// TestSpecLimitsBuild: specs at the size limits are accepted and build.
+func TestSpecLimitsBuild(t *testing.T) {
+	for _, in := range []string{
+		`{"bounds":{"max_x":10000,"max_y":10000}}`,
+		`{"bounds":{"max_x":100,"max_y":100},"generator":{"min_count":1024,"max_count":1024,"min_side":1,"max_side":2,"keep_clear":5}}`,
+	} {
+		s, err := ParseSpec([]byte(in))
+		if err != nil {
+			t.Fatalf("ParseSpec(%s): %v", in, err)
+		}
+		if _, err := s.Build(1); err != nil {
+			t.Errorf("Build(%s): %v", in, err)
 		}
 	}
 }

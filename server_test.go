@@ -508,6 +508,14 @@ func TestServerInlineField(t *testing.T) {
 		`{"scheme":"floor","field":{"bounds":{"max_x":0,"max_y":0}}}`); status != http.StatusBadRequest {
 		t.Errorf("degenerate field status = %d, want 400", status)
 	}
+	// A generator count past the spec limit (here one whose count range
+	// overflows) is refused before anything builds.
+	oversize := `{"bounds":{"max_x":100,"max_y":100},"generator":{"min_count":0,"max_count":9223372036854775807,"min_side":1,"max_side":2}}`
+	for _, path := range []string{"/v1/runs", "/v1/sweeps"} {
+		if _, status := postJSON(t, ts.URL+path, `{"scheme":"floor","n":20,"duration":60,"field":`+oversize+`}`); status != http.StatusBadRequest {
+			t.Errorf("%s with an oversize generator: status = %d, want 400", path, status)
+		}
+	}
 
 	// The scenario catalog carries each entry's spec and obstacle count,
 	// and the axis catalog marks integer axes.
