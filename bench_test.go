@@ -1,17 +1,18 @@
 package mobisense_test
 
 // The bench harness regenerates every table and figure of the paper's
-// evaluation as Go benchmarks, reporting the headline quantity of each
-// artifact through b.ReportMetric so that
+// evaluation as Go benchmarks, reporting each row of an artifact through
+// b.ReportMetric so that
 //
 //	go test -bench=. -benchmem
 //
-// reproduces the paper's evaluation end to end. Benches run the Quick
-// variants of the experiment sweeps (full N = 240 scenarios, reduced sweep
-// grids); the cmd/experiments binary runs the full grids.
+// reproduces the paper's evaluation end to end. Benches run the quick
+// sweeps of the figure registry (full N = 240 scenarios, reduced sweep
+// grids); deploy -figure runs the full grids.
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -21,112 +22,81 @@ import (
 	"mobisense/internal/store"
 )
 
-// metricName sanitizes a row label into a benchmark metric unit (metric
-// units must not contain whitespace).
-func metricName(label, metric string) string {
-	r := strings.NewReplacer(" ", "_", "(", "", ")", "", "=", "", ",", "")
-	return r.Replace(label) + "/" + metric
-}
-
-func reportRows(b *testing.B, rows []experiments.Row, metrics ...string) {
-	b.Helper()
+// benchFigure runs a figure's quick sweep per op and reports the named
+// metrics of every row of the last op, one unit per row key (units must
+// not contain whitespace).
+func benchFigure(b *testing.B, name string, metrics ...string) {
+	fig, ok := experiments.Lookup(name)
+	if !ok {
+		b.Fatalf("no figure %q", name)
+	}
+	var rows []experiments.Row
+	for i := 0; i < b.N; i++ {
+		sr, err := fig.Quick.Run(context.Background(), mobisense.BatchOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rows, err = fig.Rows(sr.Runs); err != nil {
+			b.Fatal(err)
+		}
+	}
 	for _, r := range rows {
+		key := []string{string(r.Scheme), r.Scenario, "n" + strconv.Itoa(r.N)}
+		for _, a := range r.Axes {
+			key = append(key, a.Name+"-"+a.ValueString())
+		}
+		if r.Stat != "" {
+			key = append(key, r.Stat)
+		}
+		values := map[string]float64{"coverage": r.Coverage, "distance": r.Distance,
+			"messages": r.Messages, "connected": r.Connected, "paper": r.Paper}
 		for _, m := range metrics {
-			b.ReportMetric(r.Get(m), metricName(r.Label, m))
+			if m != "paper" || r.Paper != 0 {
+				b.ReportMetric(values[m], strings.Join(key, "_")+"/"+m)
+			}
 		}
 	}
 }
 
 // BenchmarkFig3CPVFCoverage regenerates Figure 3: CPVF's coverage in the
-// three canonical scenarios (obstacle-free rc=60/rs=40, rc=30, and the
-// two-obstacle field).
-func BenchmarkFig3CPVFCoverage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig3(experiments.Options{Quick: true})
-		if i == b.N-1 {
-			reportRows(b, rows, "coverage", "paper_coverage")
-		}
-	}
-}
+// canonical scenarios (obstacle-free and two obstacles, rc = 60 and 30).
+func BenchmarkFig3CPVFCoverage(b *testing.B) { benchFigure(b, "fig3", "coverage", "paper") }
 
 // BenchmarkFig8FLOORCoverage regenerates Figure 8: FLOOR in the same
 // scenarios.
-func BenchmarkFig8FLOORCoverage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig8(experiments.Options{Quick: true})
-		if i == b.N-1 {
-			reportRows(b, rows, "coverage", "paper_coverage")
-		}
-	}
-}
+func BenchmarkFig8FLOORCoverage(b *testing.B) { benchFigure(b, "fig8", "coverage", "paper") }
 
 // BenchmarkFig9CoverageSweep regenerates Figure 9: coverage of CPVF,
-// FLOOR and OPT across sensor counts and (rc, rs) pairs.
-func BenchmarkFig9CoverageSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig9(experiments.Options{Quick: true})
-		if i == b.N-1 {
-			reportRows(b, rows, "cpvf_coverage", "floor_coverage", "opt_coverage")
-		}
-	}
-}
+// FLOOR and OPT across sensor counts and communication ranges.
+func BenchmarkFig9CoverageSweep(b *testing.B) { benchFigure(b, "fig9", "coverage") }
 
 // BenchmarkFig10VoronoiComparison regenerates Figure 10: FLOOR vs VOR vs
 // Minimax over rc/rs, with disconnection and incorrect-VD detection.
 func BenchmarkFig10VoronoiComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig10(experiments.Options{Quick: true})
-		if i == b.N-1 {
-			reportRows(b, rows, "floor_coverage", "vor_coverage", "minimax_coverage",
-				"vor_connected", "minimax_connected")
-		}
-	}
+	benchFigure(b, "fig10", "coverage", "connected")
 }
 
 // BenchmarkFig11MovingDistance regenerates Figure 11: average moving
-// distance of the six schemes.
-func BenchmarkFig11MovingDistance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig11(experiments.Options{Quick: true})
-		if i == b.N-1 {
-			reportRows(b, rows, "avg_distance")
-		}
-	}
-}
+// distance of the schemes and the Hungarian lower bounds.
+func BenchmarkFig11MovingDistance(b *testing.B) { benchFigure(b, "fig11", "distance") }
 
 // BenchmarkFig12OscillationAvoidance regenerates Figure 12: the effect of
 // the oscillation-avoidance factor δ on CPVF's distance and coverage.
 func BenchmarkFig12OscillationAvoidance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig12(experiments.Options{Quick: true})
-		if i == b.N-1 {
-			reportRows(b, rows, "avg_distance", "coverage")
-		}
-	}
+	benchFigure(b, "fig12", "distance", "coverage")
 }
 
 // BenchmarkFig13RandomObstacles regenerates Figure 13: coverage and
 // moving-distance distributions of CPVF and FLOOR over random-obstacle
 // deployments.
 func BenchmarkFig13RandomObstacles(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig13(experiments.Options{Quick: true})
-		if i == b.N-1 {
-			reportRows(b, rows[:1], "cpvf_coverage", "floor_coverage",
-				"cpvf_distance", "floor_distance")
-		}
-	}
+	benchFigure(b, "fig13", "coverage", "distance")
 }
 
 // BenchmarkTable1MessageOverhead regenerates Table 1: FLOOR's protocol
 // message counts across N and invitation TTL.
 func BenchmarkTable1MessageOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table1(experiments.Options{Quick: true})
-		if i == b.N-1 {
-			reportRows(b, rows, "total_k", "per_node_k", "paper_total_k")
-		}
-	}
+	benchFigure(b, "table1", "messages", "paper")
 }
 
 // ---------------------------------------------------------------------------
@@ -194,7 +164,7 @@ func BenchmarkAblationFloorTTL(b *testing.B) {
 				b.Fatal(err)
 			}
 			if i == b.N-1 {
-				label := "ttl-" + itoa(ttl)
+				label := "ttl-" + strconv.Itoa(ttl)
 				b.ReportMetric(res.Coverage, label+"/coverage")
 				b.ReportMetric(float64(res.Messages)/1000, label+"/messages_k")
 			}
@@ -213,7 +183,7 @@ func BenchmarkAblationExclusiveFrac(b *testing.B) {
 				b.Fatal(err)
 			}
 			if i == b.N-1 {
-				label := "frac-" + ftoa(frac)
+				label := "frac-" + strconv.FormatFloat(frac, 'g', -1, 64)
 				b.ReportMetric(res.Coverage, label+"/coverage")
 				b.ReportMetric(res.AvgMoveDistance, label+"/distance")
 			}
@@ -378,22 +348,4 @@ func BenchmarkStoreWrite(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N), "records")
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}
-
-func ftoa(v float64) string {
-	return itoa(int(v*10 + 0.5))
 }

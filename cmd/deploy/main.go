@@ -50,6 +50,18 @@
 // cost at convergence); -trace-layouts additionally snapshots the sensor
 // layout at every sample, which powers the serve dashboard's replay
 // animation.
+//
+// The paper's figures (Figures 3 and 8–13, Table 1) are registered
+// sweeps: -figure runs them at paper scale and prints each as a table of
+// one row per sweep point. They take the sweep options above (-seed,
+// -workers, -store, -resume, -shard, -max-runs); each figure's store goes
+// under <store>/<figure>, and -csv writes every row with a leading figure
+// column:
+//
+//	deploy -figure fig9,fig10 -workers 8
+//	deploy -figure all -store results/ -csv results/figures.csv
+//	deploy -figure fig13 -store results/ -resume
+//	deploy -figure fig13 -store shard1/ -shard 1/4
 package main
 
 import (
@@ -57,56 +69,73 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 
 	"mobisense"
+	"mobisense/internal/experiments"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// figureFlags are the flags that apply to -figure: the figure defines
+// its own sweep, so every other flag would be silently ignored.
+var figureFlags = map[string]bool{
+	"figure": true, "seed": true, "workers": true, "store": true, "store-layouts": true,
+	"resume": true, "shard": true, "max-runs": true, "csv": true,
+}
+
+// run is the command: it parses args, runs the deployment, sweep or
+// figures and writes the reports. It returns the exit code: 0 on success
+// or -h (and when -max-runs stops a sweep), 1 on a run or write failure,
+// 2 on bad flags and 130 on Ctrl-C.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("deploy", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	schemeNames := make([]string, 0, 8)
 	for _, s := range mobisense.RegisteredSchemes() {
 		schemeNames = append(schemeNames, string(s))
 	}
 	var (
-		scheme    = flag.String("scheme", "floor", "deployment scheme: "+strings.Join(schemeNames, ", "))
-		scenario  = flag.String("scenario", "free", "scenario: "+strings.Join(mobisense.ScenarioNames(), ", "))
-		fieldKind = flag.String("field", "", "field-spec JSON file defining a custom environment (overrides -scenario); a registered scenario name is accepted as a deprecated alias for -scenario")
-		fieldSeed = flag.Uint64("field-seed", 1, "seed for seeded scenarios/specs in single runs; sweeps (-runs > 1) derive fields from -seed")
-		n         = flag.Int("n", 240, "number of sensors")
-		rc        = flag.Float64("rc", 60, "communication range (m)")
-		rs        = flag.Float64("rs", 40, "sensing range (m)")
-		speed     = flag.Float64("speed", 2, "maximum speed (m/s)")
-		duration  = flag.Float64("duration", 750, "simulated time (s)")
-		seed      = flag.Uint64("seed", 1, "run seed (base seed for -runs > 1)")
-		runs      = flag.Int("runs", 1, "number of repeated runs with derived seeds")
-		workers   = flag.Int("workers", 0, "worker-pool size for -runs > 1 (0 = GOMAXPROCS)")
-		uniform   = flag.Bool("uniform", false, "uniform initial distribution instead of clustered")
-		osc       = flag.String("oscillation", "none", "CPVF oscillation avoidance: none, one-step, two-step")
-		delta     = flag.Float64("delta", 4, "CPVF oscillation avoidance factor δ")
-		ttl       = flag.Int("ttl", 0, "FLOOR invitation TTL in hops (0 = 0.2*N)")
-		showMap   = flag.Bool("map", true, "print an ASCII layout map (single run only)")
-		csvPath   = flag.String("csv", "", "write final positions CSV to this path (single run only)")
-		storeDir  = flag.String("store", "", "stream finished runs to this store directory (-runs > 1)")
-		layouts   = flag.Bool("store-layouts", false, "persist each run's initial and final sensor layouts in its store record (requires -store)")
-		trace     = flag.Float64("trace", 0, "sample per-tick telemetry every this many simulated seconds (0 = off); single runs print the series, sweeps persist it in -store records")
-		traceLay  = flag.Bool("trace-layouts", false, "capture the full sensor layout in every trace sample for replay animation (requires -trace)")
-		traceLayN = flag.Int("trace-layout-stride", 0, "capture layouts only every Nth trace sample (0 or 1 = every; requires -trace-layouts)")
-		traceCSV  = flag.String("trace-csv", "", "write the run's trace series as CSV to this path (single run only, requires -trace)")
-		resume    = flag.Bool("resume", false, "continue an interrupted sweep in the -store directory")
-		shardSpec = flag.String("shard", "", "run only shard i of n, as \"i/n\" (requires -store; merge with cmd/report)")
-		maxRuns   = flag.Int("max-runs", 0, "stop dispatching after this many completed runs (0 = all); finished runs stay in the store")
-		fixedSeed = flag.Bool("fixed-seed", false, "give every sweep run the -seed verbatim instead of derived seeds (paired axis points)")
+		scheme    = flags.String("scheme", "floor", "deployment scheme: "+strings.Join(schemeNames, ", "))
+		scenario  = flags.String("scenario", "free", "scenario: "+strings.Join(mobisense.ScenarioNames(), ", "))
+		fieldKind = flags.String("field", "", "field-spec JSON file defining a custom environment (overrides -scenario); a registered scenario name is accepted as a deprecated alias for -scenario")
+		fieldSeed = flags.Uint64("field-seed", 1, "seed for seeded scenarios/specs in single runs; sweeps (-runs > 1) derive fields from -seed")
+		n         = flags.Int("n", 240, "number of sensors")
+		rc        = flags.Float64("rc", 60, "communication range (m)")
+		rs        = flags.Float64("rs", 40, "sensing range (m)")
+		speed     = flags.Float64("speed", 2, "maximum speed (m/s)")
+		duration  = flags.Float64("duration", 750, "simulated time (s)")
+		seed      = flags.Uint64("seed", 1, "run seed (base seed for -runs > 1)")
+		runs      = flags.Int("runs", 1, "number of repeated runs with derived seeds")
+		workers   = flags.Int("workers", 0, "worker-pool size for sweeps and -figure (0 = GOMAXPROCS)")
+		uniform   = flags.Bool("uniform", false, "uniform initial distribution instead of clustered")
+		osc       = flags.String("oscillation", "none", "CPVF oscillation avoidance: none, one-step, two-step")
+		delta     = flags.Float64("delta", 4, "CPVF oscillation avoidance factor δ")
+		ttl       = flags.Int("ttl", 0, "FLOOR invitation TTL in hops (0 = 0.2*N)")
+		showMap   = flags.Bool("map", true, "print an ASCII layout map (single run only)")
+		csvPath   = flags.String("csv", "", "write final positions CSV to this path (single run), or every -figure row")
+		storeDir  = flags.String("store", "", "stream finished runs to this store directory (sweeps; -figure stores each figure under <store>/<figure>)")
+		layouts   = flags.Bool("store-layouts", false, "persist each run's initial and final sensor layouts in its store record (requires -store)")
+		trace     = flags.Float64("trace", 0, "sample per-tick telemetry every this many simulated seconds (0 = off); single runs print the series, sweeps persist it in -store records")
+		traceLay  = flags.Bool("trace-layouts", false, "capture the full sensor layout in every trace sample for replay animation (requires -trace)")
+		traceLayN = flags.Int("trace-layout-stride", 0, "capture layouts only every Nth trace sample (0 or 1 = every; requires -trace-layouts)")
+		traceCSV  = flags.String("trace-csv", "", "write the run's trace series as CSV to this path (single run only, requires -trace)")
+		resume    = flags.Bool("resume", false, "continue an interrupted sweep in the -store directory")
+		shardSpec = flags.String("shard", "", "run only shard i of n, as \"i/n\" (requires -store; merge with cmd/report)")
+		maxRuns   = flags.Int("max-runs", 0, "stop dispatching after this many completed runs (0 = all); finished runs stay in the store")
+		fixedSeed = flags.Bool("fixed-seed", false, "give every sweep run the -seed verbatim instead of derived seeds (paired axis points)")
+		figure    = flags.String("figure", "", "run the paper's figures as sweeps: "+strings.Join(experiments.Names(), ",")+" (comma-separated) or all")
 	)
 	var axes []mobisense.ParamAxis
-	flag.Func("axis", "sweep a built-in axis as \"name=v1,v2,...\" ("+strings.Join(mobisense.AxisNames(), ", ")+"); string-valued axes take their values by name, e.g. cpvf.osc=none,two-step; repeatable",
+	flags.Func("axis", "sweep a built-in axis as \"name=v1,v2,...\" ("+strings.Join(mobisense.AxisNames(), ", ")+"); string-valued axes take their values by name, e.g. cpvf.osc=none,two-step; repeatable",
 		func(spec string) error {
 			ax, err := mobisense.ParseAxis(spec)
 			if err != nil {
@@ -115,10 +144,40 @@ func run() int {
 			axes = append(axes, ax)
 			return nil
 		})
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	scenarioExplicit := false
-	flag.Visit(func(f *flag.Flag) { scenarioExplicit = scenarioExplicit || f.Name == "scenario" })
+	var figures []experiments.Figure
+	if *figure != "" {
+		names := experiments.Names()
+		if *figure != "all" {
+			names = strings.Split(*figure, ",")
+		}
+		for _, name := range names {
+			f, ok := experiments.Lookup(strings.TrimSpace(name))
+			if !ok {
+				fmt.Fprintf(stderr, "unknown figure %q (have %s or all)\n", name, strings.Join(experiments.Names(), ", "))
+				return 2
+			}
+			figures = append(figures, f)
+		}
+	}
+	bad := ""
+	flags.Visit(func(f *flag.Flag) {
+		scenarioExplicit = scenarioExplicit || f.Name == "scenario"
+		if figures != nil && !figureFlags[f.Name] {
+			bad = f.Name
+		}
+	})
+	if bad != "" {
+		fmt.Fprintf(stderr, "-figure defines its own sweep: -%s does not apply\n", bad)
+		return 2
+	}
 	scenarioName := *scenario
 	var fieldSpec *mobisense.FieldSpec
 	if *fieldKind != "" {
@@ -129,73 +188,73 @@ func run() int {
 			if scenarioExplicit {
 				// Mirror the serve API: a request may name a scenario or
 				// supply a field spec, never both silently.
-				fmt.Fprintln(os.Stderr, "-scenario and a -field spec file conflict: pick one environment")
+				fmt.Fprintln(stderr, "-scenario and a -field spec file conflict: pick one environment")
 				return 2
 			}
 			spec, err := mobisense.LoadFieldSpecFile(*fieldKind)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return 2
 			}
 			fieldSpec = &spec
 		} else if _, ok := mobisense.LookupScenario(*fieldKind); ok {
 			scenarioName = *fieldKind
 		} else {
-			fmt.Fprintf(os.Stderr, "-field %q is neither a readable spec file nor a scenario name (have %s)\n",
+			fmt.Fprintf(stderr, "-field %q is neither a readable spec file nor a scenario name (have %s)\n",
 				*fieldKind, strings.Join(mobisense.ScenarioNames(), ", "))
 			return 2
 		}
 	}
 	if fieldSpec == nil {
 		if _, ok := mobisense.LookupScenario(scenarioName); !ok {
-			fmt.Fprintf(os.Stderr, "unknown scenario %q (have %s)\n",
+			fmt.Fprintf(stderr, "unknown scenario %q (have %s)\n",
 				scenarioName, strings.Join(mobisense.ScenarioNames(), ", "))
 			return 2
 		}
 	}
 	shard, err := mobisense.ParseShard(*shardSpec)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	if *resume && *storeDir == "" {
-		fmt.Fprintln(os.Stderr, "-resume needs -store: there is nothing to resume from")
+		fmt.Fprintln(stderr, "-resume needs -store: there is nothing to resume from")
 		return 2
 	}
 	if shard.Count > 1 && *storeDir == "" {
-		fmt.Fprintln(os.Stderr, "-shard needs -store: a shard's slice of the aggregates is useless unpersisted")
+		fmt.Fprintln(stderr, "-shard needs -store: a shard's slice of the aggregates is useless unpersisted")
 		return 2
 	}
 	if *layouts && *storeDir == "" {
-		fmt.Fprintln(os.Stderr, "-store-layouts needs -store: layouts persist in store records")
+		fmt.Fprintln(stderr, "-store-layouts needs -store: layouts persist in store records")
 		return 2
 	}
 	if math.IsNaN(*trace) || math.IsInf(*trace, 0) || *trace < 0 {
-		fmt.Fprintf(os.Stderr, "-trace stride must be a finite value >= 0, got %g\n", *trace)
+		fmt.Fprintf(stderr, "-trace stride must be a finite value >= 0, got %g\n", *trace)
 		return 2
 	}
 	if *trace > 0 && (*runs > 1 || len(axes) > 0) && *storeDir == "" {
-		fmt.Fprintln(os.Stderr, "-trace in a sweep needs -store: the series persist in store records")
+		fmt.Fprintln(stderr, "-trace in a sweep needs -store: the series persist in store records")
 		return 2
 	}
 	if *traceLay && *trace == 0 {
-		fmt.Fprintln(os.Stderr, "-trace-layouts needs -trace: there is no series to capture layouts into")
+		fmt.Fprintln(stderr, "-trace-layouts needs -trace: there is no series to capture layouts into")
 		return 2
 	}
 	if *traceLayN < 0 {
-		fmt.Fprintf(os.Stderr, "-trace-layout-stride must be >= 0, got %d\n", *traceLayN)
+		fmt.Fprintf(stderr, "-trace-layout-stride must be >= 0, got %d\n", *traceLayN)
 		return 2
 	}
 	if *traceLayN > 1 && !*traceLay {
-		fmt.Fprintln(os.Stderr, "-trace-layout-stride needs -trace-layouts: there are no layout samples to thin")
+		fmt.Fprintln(stderr, "-trace-layout-stride needs -trace-layouts: there are no layout samples to thin")
 		return 2
 	}
 	if *traceCSV != "" && *trace == 0 {
-		fmt.Fprintln(os.Stderr, "-trace-csv needs -trace: there is no series to write")
+		fmt.Fprintln(stderr, "-trace-csv needs -trace: there is no series to write")
 		return 2
 	}
 	if *traceCSV != "" && (*runs > 1 || len(axes) > 0) {
-		fmt.Fprintln(os.Stderr, "-trace-csv is single-run only; sweeps export aggregated curves via report -traces")
+		fmt.Fprintln(stderr, "-trace-csv is single-run only; sweeps export aggregated curves via report -traces")
 		return 2
 	}
 
@@ -214,13 +273,69 @@ func run() int {
 	}
 
 	// Ctrl-C cancels the sweep; every finished run is kept (and persisted
-	// when a store is attached).
+	// when a store is attached). -max-runs cancels dispatch once enough
+	// runs completed — the deterministic stand-in for Ctrl-C in scripts.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
+	capCtx, capStop := context.WithCancel(ctx)
+	defer capStop()
+	completed := 0
+	opts := mobisense.BatchOptions{Workers: *workers, Shard: shard}
+	opts.OnProgress = func(done, total int) {
+		fmt.Fprintf(stderr, "\r%d/%d runs", done, total)
+		if done == total {
+			fmt.Fprintln(stderr)
+		}
+		completed++
+		if *maxRuns > 0 && completed >= *maxRuns {
+			capStop()
+		}
+	}
+
+	if figures != nil {
+		csv := []byte(experiments.CSVHeader)
+		for _, f := range figures {
+			sweep := f.Full
+			sweep.Seed = *seed
+			o, dir := opts, ""
+			if *storeDir != "" {
+				dir = filepath.Join(*storeDir, f.Name)
+				o.Store = &mobisense.Store{Dir: dir, Resume: *resume, Layouts: *layouts || f.Layouts}
+			}
+			sr, err := sweep.Run(capCtx, o)
+			if err != nil && !errors.Is(err, context.Canceled) {
+				fmt.Fprintf(stderr, "%s: %v\n", f.Name, err)
+				return 1
+			}
+			if code := ended(ctx, sr, err, dir, *maxRuns, stderr); code >= 0 {
+				return code
+			}
+			if shard.Count > 1 {
+				fmt.Fprintf(stdout, "%s: shard %d/%d stored in %s; merge the shard stores with cmd/report\n\n",
+					f.Name, shard.Index, shard.Count, dir)
+				continue
+			}
+			rows, err := f.Rows(sr.Runs)
+			if err != nil {
+				fmt.Fprintln(stderr, err)
+				return 1
+			}
+			fmt.Fprintln(stdout, f.Markdown(rows))
+			csv = experiments.AppendCSV(csv, f.Name, rows)
+		}
+		if *csvPath != "" {
+			if err := os.WriteFile(*csvPath, csv, 0o644); err != nil {
+				fmt.Fprintf(stderr, "write csv: %v\n", err)
+				return 1
+			}
+			fmt.Fprintf(stdout, "wrote %s\n", *csvPath)
+		}
+		return 0
+	}
 
 	if *runs <= 1 && len(axes) == 0 {
 		if *storeDir != "" || shard.Count > 1 {
-			fmt.Fprintln(os.Stderr, "-store and -shard need a sweep: set -runs > 1 or add -axis")
+			fmt.Fprintln(stderr, "-store and -shard need a sweep: set -runs > 1, add -axis or pick a -figure")
 			return 2
 		}
 		// For one run, honor -seed and -field-seed verbatim rather than
@@ -233,20 +348,20 @@ func run() int {
 			f, err = mobisense.BuildScenario(scenarioName, *fieldSeed)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "scenario: %v\n", err)
+			fmt.Fprintf(stderr, "scenario: %v\n", err)
 			return 1
 		}
 		cfg.Field = f
 		out, err := mobisense.RunBatch(ctx, []mobisense.Config{cfg}, mobisense.BatchOptions{Workers: 1})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "run: %v\n", err)
+			fmt.Fprintf(stderr, "run: %v\n", err)
 			return 1
 		}
 		if err := out[0].Err; err != nil {
-			fmt.Fprintf(os.Stderr, "run: %v\n", err)
+			fmt.Fprintf(stderr, "run: %v\n", err)
 			return 1
 		}
-		return printSingle(cfg, out[0].Result, *showMap, *csvPath, *traceCSV)
+		return printSingle(stdout, stderr, cfg, out[0].Result, *showMap, *csvPath, *traceCSV)
 	}
 
 	// Sweeps derive both run seeds and seeded-scenario fields from -seed
@@ -264,7 +379,7 @@ func run() int {
 		// the serve API's handling of the same inline spec.
 		f, err := mobisense.BuildFieldSpec(*fieldSpec, *fieldSeed)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "field: %v\n", err)
+			fmt.Fprintf(stderr, "field: %v\n", err)
 			return 1
 		}
 		sweep.Base.Field = f
@@ -272,50 +387,34 @@ func run() int {
 	} else {
 		sweep.Scenarios = []string{scenarioName}
 	}
-	opts := mobisense.BatchOptions{
-		Workers: *workers,
-		Shard:   shard,
-	}
 	if *storeDir != "" {
 		opts.Store = &mobisense.Store{Dir: *storeDir, Resume: *resume, Layouts: *layouts, Trace: *trace > 0}
 	}
-	// -max-runs cancels dispatch once enough runs completed — the
-	// deterministic stand-in for Ctrl-C in scripts and CI.
-	capCtx, capStop := context.WithCancel(ctx)
-	defer capStop()
-	completed := 0
-	opts.OnProgress = func(done, total int) {
-		fmt.Fprintf(os.Stderr, "\r%d/%d runs", done, total)
-		if done == total {
-			fmt.Fprintln(os.Stderr)
-		}
-		completed++
-		if *maxRuns > 0 && completed >= *maxRuns {
-			capStop()
-		}
-	}
 	sr, err := sweep.Run(capCtx, opts)
-	interrupted := errors.Is(err, context.Canceled)
-	if err != nil && !interrupted {
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+	if err != nil && !errors.Is(err, context.Canceled) {
+		fmt.Fprintf(stderr, "sweep: %v\n", err)
 		return 1
 	}
-	if interrupted {
-		fmt.Fprintln(os.Stderr)
-	}
-	printAggregates(sr)
-	if interrupted {
+	printAggregates(stdout, sr)
+	return max(ended(ctx, sr, err, *storeDir, *maxRuns, stderr), 0)
+}
+
+// ended says on stderr how a sweep that did not finish cleanly ended: cut
+// short by Ctrl-C or -max-runs (err is the context's), or with failed
+// runs. It returns the exit code, or -1 when every run finished.
+func ended(ctx context.Context, sr mobisense.SweepResult, err error, store string, maxRuns int, stderr io.Writer) int {
+	if err != nil {
 		done := 0
 		for _, br := range sr.Runs {
 			if !errors.Is(br.Err, context.Canceled) {
 				done++
 			}
 		}
-		fmt.Fprintf(os.Stderr, "interrupted after %d/%d runs\n", done, len(sr.Runs))
-		if *storeDir != "" {
-			fmt.Fprintf(os.Stderr, "finished runs are stored in %s (re-run with -resume to continue)\n", *storeDir)
+		fmt.Fprintf(stderr, "\ninterrupted after %d/%d runs\n", done, len(sr.Runs))
+		if store != "" {
+			fmt.Fprintf(stderr, "finished runs are stored in %s (re-run with -resume to continue)\n", store)
 		}
-		if *maxRuns > 0 && ctx.Err() == nil {
+		if maxRuns > 0 && ctx.Err() == nil {
 			return 0 // the -max-runs cap, not a Ctrl-C
 		}
 		return 130
@@ -333,78 +432,78 @@ func run() int {
 		}
 	}
 	for _, msg := range order {
-		fmt.Fprintf(os.Stderr, "%d run(s) failed: %s\n", counts[msg], msg)
+		fmt.Fprintf(stderr, "%d run(s) failed: %s\n", counts[msg], msg)
 	}
 	if len(order) > 0 {
 		return 1
 	}
-	return 0
+	return -1
 }
 
-func printSingle(cfg mobisense.Config, res mobisense.Result, showMap bool, csvPath, traceCSV string) int {
-	fmt.Printf("scheme           %s\n", res.Scheme)
-	fmt.Printf("coverage         %.1f%%\n", 100*res.Coverage)
-	fmt.Printf("avg distance     %.1f m\n", res.AvgMoveDistance)
-	fmt.Printf("connected        %v\n", res.Connected)
+func printSingle(stdout, stderr io.Writer, cfg mobisense.Config, res mobisense.Result, showMap bool, csvPath, traceCSV string) int {
+	fmt.Fprintf(stdout, "scheme           %s\n", res.Scheme)
+	fmt.Fprintf(stdout, "coverage         %.1f%%\n", 100*res.Coverage)
+	fmt.Fprintf(stdout, "avg distance     %.1f m\n", res.AvgMoveDistance)
+	fmt.Fprintf(stdout, "connected        %v\n", res.Connected)
 	if res.Messages > 0 {
-		fmt.Printf("messages         %d (%.1f per sensor per second)\n",
+		fmt.Fprintf(stdout, "messages         %d (%.1f per sensor per second)\n",
 			res.Messages, float64(res.Messages)/float64(cfg.N)/cfg.Duration)
 	}
 	if res.ConvergenceTime > 0 {
-		fmt.Printf("last movement    %.0f s\n", res.ConvergenceTime)
+		fmt.Fprintf(stdout, "last movement    %.0f s\n", res.ConvergenceTime)
 	}
 	if res.Placements != nil {
-		fmt.Printf("floor placements flg=%d blg=%d iflg=%d\n",
+		fmt.Fprintf(stdout, "floor placements flg=%d blg=%d iflg=%d\n",
 			res.Placements["flg"], res.Placements["blg"], res.Placements["iflg"])
 	}
 	if res.IncorrectVoronoiCells > 0 {
-		fmt.Printf("incorrect cells  %d\n", res.IncorrectVoronoiCells)
+		fmt.Fprintf(stdout, "incorrect cells  %d\n", res.IncorrectVoronoiCells)
 	}
-	fmt.Printf("wall time        %s\n", res.Elapsed.Round(1e6))
+	fmt.Fprintf(stdout, "wall time        %s\n", res.Elapsed.Round(1e6))
 
 	if cfg.Trace != nil && len(res.Trace) == 0 {
 		// The Voronoi/OPT baselines compute layouts outside the event loop;
 		// say so instead of printing an empty table.
-		fmt.Printf("\nscheme %s yields no trace (its layout is computed outside the event loop)\n", res.Scheme)
+		fmt.Fprintf(stdout, "\nscheme %s yields no trace (its layout is computed outside the event loop)\n", res.Scheme)
 	}
 	if len(res.Trace) > 0 {
-		fmt.Println()
-		fmt.Println("     t  coverage  connected  moving  total moved  max moved")
+		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout, "     t  coverage  connected  moving  total moved  max moved")
 		for _, s := range res.Trace {
-			fmt.Printf("%6.0f    %5.1f%%  %9d  %6d  %9.1f m  %7.1f m\n",
+			fmt.Fprintf(stdout, "%6.0f    %5.1f%%  %9d  %6d  %9.1f m  %7.1f m\n",
 				s.Time, 100*s.Coverage, s.Connected, s.Moving, s.TotalMoved, s.MaxMoved)
 		}
 	}
 	if c := res.Convergence; c != nil {
-		fmt.Println()
-		fmt.Printf("t90 coverage     %.0f s\n", c.TimeTo90Coverage)
-		fmt.Printf("t99 coverage     %.0f s\n", c.TimeTo99Coverage)
+		fmt.Fprintln(stdout)
+		fmt.Fprintf(stdout, "t90 coverage     %.0f s\n", c.TimeTo90Coverage)
+		fmt.Fprintf(stdout, "t99 coverage     %.0f s\n", c.TimeTo99Coverage)
 		if c.TimeToConnectivity >= 0 {
-			fmt.Printf("connectivity     %.0f s\n", c.TimeToConnectivity)
+			fmt.Fprintf(stdout, "connectivity     %.0f s\n", c.TimeToConnectivity)
 		} else {
-			fmt.Println("connectivity     never (final layout not fully connected)")
+			fmt.Fprintln(stdout, "connectivity     never (final layout not fully connected)")
 		}
-		fmt.Printf("settled          %.0f s (total %.1f m, max %.1f m)\n",
+		fmt.Fprintf(stdout, "settled          %.0f s (total %.1f m, max %.1f m)\n",
 			c.SettlingTime, c.TotalMovedAtSettle, c.MaxMovedAtSettle)
 	}
 
 	if showMap {
-		fmt.Println()
-		fmt.Print(res.ASCIIMap(72))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, res.ASCIIMap(72))
 	}
 	if csvPath != "" {
 		if err := os.WriteFile(csvPath, []byte(res.PositionsCSV()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write csv: %v\n", err)
+			fmt.Fprintf(stderr, "write csv: %v\n", err)
 			return 1
 		}
-		fmt.Printf("wrote %s\n", csvPath)
+		fmt.Fprintf(stdout, "wrote %s\n", csvPath)
 	}
 	if traceCSV != "" {
 		if err := os.WriteFile(traceCSV, []byte(traceSeriesCSV(res.Trace)), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write trace csv: %v\n", err)
+			fmt.Fprintf(stderr, "write trace csv: %v\n", err)
 			return 1
 		}
-		fmt.Printf("wrote %s\n", traceCSV)
+		fmt.Fprintf(stdout, "wrote %s\n", traceCSV)
 	}
 	return 0
 }
@@ -424,33 +523,33 @@ func traceSeriesCSV(trace []mobisense.TraceSample) string {
 	return sb.String()
 }
 
-func printAggregates(sr mobisense.SweepResult) {
+func printAggregates(stdout io.Writer, sr mobisense.SweepResult) {
 	for _, a := range sr.Aggregates {
 		scen := a.Scenario
 		if scen == "" {
 			scen = "(custom field)"
 		}
-		fmt.Printf("%s on %s, N=%d", a.Scheme, scen, a.N)
+		fmt.Fprintf(stdout, "%s on %s, N=%d", a.Scheme, scen, a.N)
 		for _, ax := range a.Axes {
-			fmt.Printf(", %s=%g", ax.Name, ax.Value)
+			fmt.Fprintf(stdout, ", %s=%g", ax.Name, ax.Value)
 		}
-		fmt.Printf(": %d runs", a.Runs)
+		fmt.Fprintf(stdout, ": %d runs", a.Runs)
 		if a.Errors > 0 {
-			fmt.Printf(" (%d failed)", a.Errors)
+			fmt.Fprintf(stdout, " (%d failed)", a.Errors)
 		}
 		if a.Skipped > 0 {
-			fmt.Printf(" (%d not executed)", a.Skipped)
+			fmt.Fprintf(stdout, " (%d not executed)", a.Skipped)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		if a.Runs == 0 {
 			continue
 		}
-		fmt.Printf("  coverage       %.1f%% ± %.1f  (min %.1f%%, max %.1f%%)\n",
+		fmt.Fprintf(stdout, "  coverage       %.1f%% ± %.1f  (min %.1f%%, max %.1f%%)\n",
 			100*a.Coverage.Mean, 100*a.Coverage.CI95, 100*a.Coverage.Min, 100*a.Coverage.Max)
-		fmt.Printf("  avg distance   %.1f m ± %.1f\n", a.AvgMoveDistance.Mean, a.AvgMoveDistance.CI95)
+		fmt.Fprintf(stdout, "  avg distance   %.1f m ± %.1f\n", a.AvgMoveDistance.Mean, a.AvgMoveDistance.CI95)
 		if a.Messages.Mean > 0 {
-			fmt.Printf("  messages       %.0f ± %.0f\n", a.Messages.Mean, a.Messages.CI95)
+			fmt.Fprintf(stdout, "  messages       %.0f ± %.0f\n", a.Messages.Mean, a.Messages.CI95)
 		}
-		fmt.Printf("  connected      %.0f%% of runs\n", 100*a.ConnectedFraction)
+		fmt.Fprintf(stdout, "  connected      %.0f%% of runs\n", 100*a.ConnectedFraction)
 	}
 }

@@ -1,7 +1,8 @@
 // Command report merges one or more sweep store directories — typically
 // the shards of one sweep run on different machines, or a single store
-// written by deploy -store / experiments -store — and prints the
-// per-(scheme, scenario, N) aggregates recomputed from the stored records.
+// written by deploy -store (deploy -figure writes one per figure) — and
+// prints the per-(scheme, scenario, N) aggregates recomputed from the
+// stored records.
 //
 // Usage:
 //

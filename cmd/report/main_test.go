@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mobisense"
 )
 
 // TestRunFlags: run rejects a bad flag and a command line without store
@@ -60,4 +64,61 @@ func TestRunPreSpecStores(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRunAxisCSVColumns: -csv names one axis_<name> column per swept
+// axis, numeric and string-valued alike, and writes string values as
+// they are.
+func TestRunAxisCSVColumns(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name   string
+		scheme mobisense.Scheme
+		axes   []mobisense.ParamAxis
+		want   []string
+	}{
+		{"rc x ttl", mobisense.SchemeFLOOR,
+			[]mobisense.ParamAxis{mobisense.AxisRc(50, 60), mobisense.AxisFloorTTL(4, 6)},
+			[]string{"axis_rc,axis_floor.ttl"}},
+		{"osc", mobisense.SchemeCPVF,
+			[]mobisense.ParamAxis{mustAxis(t, "cpvf.osc=none,two-step")},
+			[]string{"axis_cpvf.osc", "two-step"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := mobisense.DefaultConfig(tc.scheme)
+			base.N, base.Duration = 20, 60
+			store := filepath.Join(dir, string(tc.scheme)+"-store")
+			sweep := mobisense.Sweep{Base: base, Scenarios: []string{"free"}, Axes: tc.axes, Repeats: 2, Seed: 9}
+			if _, err := sweep.Run(context.Background(), mobisense.BatchOptions{Store: &mobisense.Store{Dir: store}}); err != nil {
+				t.Fatal(err)
+			}
+			csv := filepath.Join(dir, string(tc.scheme)+".csv")
+			var stdout, stderr bytes.Buffer
+			if code := run([]string{"-csv", csv, store}, &stdout, &stderr); code != 0 {
+				t.Fatalf("exit code %d; stderr:\n%s", code, stderr.String())
+			}
+			data, err := os.ReadFile(csv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			header, body, _ := strings.Cut(string(data), "\n")
+			if !strings.Contains(header, tc.want[0]) {
+				t.Errorf("header %q lacks %q", header, tc.want[0])
+			}
+			for _, w := range tc.want[1:] {
+				if !strings.Contains(body, w) {
+					t.Errorf("rows lack %q:\n%s", w, body)
+				}
+			}
+		})
+	}
+}
+
+func mustAxis(t *testing.T, spec string) mobisense.ParamAxis {
+	t.Helper()
+	ax, err := mobisense.ParseAxis(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ax
 }

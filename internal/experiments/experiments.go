@@ -1,724 +1,189 @@
-// Package experiments regenerates every table and figure of the paper's
-// evaluation (§4.3, §5.6, §6). Each function reproduces one artifact and
-// returns structured rows that cmd/experiments prints as CSV/tables and
-// the root bench harness reports as benchmark metrics.
-//
-// All runs go through the public mobisense API: schemes and fields resolve
-// through the scheme/scenario registries and independent runs fan out
-// across cores via the batch runner (mobisense.RunBatch / mobisense.Sweep).
-//
-// Absolute values depend on constants the paper does not specify (force
-// law, invitation cadence); the functions therefore also embed the paper's
-// reported numbers where available so reports can show paper-vs-measured
-// side by side.
+// Package experiments holds the paper's evaluation (§4.3, §5.6, §6) as
+// data: each of Figures 3 and 8–13 and Table 1 is one mobisense.Sweep, at
+// paper scale and as a quick variant, with the paper's reference values
+// and notes on where the reproduction deviates. deploy -figure runs the
+// sweeps with the caller's store, shard and worker options; Rows projects
+// a sweep's runs onto one row per sweep point, and Markdown renders the
+// rows as deploy prints them and as EXPERIMENTS.md records them.
 package experiments
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"path/filepath"
+	"strconv"
+	"strings"
 
 	"mobisense"
-	"mobisense/internal/baseline"
-	"mobisense/internal/cpvf"
-	"mobisense/internal/field"
-	"mobisense/internal/geom"
 	"mobisense/internal/stats"
 )
 
-// Row is one data point of an experiment: a labeled set of parameter and
-// metric columns, ordered for printing.
-type Row struct {
-	Figure  string
-	Label   string
-	Columns []Column
-}
-
-// Column is one named value of a row.
-type Column struct {
+// Figure is one artifact of the paper's evaluation.
+type Figure struct {
+	// Name is the registry key (fig3 … fig13, table1).
 	Name  string
-	Value float64
+	Title string
+	// Full is the paper-scale sweep; Quick shrinks it for tests,
+	// benchmarks and EXPERIMENTS.md. Both leave Seed to the caller.
+	Full, Quick mobisense.Sweep
+	// Paper holds the paper's values of the metric the notes name, keyed
+	// by sweep point as Row.key names it.
+	Paper map[string]float64
+	// Layouts marks figures whose rows need every run's layouts, so
+	// their stores always keep them.
+	Layouts bool
+	// Extra, if set, derives further rows from one sweep point's row and
+	// its runs; they follow the point's row.
+	Extra func(point Row, runs []mobisense.Result) ([]Row, error)
+	Notes []string
 }
 
-// Get returns the named column value (0 when absent).
-func (r Row) Get(name string) float64 {
-	for _, c := range r.Columns {
-		if c.Name == name {
-			return c.Value
+// Row is one sweep point of a figure: the point's key and the mean of
+// each metric over its runs. Rows derived by Figure.Extra name what they
+// hold in Stat: a quantile ("p10") or a lower bound ("hungarian").
+type Row struct {
+	Scheme   mobisense.Scheme
+	Scenario string
+	N        int
+	Axes     []mobisense.AxisValue
+	Stat     string
+	Runs     int
+	// The metric columns; Connected is the fraction of runs whose final
+	// layout is unit-disk connected to the base.
+	Coverage, Distance, Messages, Connected, IncorrectCells float64
+	// Paper is the paper's value at this point (0 when it has none).
+	Paper float64
+}
+
+// key names the row's sweep point, e.g. "cpvf free N=240 rc=60".
+func (r Row) key() string {
+	return strings.TrimSpace(fmt.Sprintf("%s %s N=%d %s", r.Scheme, r.Scenario, r.N, axesString(r.Axes)))
+}
+
+// Figures is the registry, in the paper's order.
+var Figures = []Figure{fig3, fig8, fig9, fig10, fig11, fig12, fig13, table1}
+
+// Lookup finds a figure by name.
+func Lookup(name string) (Figure, bool) {
+	for _, f := range Figures {
+		if f.Name == name {
+			return f, true
 		}
 	}
-	return 0
+	return Figure{}, false
 }
 
-// Options control experiment size, parallelism and persistence.
-type Options struct {
-	// Quick shrinks sweeps and run counts for smoke tests and benches.
-	Quick bool
-	// Seed drives all runs.
-	Seed uint64
-	// Workers sizes the batch runner's worker pool (0 = GOMAXPROCS).
-	Workers int
-	// OnProgress, if set, observes batch completions.
-	OnProgress func(done, total int)
-	// Context cancels in-flight experiments (nil = background). A
-	// cancelled experiment panics with an error matching context.Canceled;
-	// Interrupted recognizes it.
-	Context context.Context
-	// StoreDir, when set, persists each experiment's runs under
-	// StoreDir/<figure> so interrupted suites resume without re-running
-	// finished deployments (set Resume to pick an existing store up).
-	StoreDir string
-	// Resume continues existing stores under StoreDir.
-	Resume bool
-	// StoreLayouts persists every run's initial and final layouts in its
-	// store record, making layout-dependent experiments (fig11's
-	// Hungarian lower bounds) replayable from disk.
-	StoreLayouts bool
-	// Shard restricts every experiment to a deterministic subset of its
-	// runs for cross-machine sharding.
-	Shard mobisense.Shard
-}
-
-func (o Options) seed() uint64 {
-	if o.Seed == 0 {
-		return 1
+// Names lists the registered figure names in the paper's order.
+func Names() []string {
+	names := make([]string, len(Figures))
+	for i, f := range Figures {
+		names[i] = f.Name
 	}
-	return o.Seed
+	return names
 }
 
-func (o Options) ctx() context.Context {
-	if o.Context == nil {
-		return context.Background()
-	}
-	return o.Context
-}
-
-// batch assembles the runner options for one experiment; name scopes the
-// experiment's store subdirectory.
-func (o Options) batch(name string) mobisense.BatchOptions {
-	opts := mobisense.BatchOptions{Workers: o.Workers, OnProgress: o.OnProgress, Shard: o.Shard}
-	if o.StoreDir != "" {
-		opts.Store = &mobisense.Store{
-			Dir:     filepath.Join(o.StoreDir, name),
-			Resume:  o.Resume,
-			Layouts: o.StoreLayouts,
-		}
-	}
-	return opts
-}
-
-// Interrupted reports whether a panic value recovered from an experiment
-// function means the run's context was cancelled (finished runs persist in
-// the store; re-run with Resume to continue).
-func Interrupted(v any) bool {
-	err, ok := v.(error)
-	return ok && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
-}
-
-// Shardable reports whether the named experiment participates in sharded
-// store runs. Fig11 normally does not: its Hungarian lower bounds need
-// every run's full initial and final layout, which plain store records do
-// not carry, so it is skipped rather than half-run. With layout
-// persistence on (Options.StoreLayouts) the records do carry full
-// layouts, and fig11 shards like everything else.
-func Shardable(name string, layouts bool) bool { return name != "fig11" || layouts }
-
-// scenarioField builds the named scenario's field once; configs sharing
-// the returned handle also share one cached coverage estimator per batch.
-func scenarioField(o Options, scenario string) mobisense.Field {
-	f, err := mobisense.BuildScenario(scenario, o.seed())
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return f
-}
-
-// paperConfig returns the §4.3 standard parameters on the given field.
-func paperConfig(o Options, scheme mobisense.Scheme, f mobisense.Field) mobisense.Config {
-	cfg := mobisense.DefaultConfig(scheme)
-	cfg.Seed = o.seed()
-	cfg.Field = f
-	return cfg
-}
-
-// paperBase returns the §4.3 standard parameters with the field left to
-// the sweep's scenario axis.
-func paperBase(o Options, scheme mobisense.Scheme) mobisense.Config {
-	cfg := mobisense.DefaultConfig(scheme)
-	cfg.Seed = o.seed()
-	return cfg
-}
-
-// runSweep fans one axis sweep out on the batch runner with the
-// experiment's store/shard/progress options and returns the per-run
-// results in expansion order, panicking on any per-run error (experiment
-// sweeps are fixed and must run). Cancellation panics with the context's
-// error so callers can distinguish an interrupt (Interrupted) from a
-// broken config. It returns nil under sharding, like runAll: the shard
-// stores its slice and cmd/report merges the tables.
-func runSweep(o Options, name string, s mobisense.Sweep) []mobisense.BatchResult {
-	sr, err := s.Run(o.ctx(), o.batch(name))
-	if err != nil {
-		panic(fmt.Errorf("experiments: %s: %w", name, err))
-	}
-	for _, br := range sr.Runs {
-		if br.Err != nil {
-			panic(fmt.Sprintf("experiments: %s run %d: %v", name, br.Spec.Index, br.Err))
-		}
-	}
-	if o.Shard.Count > 1 {
-		return nil
-	}
-	return sr.Runs
-}
-
-// av is shorthand for one axis assignment in resultAt lookups.
-func av(name string, value float64) mobisense.AxisValue {
-	return mobisense.AxisValue{Name: name, Value: value}
-}
-
-// resultAt finds the sweep run with the given scheme, scenario, N and
-// axis values. Experiment sweeps expand every requested point, so a miss
-// is a bug, not a condition.
-func resultAt(runs []mobisense.BatchResult, scheme mobisense.Scheme, scenario string, n int, axes ...mobisense.AxisValue) mobisense.Result {
+// Rows projects a finished run of the figure's sweep onto one row per
+// sweep point, in expansion order, each followed by its Extra rows.
+// Every run must have succeeded.
+func (f Figure) Rows(runs []mobisense.BatchResult) ([]Row, error) {
+	var points []Row
+	var groups [][]mobisense.Result
+	at := map[string]int{}
 	for _, br := range runs {
-		if br.Spec.Scheme != scheme || br.Spec.Scenario != scenario || br.Spec.N != n {
-			continue
-		}
-		found := true
-		for _, want := range axes {
-			match := false
-			for _, got := range br.Spec.Axes {
-				if got == want {
-					match = true
-					break
-				}
-			}
-			if !match {
-				found = false
-				break
-			}
-		}
-		if found {
-			return br.Result
-		}
-	}
-	panic(fmt.Sprintf("experiments: no run for %s on %s N=%d axes=%v", scheme, scenario, n, axes))
-}
-
-// runAll fans the configs out on the batch runner and unwraps the results,
-// panicking on any per-run error (experiment configs are fixed and must
-// run). Cancellation panics with the context's error so callers can
-// distinguish an interrupt (Interrupted) from a broken config.
-// It returns nil under sharding (Options.Shard): a shard executes and
-// stores its slice of the runs, and the cross-shard tables come from
-// cmd/report over the merged stores.
-func runAll(o Options, name string, cfgs []mobisense.Config) []mobisense.Result {
-	results, err := mobisense.RunBatch(o.ctx(), cfgs, o.batch(name))
-	if err != nil {
-		panic(fmt.Errorf("experiments: %s: %w", name, err))
-	}
-	for _, br := range results {
 		if br.Err != nil {
-			panic(fmt.Sprintf("experiments: %s run %d: %v", name, br.Spec.Index, br.Err))
+			return nil, fmt.Errorf("experiments: %s run %d: %w", f.Name, br.Spec.Index, br.Err)
 		}
-	}
-	if o.Shard.Count > 1 {
-		return nil
-	}
-	out := make([]mobisense.Result, len(cfgs))
-	for i, br := range results {
-		out[i] = br.Result
-	}
-	return out
-}
-
-func toVecs(ps []mobisense.Point) []geom.Vec {
-	out := make([]geom.Vec, len(ps))
-	for i, p := range ps {
-		out[i] = geom.V(p.X, p.Y)
-	}
-	return out
-}
-
-// Fig3 reproduces Figure 3: CPVF layouts and coverage in the three
-// canonical scenarios.
-func Fig3(o Options) []Row {
-	return layoutScenarios(o, "fig3", mobisense.SchemeCPVF,
-		[3]float64{0.745, 0.264, 0.371})
-}
-
-// Fig8 reproduces Figure 8: FLOOR in the same scenarios.
-func Fig8(o Options) []Row {
-	return layoutScenarios(o, "fig8", mobisense.SchemeFLOOR,
-		[3]float64{0.788, 0.462, 0.725})
-}
-
-func layoutScenarios(o Options, figure string, scheme mobisense.Scheme, paper [3]float64) []Row {
-	type scenario struct {
-		label string
-		name  string
-		rc    float64
-		paper float64
-	}
-	scenarios := []scenario{
-		{"(a) rc=60 rs=40 obstacle-free", "free", 60, paper[0]},
-		{"(b) rc=30 rs=40 obstacle-free", "free", 30, paper[1]},
-		{"(c) rc=60 rs=40 two obstacles", "two-obstacles", 60, paper[2]},
-	}
-	fields := map[string]mobisense.Field{}
-	for _, sc := range scenarios {
-		if _, ok := fields[sc.name]; !ok {
-			fields[sc.name] = scenarioField(o, sc.name)
+		sp := br.Spec
+		r := Row{Scheme: sp.Scheme, Scenario: sp.Scenario, N: sp.N, Axes: sp.Axes}
+		k := r.key()
+		i, ok := at[k]
+		if !ok {
+			i = len(points)
+			at[k] = i
+			points = append(points, r)
+			groups = append(groups, nil)
 		}
-	}
-	cfgs := make([]mobisense.Config, len(scenarios))
-	for i, sc := range scenarios {
-		cfg := paperConfig(o, scheme, fields[sc.name])
-		cfg.Rc = sc.rc
-		cfgs[i] = cfg
-	}
-	results := runAll(o, figure, cfgs)
-	if results == nil {
-		return nil
-	}
-	rows := make([]Row, 0, len(scenarios))
-	for i, sc := range scenarios {
-		out := results[i]
-		rows = append(rows, Row{
-			Figure: figure,
-			Label:  sc.label,
-			Columns: []Column{
-				{"coverage", out.Coverage},
-				{"paper_coverage", sc.paper},
-				{"avg_distance", out.AvgMoveDistance},
-				{"connected", boolVal(out.Connected)},
-			},
-		})
-	}
-	return rows
-}
-
-// Fig9 reproduces Figure 9: coverage of CPVF, FLOOR and OPT for varying
-// sensor counts and communication ranges (rs fixed at 60) on the
-// obstacle-free field. An rc axis sweep with a fixed seed matches the
-// paper's protocol: one initial deployment, the range knob varied.
-func Fig9(o Options) []Row {
-	ns := []int{120, 160, 200, 240, 280, 320}
-	rcs := []float64{20, 40, 60}
-	if o.Quick {
-		ns = []int{120, 240}
-		rcs = []float64{20, 60}
-	}
-	rs := 60.0
-	base := paperBase(o, mobisense.SchemeCPVF)
-	base.Rs = rs
-	runs := runSweep(o, "fig9", mobisense.Sweep{
-		Base:      base,
-		Schemes:   []mobisense.Scheme{mobisense.SchemeCPVF, mobisense.SchemeFLOOR, mobisense.SchemeOPT},
-		Scenarios: []string{"free"},
-		Ns:        ns,
-		Axes:      []mobisense.ParamAxis{mobisense.AxisRc(rcs...)},
-		Seed:      o.seed(),
-		FixedSeed: true,
-	})
-	if runs == nil {
-		return nil
+		groups[i] = append(groups[i], br.Result)
 	}
 	var rows []Row
-	for _, rc := range rcs {
-		for _, n := range ns {
-			at := func(s mobisense.Scheme) mobisense.Result {
-				return resultAt(runs, s, "free", n, av("rc", rc))
+	for i, r := range points {
+		r.Runs = len(groups[i])
+		r.fill(groups[i], stats.Mean)
+		r.Paper = f.Paper[r.key()]
+		rows = append(rows, r)
+		if f.Extra != nil {
+			extra, err := f.Extra(r, groups[i])
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %s: %w", f.Name, err)
 			}
-			rows = append(rows, Row{
-				Figure: "fig9",
-				Label:  fmt.Sprintf("rc=%.0f rs=%.0f N=%d", rc, rs, n),
-				Columns: []Column{
-					{"n", float64(n)},
-					{"rc", rc},
-					{"rs", rs},
-					{"cpvf_coverage", at(mobisense.SchemeCPVF).Coverage},
-					{"floor_coverage", at(mobisense.SchemeFLOOR).Coverage},
-					{"opt_coverage", at(mobisense.SchemeOPT).Coverage},
-				},
-			})
+			rows = append(rows, extra...)
 		}
 	}
-	return rows
+	return rows, nil
 }
 
-// Fig10 reproduces Figure 10: FLOOR vs VOR vs Minimax for rs = 60 and
-// rc/rs from 0.8 to 4, with disconnection and incorrect-VD detection.
-// The ratio is a custom axis whose setter drives both ranges at once and,
-// because setters see the fully resolved scheme, applies FLOOR's
-// stabilized-layout measurement protocol only to FLOOR runs.
-func Fig10(o Options) []Row {
-	ratios := []float64{0.8, 1, 1.5, 2, 2.5, 3, 3.5, 4}
-	if o.Quick {
-		ratios = []float64{0.8, 2, 4}
-	}
-	rs := 60.0
-	ratioAxis := mobisense.NewAxis("rc_over_rs", func(cfg *mobisense.Config, ratio float64) {
-		cfg.Rc = ratio * rs
-		cfg.Rs = rs
-		if cfg.Scheme == mobisense.SchemeFLOOR {
-			// Small rc/rs slows FLOOR's relocation pipeline; measure the
-			// stabilized layout like the paper does.
-			cfg.Stabilize = &mobisense.StabilizeOptions{Cap: 2250}
+// fill sets every metric column to stat over the runs' values.
+func (r *Row) fill(runs []mobisense.Result, stat func([]float64) float64) {
+	var cov, dist, msgs, conn, inc []float64
+	for _, res := range runs {
+		c := 0.0
+		if res.Connected {
+			c = 1
 		}
-	}, ratios...)
-	base := paperBase(o, mobisense.SchemeFLOOR)
-	runs := runSweep(o, "fig10", mobisense.Sweep{
-		Base:      base,
-		Schemes:   []mobisense.Scheme{mobisense.SchemeFLOOR, mobisense.SchemeVOR, mobisense.SchemeMinimax},
-		Scenarios: []string{"free"},
-		Axes:      []mobisense.ParamAxis{ratioAxis},
-		Seed:      o.seed(),
-		FixedSeed: true,
-	})
-	if runs == nil {
-		return nil
+		cov = append(cov, res.Coverage)
+		dist = append(dist, res.AvgMoveDistance)
+		msgs = append(msgs, float64(res.Messages))
+		conn = append(conn, c)
+		inc = append(inc, float64(res.IncorrectVoronoiCells))
 	}
-	var rows []Row
-	for _, ratio := range ratios {
-		at := func(s mobisense.Scheme) mobisense.Result {
-			return resultAt(runs, s, "free", base.N, av("rc_over_rs", ratio))
-		}
-		fl, vor, mmx := at(mobisense.SchemeFLOOR), at(mobisense.SchemeVOR), at(mobisense.SchemeMinimax)
-		rows = append(rows, Row{
-			Figure: "fig10",
-			Label:  fmt.Sprintf("rc/rs=%.1f", ratio),
-			Columns: []Column{
-				{"rc_over_rs", ratio},
-				{"floor_coverage", fl.Coverage},
-				{"vor_coverage", vor.Coverage},
-				{"minimax_coverage", mmx.Coverage},
-				{"floor_connected", boolVal(fl.Connected)},
-				{"vor_connected", boolVal(vor.Connected)},
-				{"minimax_connected", boolVal(mmx.Connected)},
-				{"vor_incorrect_cells", float64(vor.IncorrectVoronoiCells)},
-				{"minimax_incorrect_cells", float64(mmx.IncorrectVoronoiCells)},
-			},
-		})
-	}
-	return rows
+	r.Coverage, r.Distance, r.Messages = stat(cov), stat(dist), stat(msgs)
+	r.Connected, r.IncorrectCells = stat(conn), stat(inc)
 }
 
-// Fig11 reproduces Figure 11: the average moving distance of six schemes
-// from the clustered start — CPVF, FLOOR, VOR and Minimax (with the
-// minimum-cost explosion), plus the two Hungarian lower bounds (to the
-// optimal pattern and to FLOOR's own final layout). All four scheme runs
-// share a seed, hence an identical initial layout.
-func Fig11(o Options) []Row {
-	free := scenarioField(o, "free")
-	mkCfg := func(s mobisense.Scheme) mobisense.Config {
-		cfg := paperConfig(o, s, free)
-		if o.Quick {
-			cfg.N = 120
-		}
-		return cfg
+// axesString renders a row's axis assignments as "name=value;…".
+func axesString(axes []mobisense.AxisValue) string {
+	parts := make([]string, len(axes))
+	for i, a := range axes {
+		parts[i] = a.Name + "=" + a.ValueString()
 	}
-	// Fig11's Hungarian lower bounds need the runs' full initial and final
-	// layouts. Plain store records do not persist them, so without layout
-	// persistence this experiment executes live instead of replaying from
-	// a store, and is skipped outright under sharding (Shardable) rather
-	// than burning a shard's worth of runs it could never report on. With
-	// Options.StoreLayouts the records carry full layouts: fig11 then
-	// persists, resumes and shards like every other experiment.
-	if o.Shard.Count > 1 && !o.StoreLayouts {
-		return nil
-	}
-	oRun := o
-	if !o.StoreLayouts {
-		oRun.StoreDir = ""
-	}
-	results := runAll(oRun, "fig11", []mobisense.Config{
-		mkCfg(mobisense.SchemeCPVF),
-		mkCfg(mobisense.SchemeFLOOR),
-		mkCfg(mobisense.SchemeVOR),
-		mkCfg(mobisense.SchemeMinimax),
-	})
-	if results == nil {
-		return nil
-	}
-	cp, fl, vor, mmx := results[0], results[1], results[2], results[3]
-
-	cfg := mkCfg(mobisense.SchemeFLOOR)
-	starts := toVecs(fl.InitialPositions)
-	pattern := baseline.StripPattern(field.StandardBounds(), cfg.N, cfg.Rc, cfg.Rs)
-	optDists, err := baseline.MinMatchingDistance(starts, pattern)
-	if err != nil {
-		panic(err)
-	}
-	floorLB, err := baseline.MinMatchingDistance(starts, toVecs(fl.Positions))
-	if err != nil {
-		panic(err)
-	}
-
-	mk := func(label string, v float64) Row {
-		return Row{
-			Figure:  "fig11",
-			Label:   label,
-			Columns: []Column{{"avg_distance", v}},
-		}
-	}
-	return []Row{
-		mk("CPVF", cp.AvgMoveDistance),
-		mk("FLOOR", fl.AvgMoveDistance),
-		mk("VOR (incl. explosion)", vor.AvgMoveDistance),
-		mk("Minimax (incl. explosion)", mmx.AvgMoveDistance),
-		mk("Hungarian to OPT pattern", stats.Mean(optDists)),
-		mk("Hungarian to FLOOR layout", stats.Mean(floorLB)),
-	}
+	return strings.Join(parts, ";")
 }
 
-// Fig12 reproduces Figure 12: the effect of the oscillation-avoidance
-// factor δ on CPVF's moving distance and coverage, for the one-step and
-// two-step techniques (§6.3).
-func Fig12(o Options) []Row {
-	deltas := []float64{2, 4, 6, 8, 10}
-	if o.Quick {
-		deltas = []float64{2, 8}
-	}
-	// The technique codes are the cpvf.OscMode values the old harness
-	// emitted (one-step = 2, two-step = 3), kept for CSV compatibility.
-	modes := []struct {
-		name string
-		code float64
-	}{{"one-step", float64(cpvf.OscOneStep)}, {"two-step", float64(cpvf.OscTwoStep)}}
-
-	base := paperBase(o, mobisense.SchemeCPVF)
-	if o.Quick {
-		base.N = 120
-	}
-	// The oscillation technique is a custom axis (the modes are coded as
-	// their cpvf.OscMode values); δ is the built-in cpvf.delta axis. Both
-	// setters copy-on-write the CPVF options, so they compose into the
-	// exact option struct the old hand-built list produced.
-	oscAxis := mobisense.NewAxis("cpvf.osc", func(cfg *mobisense.Config, code float64) {
-		opt := mobisense.CPVFOptions{}
-		if cfg.CPVF != nil {
-			opt = *cfg.CPVF
+// Markdown renders the figure's rows as one EXPERIMENTS.md section: the
+// title, a table and the notes.
+func (f Figure) Markdown(rows []Row) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "## %s: %s\n\n", f.Name, f.Title)
+	sb.WriteString("| scheme | scenario | n | axes | stat | runs | coverage | distance (m) | messages | connected | incorrect cells | paper |\n")
+	sb.WriteString("|---|---|--:|---|---|--:|--:|--:|--:|--:|--:|--:|\n")
+	for _, r := range rows {
+		paper := ""
+		if r.Paper != 0 {
+			paper = strconv.FormatFloat(r.Paper, 'f', -1, 64)
 		}
-		switch int(code) {
-		case int(cpvf.OscOneStep):
-			opt.Oscillation = "one-step"
-		case int(cpvf.OscTwoStep):
-			opt.Oscillation = "two-step"
-		default:
-			opt.Oscillation = "none"
-		}
-		cfg.CPVF = &opt
-	}, float64(cpvf.OscOneStep), float64(cpvf.OscTwoStep))
-	sweep := mobisense.Sweep{
-		Base:      base,
-		Schemes:   []mobisense.Scheme{mobisense.SchemeCPVF},
-		Scenarios: []string{"free"},
-		Seed:      o.seed(),
-		FixedSeed: true,
+		fmt.Fprintf(&sb, "| %s | %s | %d | %s | %s | %d | %.4f | %.2f | %.0f | %.3g | %.4g | %s |\n",
+			r.Scheme, r.Scenario, r.N, axesString(r.Axes), r.Stat, r.Runs,
+			r.Coverage, r.Distance, r.Messages, r.Connected, r.IncorrectCells, paper)
 	}
-	withAxes := sweep
-	withAxes.Axes = []mobisense.ParamAxis{oscAxis, mobisense.AxisCPVFDelta(deltas...)}
-	runs := runSweep(o, "fig12", withAxes)
-	// Baseline without avoidance for reference (CPVF options left unset).
-	baseline := runSweep(o, "fig12-base", sweep)
-	if runs == nil || baseline == nil {
-		return nil
+	if len(f.Notes) > 0 {
+		sb.WriteByte('\n')
 	}
-
-	var rows []Row
-	for _, mode := range modes {
-		for _, delta := range deltas {
-			out := resultAt(runs, mobisense.SchemeCPVF, "free", base.N,
-				av("cpvf.osc", mode.code), av("cpvf.delta", delta))
-			rows = append(rows, Row{
-				Figure: "fig12",
-				Label:  fmt.Sprintf("%s δ=%.0f", mode.name, delta),
-				Columns: []Column{
-					{"delta", delta},
-					{"technique", mode.code},
-					{"avg_distance", out.AvgMoveDistance},
-					{"coverage", out.Coverage},
-				},
-			})
-		}
+	for _, n := range f.Notes {
+		fmt.Fprintf(&sb, "- %s\n", n)
 	}
-	noAvoid := baseline[0].Result
-	rows = append(rows, Row{
-		Figure: "fig12",
-		Label:  "no avoidance",
-		Columns: []Column{
-			{"delta", 0},
-			{"technique", 0},
-			{"avg_distance", noAvoid.AvgMoveDistance},
-			{"coverage", noAvoid.Coverage},
-		},
-	})
-	return rows
+	return sb.String()
 }
 
-// Fig13 reproduces Figure 13: CDFs of coverage and moving distance for
-// CPVF and FLOOR over repeated runs on random-obstacle fields (§6.4). The
-// sweep derives one field per repeat, shared by both schemes (paired
-// comparison), and fans the runs out across cores.
-func Fig13(o Options) []Row {
-	runs := 300
-	if o.Quick {
-		runs = 6
-	}
-	results := runSweep(o, "fig13", mobisense.Sweep{
-		Base:      mobisense.DefaultConfig(mobisense.SchemeCPVF),
-		Schemes:   []mobisense.Scheme{mobisense.SchemeCPVF, mobisense.SchemeFLOOR},
-		Scenarios: []string{"random-obstacles"},
-		Repeats:   runs,
-		Seed:      o.seed(),
-	})
-	if results == nil {
-		// A shard stores its slice of the runs; the merged CDFs come from
-		// cmd/report over all shard stores.
-		return nil
-	}
-	var covC, covF, distC, distF []float64
-	for _, br := range results {
-		switch br.Spec.Scheme {
-		case mobisense.SchemeCPVF:
-			covC = append(covC, br.Result.Coverage)
-			distC = append(distC, br.Result.AvgMoveDistance)
-		case mobisense.SchemeFLOOR:
-			covF = append(covF, br.Result.Coverage)
-			distF = append(distF, br.Result.AvgMoveDistance)
-		}
-	}
-	quantiles := []float64{0.1, 0.25, 0.5, 0.75, 0.9}
-	rows := []Row{
-		{
-			Figure: "fig13",
-			Label:  "mean",
-			Columns: []Column{
-				{"cpvf_coverage", stats.Mean(covC)},
-				{"floor_coverage", stats.Mean(covF)},
-				{"cpvf_distance", stats.Mean(distC)},
-				{"floor_distance", stats.Mean(distF)},
-				{"runs", float64(runs)},
-			},
-		},
-	}
-	for _, q := range quantiles {
-		rows = append(rows, Row{
-			Figure: "fig13",
-			Label:  fmt.Sprintf("p%02.0f", q*100),
-			Columns: []Column{
-				{"cpvf_coverage", stats.Quantile(covC, q)},
-				{"floor_coverage", stats.Quantile(covF, q)},
-				{"cpvf_distance", stats.Quantile(distC, q)},
-				{"floor_distance", stats.Quantile(distF, q)},
-			},
-		})
-	}
-	return rows
-}
+// CSVHeader names the columns AppendCSV writes.
+const CSVHeader = "figure,scheme,scenario,n,axes,stat,runs,coverage,distance,messages,connected,incorrect_cells,paper\n"
 
-// Table1 reproduces Table 1: FLOOR's total (and per-node) protocol message
-// counts for varying N and invitation TTL, in the non-obstacle and
-// two-obstacle environments.
-func Table1(o Options) []Row {
-	ns := []int{120, 160, 200, 240}
-	fracs := []float64{0.1, 0.2, 0.3, 0.4}
-	if o.Quick {
-		ns = []int{120}
-		fracs = []float64{0.1, 0.4}
-	}
-	envs := []struct {
-		name     string
-		scenario string
-	}{
-		{"non-obstacle", "free"},
-		{"two-obstacle", "two-obstacles"},
-	}
-	// Paper totals (×1000) indexed by [env][n][frac].
-	paper := map[string]map[int]map[float64]float64{
-		"non-obstacle": {
-			120: {0.1: 225, 0.2: 306, 0.3: 388, 0.4: 470},
-			160: {0.1: 325, 0.2: 472, 0.3: 620, 0.4: 769},
-			200: {0.1: 409, 0.2: 623, 0.3: 837, 0.4: 1052},
-			240: {0.1: 457, 0.2: 714, 0.3: 970, 0.4: 1228},
-		},
-		"two-obstacle": {
-			120: {0.1: 198, 0.2: 286, 0.3: 372, 0.4: 460},
-			160: {0.1: 296, 0.2: 453, 0.3: 609, 0.4: 767},
-			200: {0.1: 387, 0.2: 617, 0.3: 846, 0.4: 1077},
-			240: {0.1: 428, 0.2: 700, 0.3: 973, 0.4: 1246},
-		},
-	}
-	// The paper expresses the TTL as a fraction of N, so the axis setter
-	// resolves each fraction against the run's own sensor count — the
-	// kind of coupled parameter a plain value list cannot express.
-	ttlAxis := mobisense.NewAxis("floor.ttl_frac", func(cfg *mobisense.Config, frac float64) {
-		opt := mobisense.FloorOptions{}
-		if cfg.Floor != nil {
-			opt = *cfg.Floor
+// AppendCSV appends the figure's rows as CSV lines, every value lossless.
+func AppendCSV(dst []byte, figure string, rows []Row) []byte {
+	for _, r := range rows {
+		dst = fmt.Appendf(dst, "%s,%s,%s,%d,%s,%s,%d", figure, r.Scheme, r.Scenario, r.N, axesString(r.Axes), r.Stat, r.Runs)
+		for _, v := range []float64{r.Coverage, r.Distance, r.Messages, r.Connected, r.IncorrectCells, r.Paper} {
+			dst = append(dst, ',')
+			dst = strconv.AppendFloat(dst, v, 'f', -1, 64)
 		}
-		opt.TTL = int(frac * float64(cfg.N))
-		cfg.Floor = &opt
-	}, fracs...)
-	scenarios := make([]string, len(envs))
-	for i, env := range envs {
-		scenarios[i] = env.scenario
+		dst = append(dst, '\n')
 	}
-	runs := runSweep(o, "table1", mobisense.Sweep{
-		Base:      paperBase(o, mobisense.SchemeFLOOR),
-		Schemes:   []mobisense.Scheme{mobisense.SchemeFLOOR},
-		Scenarios: scenarios,
-		Ns:        ns,
-		Axes:      []mobisense.ParamAxis{ttlAxis},
-		Seed:      o.seed(),
-		FixedSeed: true,
-	})
-	if runs == nil {
-		return nil
-	}
-	var rows []Row
-	for _, env := range envs {
-		for _, n := range ns {
-			for _, frac := range fracs {
-				out := resultAt(runs, mobisense.SchemeFLOOR, env.scenario, n, av("floor.ttl_frac", frac))
-				total := float64(out.Messages) / 1000
-				rows = append(rows, Row{
-					Figure: "table1",
-					Label:  fmt.Sprintf("%s N=%d TTL=%.1fN", env.name, n, frac),
-					Columns: []Column{
-						{"n", float64(n)},
-						{"ttl_frac", frac},
-						{"total_k", total},
-						{"per_node_k", total / float64(n)},
-						{"paper_total_k", paper[env.name][n][frac]},
-					},
-				})
-			}
-		}
-	}
-	return rows
-}
-
-// All runs every experiment and returns the rows keyed by figure name.
-func All(o Options) map[string][]Row {
-	return map[string][]Row{
-		"fig3":   Fig3(o),
-		"fig8":   Fig8(o),
-		"fig9":   Fig9(o),
-		"fig10":  Fig10(o),
-		"fig11":  Fig11(o),
-		"fig12":  Fig12(o),
-		"fig13":  Fig13(o),
-		"table1": Table1(o),
-	}
-}
-
-func boolVal(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
+	return dst
 }

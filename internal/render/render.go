@@ -1,5 +1,5 @@
 // Package render produces ASCII maps and CSV dumps of deployment layouts,
-// for the example programs and the experiments CLI.
+// for the example programs and the deploy CLI.
 package render
 
 import (

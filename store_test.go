@@ -205,9 +205,9 @@ func TestShardMergeReproducesUnsharded(t *testing.T) {
 	}
 }
 
-// TestBatchShardMerge: plain RunBatch (explicit config lists, as the
-// experiments harness uses) shards and merges the same way sweeps do —
-// the manifest fingerprint covers the full batch, not the shard's slice.
+// TestBatchShardMerge: plain RunBatch (explicit config lists) shards and
+// merges the same way sweeps do — the manifest fingerprint covers the
+// full batch, not the shard's slice.
 func TestBatchShardMerge(t *testing.T) {
 	cfgs := make([]Config, 6)
 	for i := range cfgs {
