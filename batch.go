@@ -43,6 +43,13 @@ type BatchOptions struct {
 	// Shard restricts execution to a deterministic subset of the runs for
 	// cross-machine sharding; the zero value runs everything.
 	Shard Shard
+
+	// pool, when set, executes the runs instead of a pool made for the
+	// call, and Workers is ignored. A Service shares one across its jobs.
+	pool *runPool
+	// dispatched, when set, is called once every run has been handed to
+	// a pool worker, or dispatch stopped on cancellation.
+	dispatched func()
 }
 
 func (o BatchOptions) workers(jobs int) int {
@@ -160,8 +167,8 @@ func (br BatchResult) skipped() bool {
 
 // RunBatch executes the given configs on a worker pool and returns the
 // results in input order. Per-run failures are reported in the
-// corresponding BatchResult, never as a panic. All runs sharing a field
-// and coverage resolution share one coverage estimator.
+// corresponding BatchResult, never as a panic. Runs sharing a field and
+// coverage resolution share one coverage estimator.
 //
 // Cancelling the context stops dispatching new runs; in-flight runs finish
 // (and reach the store, if any) and the remaining results carry the
@@ -213,9 +220,10 @@ func traceLayouts(cfgs []Config) bool {
 	return false
 }
 
-// runSpecs is the shared worker-pool executor behind RunBatch and
-// Sweep.Run. The specs' Index fields address the full expansion; the slice
-// itself holds only this shard's runs.
+// runSpecs is the one executor behind RunBatch, Sweep.Run and the
+// service: it dispatches the specs' runs, in order, onto opts.pool or onto
+// a pool made for the call. The specs' Index fields address the full
+// expansion; the slice itself holds only this shard's runs.
 func runSpecs(ctx context.Context, specs []RunSpec, opts BatchOptions, m istore.Manifest) ([]BatchResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -257,33 +265,31 @@ func runSpecs(ctx context.Context, specs []RunSpec, opts BatchOptions, m istore.
 		toRun = append(toRun, i)
 	}
 
-	cache := newEstimatorCache()
-	jobs := make(chan int)
-	var wg sync.WaitGroup
+	pool := opts.pool
+	if pool == nil {
+		pool = newRunPool(opts.workers(len(toRun)))
+		defer pool.close()
+	}
+	var running sync.WaitGroup
 	var progressMu sync.Mutex
 	done := len(specs) - len(toRun)
-	for k := opts.workers(len(toRun)); k > 0; k-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for seq := range jobs {
-				i := toRun[seq]
-				cfg := specs[i].Config
-				cfg.estimators = cache
-				start := time.Now()
-				res, stack, err := runIsolated(cfg)
-				out[i] = BatchResult{Spec: specs[i], Result: res, Err: err, Stack: stack}
-				if sess != nil {
-					sess.append(seq, specs[i], res, err, time.Since(start))
-				}
-				if opts.OnProgress != nil {
-					progressMu.Lock()
-					done++
-					opts.OnProgress(done, len(specs))
-					progressMu.Unlock()
-				}
-			}
-		}()
+	run := func(seq int) {
+		defer running.Done()
+		i := toRun[seq]
+		cfg := specs[i].Config
+		cfg.estimators = pool.estimators
+		start := time.Now()
+		res, stack, err := runIsolated(cfg)
+		out[i] = BatchResult{Spec: specs[i], Result: res, Err: err, Stack: stack}
+		if sess != nil {
+			sess.append(seq, specs[i], res, err, time.Since(start))
+		}
+		if opts.OnProgress != nil {
+			progressMu.Lock()
+			done++
+			opts.OnProgress(done, len(specs))
+			progressMu.Unlock()
+		}
 	}
 	// Dispatch in order; once the context is cancelled no further run
 	// starts, but every dispatched run completes, so the store never holds
@@ -296,15 +302,19 @@ dispatch:
 			break dispatch
 		default:
 		}
+		running.Add(1)
 		select {
-		case jobs <- seq:
+		case pool.tasks <- func() { run(seq) }:
 			dispatched++
 		case <-ctx.Done():
+			running.Done()
 			break dispatch
 		}
 	}
-	close(jobs)
-	wg.Wait()
+	if opts.dispatched != nil {
+		opts.dispatched()
+	}
+	running.Wait()
 	for _, i := range toRun[dispatched:] {
 		out[i] = BatchResult{Spec: specs[i], Err: ctx.Err()}
 	}
@@ -315,6 +325,38 @@ dispatch:
 		}
 	}
 	return out, ctx.Err()
+}
+
+// runPool executes runs on a fixed set of worker goroutines, each run as
+// it is handed over. RunBatch and Sweep.Run make one per call; a Service
+// keeps one for its lifetime, so its jobs share the workers and the
+// coverage estimators.
+type runPool struct {
+	tasks      chan func()
+	estimators *estimatorCache
+	wg         sync.WaitGroup
+	closeOnce  sync.Once
+}
+
+func newRunPool(workers int) *runPool {
+	p := &runPool{tasks: make(chan func()), estimators: &estimatorCache{}}
+	for range workers {
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			for task := range p.tasks {
+				task()
+			}
+		}()
+	}
+	return p
+}
+
+// close stops the workers once every dispatched run has finished. Runs
+// must not be dispatched after it.
+func (p *runPool) close() {
+	p.closeOnce.Do(func() { close(p.tasks) })
+	p.wg.Wait()
 }
 
 // runIsolated is Run with a panic contained to its run: the panic
@@ -846,32 +888,40 @@ func splitmix64(x uint64) uint64 {
 }
 
 // estimatorCache shares one coverage.Estimator per (field, resolution)
-// across the runs of a batch: rebuilding the free-space mask per run is
-// pure waste in sweeps. The shared geometry (free-space mask, bounds) is
-// immutable after construction and the mutable query scratch lives in an
-// internal sync.Pool, so concurrent use is safe.
+// across the runs of a pool: rebuilding the free-space mask per run is
+// pure waste in sweeps, and a service meets the same fields job after
+// job. The shared geometry (free-space mask, bounds) is immutable after
+// construction and the mutable query scratch and trackers live in
+// internal pools, so concurrent use is safe. It keeps the
+// estimatorCacheCap most recently used estimators, so a pool that
+// outlives many fields holds a bounded amount of memory.
 type estimatorCache struct {
-	mu sync.Mutex
-	m  map[estimatorKey]*coverage.Estimator
+	mu      sync.Mutex
+	entries []estimatorEntry // least recently used first
 }
 
-type estimatorKey struct {
+const estimatorCacheCap = 32
+
+type estimatorEntry struct {
 	f   *field.Field
 	res float64
-}
-
-func newEstimatorCache() *estimatorCache {
-	return &estimatorCache{m: map[estimatorKey]*coverage.Estimator{}}
+	est *coverage.Estimator
 }
 
 func (c *estimatorCache) get(f *field.Field, res float64) *coverage.Estimator {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := estimatorKey{f, res}
-	e, ok := c.m[k]
-	if !ok {
-		e = coverage.NewEstimator(f, res)
-		c.m[k] = e
+	for i, e := range c.entries {
+		if e.f == f && e.res == res {
+			copy(c.entries[i:], c.entries[i+1:])
+			c.entries[len(c.entries)-1] = e
+			return e.est
+		}
 	}
-	return e
+	if len(c.entries) == estimatorCacheCap {
+		c.entries = append(c.entries[:0], c.entries[1:]...)
+	}
+	e := estimatorEntry{f, res, coverage.NewEstimator(f, res)}
+	c.entries = append(c.entries, e)
+	return e.est
 }

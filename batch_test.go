@@ -7,6 +7,10 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"mobisense/internal/coverage"
+	ifield "mobisense/internal/field"
+	"mobisense/internal/geom"
 )
 
 // sweepConfig is a small, fast base config for batch tests.
@@ -393,5 +397,38 @@ func TestStabilizeExtendsRun(t *testing.T) {
 	}
 	if stable.Coverage <= 0 {
 		t.Errorf("coverage = %v", stable.Coverage)
+	}
+}
+
+// TestEstimatorCacheLRU: a pool's estimator cache answers a repeated
+// (field, resolution) with the same estimator, keys on both, and keeps
+// the estimatorCacheCap most recently used, evicting the least recently
+// used one.
+func TestEstimatorCacheLRU(t *testing.T) {
+	fields := make([]*ifield.Field, estimatorCacheCap+1)
+	for i := range fields {
+		fields[i] = ifield.MustNew(geom.R(0, 0, 100+float64(i), 100), nil)
+	}
+	var c estimatorCache
+	ests := make(map[*ifield.Field]*coverage.Estimator)
+	for _, f := range fields[:estimatorCacheCap] {
+		ests[f] = c.get(f, 5)
+	}
+	if c.get(fields[0], 5) != ests[fields[0]] {
+		t.Fatal("a repeated (field, resolution) built a new estimator")
+	}
+	if c.get(fields[2], 10) == ests[fields[2]] {
+		t.Fatal("another resolution shared the estimator")
+	}
+	// Full: (fields[2], 10) evicted fields[1], the least recently used;
+	// fields[0] was refreshed by its repeat.
+	if len(c.entries) != estimatorCacheCap {
+		t.Fatalf("cache holds %d estimators, want %d", len(c.entries), estimatorCacheCap)
+	}
+	if c.get(fields[0], 5) != ests[fields[0]] {
+		t.Error("the recently used estimator was evicted")
+	}
+	if c.get(fields[1], 5) == ests[fields[1]] {
+		t.Error("the least recently used estimator survived")
 	}
 }

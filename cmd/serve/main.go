@@ -1,6 +1,6 @@
 // Command serve runs the deployment service: an HTTP API that accepts
-// single deployments and full sweeps as asynchronous jobs, executes them
-// on the batch runner's worker pool, streams per-run progress over SSE,
+// single deployments and full sweeps as asynchronous jobs, executes their
+// runs on one shared run pool, streams per-run progress over SSE,
 // caches results by config fingerprint, and persists every job through
 // the sweep store so a restarted server resumes interrupted sweeps
 // without re-running finished work.
@@ -72,8 +72,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		addr      = fs.String("addr", ":8080", "listen address")
 		dataDir   = fs.String("data", "serve-data", "server data directory (jobs, stores, cache source)")
-		workers   = fs.Int("workers", 0, "batch worker-pool size per job (0 = GOMAXPROCS)")
-		jobs      = fs.Int("jobs", 1, "number of jobs executing concurrently")
+		workers   = fs.Int("workers", 0, "most runs executing at once across all jobs: the size of the shared run pool (0 = GOMAXPROCS)")
+		jobs      = fs.Int("jobs", 1, "how many jobs dispatch runs at once; a job stops counting once its last run is handed to a worker")
 		jobsTTL   = fs.Duration("jobs-ttl", 0, "prune finished jobs (and their stores) older than this at startup and periodically (0 = keep forever)")
 		cacheSize = fs.Int("cache-size", 0, "max entries in the fingerprint result cache, evicted LRU (0 = server default of 1024)")
 		logFormat = fs.String("log-format", "text", "structured log format: text or json")

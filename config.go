@@ -82,7 +82,7 @@ type Config struct {
 	Trace *TraceOptions
 
 	// estimators is an optional cache of coverage estimators shared across
-	// the runs of a batch (set by RunBatch/Sweep).
+	// the runs of a run pool (set by runSpecs).
 	estimators *estimatorCache
 	// specErr records a deferred field-construction failure (an axis
 	// setter rebuilding the field around an invalid spec); validate
@@ -217,7 +217,7 @@ var oscillationModes = map[string]cpvf.OscMode{
 }
 
 // estimatorFor returns the coverage estimator for this config's field,
-// reusing the batch-wide cache when one is attached.
+// reusing the run pool's cache when one is attached.
 func (c Config) estimatorFor(f *field.Field) *coverage.Estimator {
 	if c.estimators != nil {
 		return c.estimators.get(f, c.coverageRes())

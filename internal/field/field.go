@@ -221,23 +221,40 @@ func (f *Field) RandomFreePoint(rng *rand.Rand, sub geom.Rect) geom.Vec {
 	panic("field: RandomFreePoint could not find a free point; region blocked")
 }
 
-// freeSpaceConnected flood-fills a grid over the free space and reports
-// whether every free cell is reachable from the reference point's cell.
+// freeSpaceConnected reports whether every free cell of a res grid over
+// the bounds is reachable from the reference point's cell.
+//
+// Without interior obstacles a cell is free exactly when its centre lies
+// in the bounds. Centres grow with the cell index, so the free cells form
+// a prefix rectangle of the grid, which is connected when it is not empty,
+// that is, when cell (0, 0) is free. Fields with obstacles flood-fill.
 func (f *Field) freeSpaceConnected(res float64) bool {
 	nx := int(f.bounds.W()/res) + 1
 	ny := int(f.bounds.H()/res) + 1
 	if nx <= 0 || ny <= 0 {
 		return true
 	}
-	idx := func(ix, iy int) int { return iy*nx + ix }
-	cell := func(ix, iy int) geom.Vec {
-		return geom.V(f.bounds.Min.X+(float64(ix)+0.5)*res, f.bounds.Min.Y+(float64(iy)+0.5)*res)
+	if len(f.obstacles) == 0 {
+		return f.bounds.Contains(f.cellCentre(res, 0, 0))
 	}
+	return f.flood(res, nx, ny)
+}
+
+// cellCentre is the centre of cell (ix, iy) of a res grid over the bounds.
+func (f *Field) cellCentre(res float64, ix, iy int) geom.Vec {
+	return geom.V(f.bounds.Min.X+(float64(ix)+0.5)*res, f.bounds.Min.Y+(float64(iy)+0.5)*res)
+}
+
+// flood flood-fills the nx×ny grid of res cells over the free space and
+// reports whether every free cell is reachable from the reference point's
+// cell.
+func (f *Field) flood(res float64, nx, ny int) bool {
+	idx := func(ix, iy int) int { return iy*nx + ix }
 	free := make([]bool, nx*ny)
 	nFree := 0
 	for iy := 0; iy < ny; iy++ {
 		for ix := 0; ix < nx; ix++ {
-			p := cell(ix, iy)
+			p := f.cellCentre(res, ix, iy)
 			if f.bounds.Contains(p) && f.Free(p) {
 				free[idx(ix, iy)] = true
 				nFree++

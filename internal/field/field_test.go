@@ -273,3 +273,55 @@ func TestSolidOrientation(t *testing.T) {
 		}
 	}
 }
+
+// TestObstacleFreeCheckMatchesFlood: for bounds without interior
+// obstacles New skips the flood fill and asks only whether cell (0, 0) is
+// free. The flood, still the path for fields with obstacles, is the
+// oracle: on every bounds it must agree, and New must fail with
+// ErrDisconnected exactly when it says no.
+func TestObstacleFreeCheckMatchesFlood(t *testing.T) {
+	// The largest square Spec.Normalize accepts: (w/5 + 1)² = 2²² cells.
+	limit := RectSpec{MaxX: 2047 * connectivityRes, MaxY: 2047 * connectivityRes}
+	if _, err := (Spec{Bounds: limit}).Normalize(); err != nil {
+		t.Fatalf("the limit bounds must normalize: %v", err)
+	}
+	over := RectSpec{MaxX: limit.MaxX + connectivityRes, MaxY: limit.MaxY}
+	if _, err := (Spec{Bounds: over}).Normalize(); err == nil {
+		t.Fatal("bounds one column past the limit normalized")
+	}
+	tests := []struct {
+		name      string
+		b         RectSpec
+		res       float64
+		connected bool
+	}{
+		{"paper square", RectSpec{MaxX: 1000, MaxY: 1000}, connectivityRes, true},
+		{"shifted origin", RectSpec{MinX: 250, MinY: 40, MaxX: 1250, MaxY: 1040}, connectivityRes, true},
+		{"negative origin", RectSpec{MinX: -600, MinY: -1000, MaxX: 400, MaxY: -20}, connectivityRes, true},
+		{"negative fractional origin", RectSpec{MinX: -1003.7, MinY: -17.2, MaxX: -3.3, MaxY: 500.1}, connectivityRes, true},
+		{"size not a multiple of the cell", RectSpec{MaxX: 997.5, MaxY: 13}, connectivityRes, true},
+		{"one cell wide", RectSpec{MaxX: 7.4, MaxY: 300}, connectivityRes, true},
+		{"exactly half a cell", RectSpec{MaxX: 2.5, MaxY: 2.5}, connectivityRes, true},
+		{"under half a cell", RectSpec{MaxX: 2, MaxY: 2}, connectivityRes, false},
+		{"under half a cell wide", RectSpec{MaxX: 2.4, MaxY: 1000}, connectivityRes, false},
+		{"under half a cell high", RectSpec{MinX: -50, MinY: -3, MaxX: 950, MaxY: -0.6}, connectivityRes, false},
+		{"coarser grid", RectSpec{MinX: 3, MinY: -8, MaxX: 1001, MaxY: 997}, 7, true},
+		{"Normalize's limit", limit, connectivityRes, true},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			bounds := tt.b.rect()
+			f := MustNew(bounds, nil, WithoutValidation())
+			nx := int(bounds.W()/tt.res) + 1
+			ny := int(bounds.H()/tt.res) + 1
+			flood := f.flood(tt.res, nx, ny)
+			if got := f.freeSpaceConnected(tt.res); got != flood || got != tt.connected {
+				t.Fatalf("check = %v, flood = %v, want %v", got, flood, tt.connected)
+			}
+			_, err := New(bounds, nil, WithValidationResolution(tt.res))
+			if tt.connected && err != nil || !tt.connected && !errors.Is(err, ErrDisconnected) {
+				t.Errorf("New: %v (flood says connected = %v)", err, flood)
+			}
+		})
+	}
+}

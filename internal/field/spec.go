@@ -155,6 +155,8 @@ const (
 func (s Spec) Normalize() (Spec, error) {
 	out := s.Clone()
 	b := out.Bounds
+	b = RectSpec{MinX: posZero(b.MinX), MinY: posZero(b.MinY), MaxX: posZero(b.MaxX), MaxY: posZero(b.MaxY)}
+	out.Bounds = b
 	if !(b.MaxX > b.MinX) || !(b.MaxY > b.MinY) {
 		return Spec{}, fmt.Errorf("field spec: bounds [%g,%g]×[%g,%g] have no area", b.MinX, b.MaxX, b.MinY, b.MaxY)
 	}
@@ -165,6 +167,7 @@ func (s Spec) Normalize() (Spec, error) {
 	if out.Reference == nil {
 		out.Reference = &PointSpec{X: b.MinX, Y: b.MinY}
 	}
+	*out.Reference = PointSpec{X: posZero(out.Reference.X), Y: posZero(out.Reference.Y)}
 	for i, ob := range out.Obstacles {
 		switch {
 		case len(ob.Rect) > 0 && len(ob.Points) > 0:
@@ -198,6 +201,7 @@ func (s Spec) Normalize() (Spec, error) {
 		if g.MinSide <= 0 || g.MaxSide < g.MinSide {
 			return Spec{}, fmt.Errorf("field spec: generator side range [%g,%g] is invalid", g.MinSide, g.MaxSide)
 		}
+		g.KeepClear = posZero(g.KeepClear)
 	}
 	return out, nil
 }
@@ -206,9 +210,19 @@ func (s Spec) Normalize() (Spec, error) {
 func pointSpecs(poly geom.Polygon) []PointSpec {
 	pts := make([]PointSpec, len(poly))
 	for j, v := range poly {
-		pts[j] = PointSpec{X: v.X, Y: v.Y}
+		pts[j] = PointSpec{X: posZero(v.X), Y: posZero(v.Y)}
 	}
 	return pts
+}
+
+// posZero turns a negative zero into zero. The normal form holds no -0:
+// JSON's omitempty drops it, so it would not survive a round trip, while
+// the fingerprint's %g tells it from 0.
+func posZero(v float64) float64 {
+	if v == 0 {
+		return 0
+	}
+	return v
 }
 
 // Build constructs the field the spec describes. For seeded specs

@@ -231,13 +231,14 @@ func TestHubProgressMonotonic(t *testing.T) {
 	waitTerminal(t, m, v.ID)
 }
 
-func waitTerminal(t *testing.T, m *Manager, id string) {
+// waitTerminal waits for a job to reach a terminal state and returns it.
+func waitTerminal(t *testing.T, m *Manager, id string) JobView {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		v, _ := m.Get(id)
 		if v.State.Terminal() {
-			return
+			return v
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("job %s stuck in %s", id, v.State)

@@ -14,11 +14,14 @@ import (
 
 // stubEngine completes every job instantly with a fixed result; the
 // fingerprint is the raw request body, so distinct bodies are distinct
-// computations. A non-nil gate blocks Execute until the gate closes, and
-// a job whose body equals poison panics.
+// computations. A non-nil gate blocks Execute until the gate closes, a
+// job whose body equals poison panics, and one whose body equals
+// poisonTail reports its last dispatch, waits for tailGate and panics.
 type stubEngine struct {
-	gate   chan struct{}
-	poison string
+	gate       chan struct{}
+	poison     string
+	poisonTail string
+	tailGate   chan struct{}
 }
 
 func (e *stubEngine) Prepare(kind string, req json.RawMessage) (Prepared, error) {
@@ -28,6 +31,14 @@ func (e *stubEngine) Prepare(kind string, req json.RawMessage) (Prepared, error)
 func (e *stubEngine) Execute(ctx context.Context, job ExecJob) (json.RawMessage, error) {
 	if e.poison != "" && string(job.Request) == e.poison {
 		panic("stub engine: poison job")
+	}
+	if e.poisonTail != "" && string(job.Request) == e.poisonTail {
+		job.Dispatched()
+		select {
+		case <-e.tailGate:
+		case <-ctx.Done():
+		}
+		panic("stub engine: poison tail")
 	}
 	if e.gate != nil {
 		select {
@@ -51,23 +62,17 @@ func submitAndWait(t *testing.T, m *Manager, body string) JobView {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !v.State.Terminal() {
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in %s", v.ID, v.State)
-		}
-		time.Sleep(time.Millisecond)
-		v, _ = m.Get(v.ID)
-	}
-	return v
+	return waitTerminal(t, m, v.ID)
 }
 
 // TestPanickingJobFails: a job whose execution panics ends failed with
 // the panic in its error and its stack in the log, and the worker goes on
-// to complete the next job.
+// to complete the next job. A job that panics after its last dispatch,
+// with the next job already done in the slot it freed, ends failed alone.
 func TestPanickingJobFails(t *testing.T) {
 	var log bytes.Buffer
-	m, err := NewManager(t.TempDir(), &stubEngine{poison: `{"bad":1}`}, 1, 0)
+	tail := make(chan struct{})
+	m, err := NewManager(t.TempDir(), &stubEngine{poison: `{"bad":1}`, poisonTail: `{"bad":2}`, tailGate: tail}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,6 +84,24 @@ func TestPanickingJobFails(t *testing.T) {
 	}
 	if good := submitAndWait(t, m, `{"good":1}`); good.State != StateDone {
 		t.Errorf("next job: state %s, error %q", good.State, good.Error)
+	}
+
+	late, err := m.Submit("run", json.RawMessage(`{"bad":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next := submitAndWait(t, m, `{"good":2}`); next.State != StateDone {
+		t.Errorf("job after the dispatched one: state %s, error %q", next.State, next.Error)
+	}
+	if v, _ := m.Get(late.ID); v.State != StateRunning {
+		t.Errorf("dispatched job: state %s before its tail ends, want running", v.State)
+	}
+	close(tail)
+	if v := waitTerminal(t, m, late.ID); v.State != StateFailed || !strings.Contains(v.Error, "job panicked: stub engine: poison tail") {
+		t.Errorf("job panicking in its tail: state %s, error %q", v.State, v.Error)
+	}
+	if good := submitAndWait(t, m, `{"good":3}`); good.State != StateDone {
+		t.Errorf("job after the tail panic: state %s, error %q", good.State, good.Error)
 	}
 	m.Close() // the log is complete once the workers stop
 	if !strings.Contains(log.String(), "job panicked") || !strings.Contains(log.String(), "Execute") {

@@ -52,8 +52,8 @@ var (
 func init() {
 	metrics.Default.Help("jobs_total", "Jobs reaching a terminal state, by outcome.")
 	metrics.Default.Help("jobs_submitted_total", "Jobs accepted for execution, by kind.")
-	metrics.Default.Help("jobs_running", "Jobs currently executing.")
-	metrics.Default.Help("job_queue_depth", "Jobs waiting for a worker.")
+	metrics.Default.Help("jobs_running", "Jobs dispatching or finishing runs; a job whose last runs are still executing counts, so this reads up to jobs + workers.")
+	metrics.Default.Help("job_queue_depth", "Jobs waiting for a dispatch slot.")
 	metrics.Default.Help("sse_subscribers", "Open event-stream subscriptions.")
 	metrics.Default.Help("sse_events_sent_total", "Events delivered to subscribers.")
 	metrics.Default.Help("sse_events_dropped_total", "Events dropped or evicted on slow subscribers.")
@@ -125,6 +125,12 @@ type ExecJob struct {
 	Resume   bool
 	// OnProgress observes run completions (calls are serialized).
 	OnProgress func(Progress)
+	// Dispatched frees the job's dispatch slot, so the next queued job
+	// starts while this one's last runs finish. The engine calls it once
+	// its last run is handed to a worker, or dispatch stops on
+	// cancellation. Extra calls are no-ops, and the slot frees when
+	// Execute returns at the latest.
+	Dispatched func()
 }
 
 // Engine executes submitted jobs; the mobisense service façade implements
@@ -290,7 +296,7 @@ func (c *resultCache) remove(key string) {
 }
 
 // Manager owns the job queue: submission, persistence, the result cache,
-// execution workers and event fan-out.
+// job execution and event fan-out.
 type Manager struct {
 	dir    string
 	engine Engine
@@ -299,7 +305,7 @@ type Manager struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	wake   *sync.Cond
-	wg     sync.WaitGroup
+	wg     sync.WaitGroup // dispatch slots and executing jobs
 
 	mu     sync.Mutex
 	jobs   map[string]*job
@@ -327,20 +333,22 @@ func discardLogger() *slog.Logger {
 
 // NewManager opens (or creates) the server data directory, reloads every
 // persisted job — terminal jobs populate the result cache, interrupted
-// ones re-queue with store resume — and starts `workers` job executors
-// (each job saturates the batch runner's own worker pool, so 1 is the
-// sensible default). cacheSize bounds the result cache's entry count
-// (<= 0 selects DefaultCacheSize); the oldest completed entries are
-// evicted LRU once it fills.
-func NewManager(dir string, engine Engine, workers, cacheSize int) (*Manager, error) {
+// ones re-queue with store resume — and starts `jobs` dispatch slots
+// (values below 1 select 1). A job holds a slot from its start until it
+// has dispatched its last run (ExecJob.Dispatched) and then finishes on
+// its own, so with one slot jobs dispatch their runs strictly in queue
+// order. cacheSize bounds the result cache's entry count (<= 0 selects
+// DefaultCacheSize); the oldest completed entries are evicted LRU once it
+// fills.
+func NewManager(dir string, engine Engine, jobs, cacheSize int) (*Manager, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("server: no data directory")
 	}
 	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	if workers < 1 {
-		workers = 1
+	if jobs < 1 {
+		jobs = 1
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
@@ -364,7 +372,7 @@ func NewManager(dir string, engine Engine, workers, cacheSize int) (*Manager, er
 		defer m.mu.Unlock()
 		return float64(len(m.queue))
 	})
-	for i := 0; i < workers; i++ {
+	for i := 0; i < jobs; i++ {
 		m.wg.Add(1)
 		go m.worker()
 	}
@@ -423,8 +431,8 @@ func (m *Manager) scan() error {
 }
 
 // Close stops accepting jobs, cancels the running ones (their finished
-// runs persist; they re-queue on the next start) and waits for the
-// workers to exit.
+// runs persist; they re-queue on the next start) and waits for every job
+// to end.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	m.closed = true
@@ -609,7 +617,10 @@ func (m *Manager) execute(ctx context.Context, id string, exec ExecJob) (result 
 	return m.engine.Execute(ctx, exec)
 }
 
-// worker executes queued jobs until the manager closes.
+// worker is one dispatch slot: it starts the next queued job and waits
+// until that job has dispatched its last run, until the manager closes.
+// The job finishes its runs, aggregates and persists on a goroutine of
+// its own.
 func (m *Manager) worker() {
 	defer m.wg.Done()
 	for {
@@ -633,7 +644,6 @@ func (m *Manager) worker() {
 		j.cancelRun = cancel
 		j.meta.State = StateRunning
 		mJobsRunning.Inc()
-		started := time.Now()
 		m.Logger().Info("job started", "job", id, "kind", j.meta.Kind, "total_runs", j.meta.TotalRuns)
 		m.persistLocked(j)
 		m.broadcastLocked(j, Event{Type: "state", Payload: j.view()})
@@ -642,6 +652,7 @@ func (m *Manager) worker() {
 		// session); the Store layer treats a fresh directory as a new
 		// store either way.
 		_, statErr := os.Stat(storeDir)
+		slot := make(chan struct{})
 		exec := ExecJob{
 			Kind:     j.meta.Kind,
 			Request:  j.meta.Request,
@@ -653,50 +664,64 @@ func (m *Manager) worker() {
 				m.broadcastLocked(j, Event{Type: "progress", Payload: p})
 				m.mu.Unlock()
 			},
+			Dispatched: sync.OnceFunc(func() { close(slot) }),
 		}
+		m.wg.Add(1)
 		m.mu.Unlock()
 
-		result, err := m.execute(ctx, id, exec)
-		cancel()
+		go func() {
+			defer m.wg.Done()
+			defer exec.Dispatched()
+			m.run(ctx, cancel, j, exec)
+		}()
+		<-slot
+	}
+}
 
-		m.mu.Lock()
-		j.cancelRun = nil
-		mJobsRunning.Dec()
-		switch {
-		case err == nil:
-			j.meta.State = StateDone
-			j.meta.Result = result
-			m.cache.add(j.meta.Fingerprint, result)
-			mJobsDone.Inc()
-		case j.cancelRequested:
-			j.meta.State = StateCancelled
-			j.meta.Error = "cancelled"
-			mJobsCancelled.Inc()
-		case ctx.Err() != nil && m.ctx.Err() != nil:
-			// Server shutdown, not a job failure: back to queued so the
-			// next start resumes it from the store.
-			j.meta.State = StateQueued
-		default:
-			j.meta.State = StateFailed
-			j.meta.Error = err.Error()
-			mJobsFailed.Inc()
-		}
-		if j.meta.State.Terminal() {
-			j.meta.Finished = time.Now().UTC()
-		}
-		if err == nil {
-			m.Logger().Info("job finished", "job", id, "state", j.meta.State,
-				"elapsed", time.Since(started).Round(time.Millisecond))
-		} else {
-			m.Logger().Warn("job ended", "job", id, "state", j.meta.State, "err", err,
-				"elapsed", time.Since(started).Round(time.Millisecond))
-		}
-		m.persistLocked(j)
-		m.broadcastLocked(j, Event{Type: "state", Payload: j.view()})
-		if j.meta.State.Terminal() {
-			m.closeSubsLocked(j)
-		}
-		m.mu.Unlock()
+// run executes one started job and records how it ended.
+func (m *Manager) run(ctx context.Context, cancel context.CancelFunc, j *job, exec ExecJob) {
+	id := j.meta.ID
+	started := time.Now()
+	result, err := m.execute(ctx, id, exec)
+	cancel()
+
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j.cancelRun = nil
+	mJobsRunning.Dec()
+	switch {
+	case err == nil:
+		j.meta.State = StateDone
+		j.meta.Result = result
+		m.cache.add(j.meta.Fingerprint, result)
+		mJobsDone.Inc()
+	case j.cancelRequested:
+		j.meta.State = StateCancelled
+		j.meta.Error = "cancelled"
+		mJobsCancelled.Inc()
+	case ctx.Err() != nil && m.ctx.Err() != nil:
+		// Server shutdown, not a job failure: back to queued so the
+		// next start resumes it from the store.
+		j.meta.State = StateQueued
+	default:
+		j.meta.State = StateFailed
+		j.meta.Error = err.Error()
+		mJobsFailed.Inc()
+	}
+	if j.meta.State.Terminal() {
+		j.meta.Finished = time.Now().UTC()
+	}
+	if err == nil {
+		m.Logger().Info("job finished", "job", id, "state", j.meta.State,
+			"elapsed", time.Since(started).Round(time.Millisecond))
+	} else {
+		m.Logger().Warn("job ended", "job", id, "state", j.meta.State, "err", err,
+			"elapsed", time.Since(started).Round(time.Millisecond))
+	}
+	m.persistLocked(j)
+	m.broadcastLocked(j, Event{Type: "state", Payload: j.view()})
+	if j.meta.State.Terminal() {
+		m.closeSubsLocked(j)
 	}
 }
 

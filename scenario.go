@@ -142,7 +142,7 @@ func (sc Scenario) buildField(seed uint64) (Field, error) {
 // fieldBuildCache memoizes field construction by geometry identity and
 // seed. Building a field validates free-space connectivity on a grid —
 // pure waste to repeat for the same geometry — and sharing the immutable
-// *field.Field also lets the batch runner's estimator cache share one
+// *field.Field also lets the run pool's estimator cache share one
 // coverage estimator across every run of that environment. The cache is
 // bounded FIFO; a sweep touches few distinct fields, so the bound only
 // matters for long-lived services crossing many seeded layouts.

@@ -23,11 +23,11 @@ import (
 //	svc, err := mobisense.NewService("serve-data", mobisense.ServiceOptions{})
 //	http.ListenAndServe(":8080", svc.Handler())
 //
-// Jobs submitted over HTTP run asynchronously on the batch runner's
-// worker pool, stream every finished run into a job-owned sweep store
-// (so a killed server resumes mid-sweep on restart), and are answered
-// O(1) from a fingerprint-keyed result cache when an identical
-// computation has already completed.
+// Jobs submitted over HTTP run asynchronously on the service's one run
+// pool, stream every finished run into a job-owned sweep store (so a
+// killed server resumes mid-sweep on restart), and are answered O(1)
+// from a fingerprint-keyed result cache when an identical computation
+// has already completed.
 
 // RunRequest is the JSON body of POST /v1/runs: one deployment. Zero
 // fields take the paper's §4.3 defaults (DefaultConfig).
@@ -236,10 +236,14 @@ func (r SweepRequest) sweep() (Sweep, error) {
 
 // ServiceOptions tune a deployment service.
 type ServiceOptions struct {
-	// Workers sizes each job's batch worker pool (0 = GOMAXPROCS).
+	// Workers is the most runs executing at once across the service: the
+	// size of the run pool every job's runs execute on (0 = GOMAXPROCS,
+	// negative is an error).
 	Workers int
-	// Jobs is the number of jobs executing concurrently (default 1 —
-	// each job already saturates the batch pool).
+	// Jobs is how many jobs dispatch runs at once (default 1). A job
+	// stops counting once its last run is handed to a worker, so the next
+	// job starts while it finishes; with 1, runs start in submission
+	// order across jobs.
 	Jobs int
 	// CacheSize bounds the fingerprint-keyed result cache's entry count;
 	// the least recently used completed entries are evicted beyond it
@@ -254,24 +258,30 @@ type ServiceOptions struct {
 // with on-disk persistence and a fingerprint-keyed result cache. Create
 // one with NewService and mount Handler on an http.Server.
 type Service struct {
-	m *server.Manager
+	m    *server.Manager
+	pool *runPool
 }
 
 // NewService opens (or creates) the service's data directory and starts
-// its job executors. Jobs interrupted by a previous shutdown or crash are
-// re-queued immediately and resume from their stores, re-executing only
-// the runs that never finished.
+// its run pool and job dispatch. Jobs interrupted by a previous shutdown
+// or crash are re-queued immediately and resume from their stores,
+// re-executing only the runs that never finished.
 func NewService(dataDir string, opts ServiceOptions) (*Service, error) {
+	if opts.Workers < 0 {
+		return nil, fmt.Errorf("mobisense: negative worker count %d", opts.Workers)
+	}
 	log := opts.Logger
 	if log == nil {
 		log = slog.New(slog.DiscardHandler)
 	}
-	m, err := server.NewManager(dataDir, &serviceEngine{workers: opts.Workers, log: log}, opts.Jobs, opts.CacheSize)
+	pool := newRunPool(BatchOptions{Workers: opts.Workers}.workers(math.MaxInt))
+	m, err := server.NewManager(dataDir, &serviceEngine{pool: pool, log: log}, opts.Jobs, opts.CacheSize)
 	if err != nil {
+		pool.close()
 		return nil, err
 	}
 	m.SetLogger(opts.Logger)
-	return &Service{m: m}, nil
+	return &Service{m: m, pool: pool}, nil
 }
 
 // Handler returns the service's HTTP API (see internal/server.NewHandler
@@ -285,13 +295,16 @@ func (s *Service) Handler() http.Handler { return server.NewHandler(s.m) }
 func (s *Service) GC(ttl time.Duration) int { return s.m.GC(ttl) }
 
 // Close cancels running jobs (finished runs persist and resume on the
-// next start) and waits for the executors to stop.
-func (s *Service) Close() { s.m.Close() }
+// next start) and waits for them and the run pool to stop.
+func (s *Service) Close() {
+	s.m.Close()
+	s.pool.close()
+}
 
 // serviceEngine implements internal/server.Engine on the batch runner.
 type serviceEngine struct {
-	workers int
-	log     *slog.Logger // receives the stacks of runs that panicked
+	pool *runPool     // every job's runs execute here
+	log  *slog.Logger // receives the stacks of runs that panicked
 }
 
 // logPanics writes the stack of every run that panicked to the service
@@ -390,9 +403,7 @@ type SweepJobResult struct {
 }
 
 func (e *serviceEngine) Execute(ctx context.Context, job server.ExecJob) (json.RawMessage, error) {
-	opts := BatchOptions{
-		Workers: e.workers,
-	}
+	opts := BatchOptions{pool: e.pool, dispatched: job.Dispatched}
 	switch job.Kind {
 	case "run":
 		var req RunRequest
