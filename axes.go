@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"mobisense/internal/field"
+	istore "mobisense/internal/store"
 )
 
 // The axis system generalizes sweeps beyond scheme × scenario × N: any
@@ -109,22 +110,9 @@ func (a ParamAxis) validate() error {
 }
 
 // AxisValue is one axis assignment of an expanded run, carried on
-// RunSpec, store records and aggregates. Numeric axes fill Value;
-// categorical axes fill Str (a non-empty Str wins when rendering).
-type AxisValue struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-	Str   string  `json:"str,omitempty"`
-}
-
-// ValueString renders the assignment's value — the categorical string,
-// or the compact lossless numeric form.
-func (a AxisValue) ValueString() string {
-	if a.Str != "" {
-		return a.Str
-	}
-	return formatAxisValue(a.Value)
-}
+// RunSpec, store records and aggregates; its stored form in
+// internal/store documents the fields.
+type AxisValue = istore.AxisValue
 
 // AxisSpec is the serializable form of a built-in axis — the wire shape
 // used by the server's SweepRequest (custom setters don't serialize).
@@ -142,11 +130,6 @@ type AxisSpec struct {
 // whole-number axes.
 func NewAxis(name string, set func(cfg *Config, v float64), values ...float64) ParamAxis {
 	return ParamAxis{Name: name, Values: values, Set: set}
-}
-
-// NewStringAxis defines a custom categorical axis over string values.
-func NewStringAxis(name string, set func(cfg *Config, v string), values ...string) ParamAxis {
-	return ParamAxis{Name: name, Strings: values, SetString: set}
 }
 
 // builtinAxis is one entry of the axis registry behind BuildAxis (and
@@ -424,13 +407,6 @@ func ParseAxis(spec string) (ParamAxis, error) {
 		values[i] = v
 	}
 	return BuildAxis(name, values...)
-}
-
-// formatAxisValue renders an axis value compactly and losslessly for keys,
-// tables and CSV columns (integer axis values render without a decimal
-// point).
-func formatAxisValue(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // axisTupleKey condenses a run's axis assignments into a comparable string

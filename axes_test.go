@@ -307,8 +307,8 @@ func TestIntegerAxisValidation(t *testing.T) {
 		t.Error("floor.ttl should be an integer axis")
 	}
 	for _, v := range ax.Values {
-		if formatAxisValue(v) != fmt.Sprintf("%d", int(v)) {
-			t.Errorf("integer axis value %v renders as %q", v, formatAxisValue(v))
+		if got := (AxisValue{Value: v}).ValueString(); got != fmt.Sprintf("%d", int(v)) {
+			t.Errorf("integer axis value %v renders as %q", v, got)
 		}
 	}
 	// A custom integer axis is validated by the sweep too.

@@ -485,14 +485,12 @@ func (s Sweep) Expand() ([]RunSpec, error) {
 		return nil, err
 	}
 
-	// Each slot is one value of the environment axis: a registry scenario,
-	// an inline field spec, or ("" with no spec) the base config's field.
-	// Inline specs reuse the scenario machinery through a synthetic
-	// Scenario so seeding, pairing and the build cache behave identically.
+	// Each slot is one value of the environment axis: a registry
+	// scenario's spec, an inline field spec, or (nil spec, no name) the
+	// base config's field.
 	type slot struct {
-		name  string
-		sc    Scenario
-		build bool
+		name string
+		spec *FieldSpec
 	}
 	var scenarios []slot
 	if len(s.Scenarios) == 0 {
@@ -501,7 +499,7 @@ func (s Sweep) Expand() ([]RunSpec, error) {
 			if err != nil {
 				return nil, fmt.Errorf("mobisense: sweep field: %w", err)
 			}
-			scenarios = []slot{{sc: Scenario{Spec: spec, Seeded: spec.Seeded()}, build: true}}
+			scenarios = []slot{{spec: &spec}}
 		} else {
 			scenarios = []slot{{}}
 		}
@@ -514,27 +512,27 @@ func (s Sweep) Expand() ([]RunSpec, error) {
 			if !ok {
 				return nil, fmt.Errorf("mobisense: unknown scenario %q (have %v)", name, ScenarioNames())
 			}
-			scenarios = append(scenarios, slot{name: sc.Name, sc: sc, build: true})
+			scenarios = append(scenarios, slot{name: sc.Name, spec: &sc.Spec})
 		}
 	}
 
-	// Pre-build each scenario's fields: one shared field for unseeded
-	// scenarios, one per repeat for seeded ones. The build cache
-	// deduplicates across repeated expansions (the server expands once to
-	// fingerprint a job and again to execute it) and across sweeps.
+	// Pre-build each slot's fields: one shared field for unseeded specs,
+	// one per repeat for seeded ones. The build cache deduplicates across
+	// repeated expansions (the server expands once to fingerprint a job
+	// and again to execute it) and across sweeps.
 	fields := make([][]Field, len(scenarios))
 	for ci, sl := range scenarios {
-		if !sl.build {
+		if sl.spec == nil {
 			fields[ci] = []Field{s.Base.Field}
 			continue
 		}
 		n := 1
-		if sl.sc.Seeded {
+		if sl.spec.Seeded() {
 			n = repeats
 		}
 		fields[ci] = make([]Field, n)
 		for r := 0; r < n; r++ {
-			f, err := sl.sc.buildField(deriveSeed(base, seedDomainField, uint64(ci), uint64(r)))
+			f, err := BuildFieldSpec(*sl.spec, deriveSeed(base, seedDomainField, uint64(ci), uint64(r)))
 			if err != nil {
 				if sl.name == "" {
 					return nil, fmt.Errorf("mobisense: sweep field repeat %d: %w", r, err)
@@ -689,17 +687,13 @@ func (s Sweep) manifest(sh Shard, totalRuns int) istore.Manifest {
 // specs for the store manifest: one entry per scenario (its registered
 // spec) or one for the inline/base field. A store carrying them is
 // reproducible on a machine that has neither the originating binary nor
-// the -field file. Scenarios that only exist as code (Build-only, no
-// spec) are skipped; manifests written before the field-spec refactor
-// have no entries at all, and resume tolerates their absence.
+// the -field file. Manifests written before the field-spec refactor have
+// no entries at all, and resume tolerates their absence.
 func (s Sweep) fieldEntries() []istore.FieldEntry {
 	if len(s.Scenarios) > 0 {
 		var out []istore.FieldEntry
 		for _, name := range s.Scenarios {
-			sc, ok := LookupScenario(name)
-			if !ok || sc.Spec.Empty() {
-				continue
-			}
+			sc, _ := LookupScenario(name) // Expand has resolved every name
 			out = append(out, istore.FieldEntry{Scenario: sc.Name, Spec: sc.Spec})
 		}
 		return out

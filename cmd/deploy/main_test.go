@@ -2,14 +2,19 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"mobisense"
 	"mobisense/internal/experiments"
+	"mobisense/internal/server"
 )
 
 // deploy runs the command in-process and fails the test unless it exits
@@ -152,9 +157,9 @@ func TestStringAxisReachesStore(t *testing.T) {
 	}
 }
 
-// TestAxisSweepResumes: an axis sweep stopped by -max-runs resumes to
-// every record, and the store appends, keeping the first records byte
-// for byte.
+// TestAxisSweepResumes: an axis sweep stopped by -max-runs leaves an
+// incomplete manifest and its records, resumes to every record, and the
+// store appends, keeping the first records byte for byte.
 func TestAxisSweepResumes(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "st")
 	sweep := []string{"-scheme", "floor", "-scenario", "free", "-n", "20", "-duration", "60",
@@ -168,9 +173,106 @@ func TestAxisSweepResumes(t *testing.T) {
 	if n := strings.Count(first, "\n"); n != 2 {
 		t.Fatalf("%d records after -max-runs 2", n)
 	}
+	manifest := filepath.Join(dir, "manifest.json")
+	if m := readFile(t, manifest); !strings.Contains(m, `"complete": false`) {
+		t.Errorf("manifest after -max-runs 2:\n%s", m)
+	}
 	deploy(t, 0, append(sweep, "-resume")...)
 	all := readFile(t, records)
 	if n := strings.Count(all, "\n"); n != 4 || !strings.HasPrefix(all, first) {
 		t.Errorf("resumed store has %d records and keeps the first ones: %v", n, strings.HasPrefix(all, first))
 	}
+	if m := readFile(t, manifest); !strings.Contains(m, `"complete": true`) {
+		t.Errorf("manifest after -resume:\n%s", m)
+	}
+}
+
+// TestStoreLayoutsFlag: -store-layouts persists each run's final and
+// initial layouts in its store record.
+func TestStoreLayoutsFlag(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "st")
+	deploy(t, 0, "-scheme", "floor", "-scenario", "random", "-n", "20", "-duration", "60", "-runs", "2",
+		"-workers", "2", "-seed", "9", "-store", dir, "-store-layouts")
+	recs := readFile(t, filepath.Join(dir, "records.jsonl"))
+	for _, key := range []string{`"positions":[{`, `"initial_positions":[{`} {
+		if strings.Count(recs, key) != 2 {
+			t.Errorf("records lack %s in every run:\n%s", key, recs)
+		}
+	}
+}
+
+// TestFieldSweepMatchesServe: a custom field spec swept with -field embeds
+// the spec in its store manifest, whose bounds read back, and the serve
+// API's inline "field" sweep of the same request reaches the same
+// aggregates.
+func TestFieldSweepMatchesServe(t *testing.T) {
+	dir := t.TempDir()
+	spec := `{"name": "lshape-door", "bounds": {"max_x": 1000, "max_y": 1000},
+		"obstacles": [{"rect": [500, 500, 1000, 1000]}, {"rect": [480, 0, 520, 460]}]}`
+	specFile := filepath.Join(dir, "custom.json")
+	if err := os.WriteFile(specFile, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store := filepath.Join(dir, "deployed")
+	deploy(t, 0, "-scheme", "floor", "-field", specFile, "-n", "20", "-duration", "60", "-runs", "4",
+		"-workers", "2", "-seed", "9", "-store", store, "-map=false")
+	if m := readFile(t, filepath.Join(store, "manifest.json")); !strings.Contains(m, `"fields"`) {
+		t.Errorf("manifest does not embed the field spec:\n%s", m)
+	}
+	data, err := mobisense.LoadStores(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := data.Stores[0].Fields; len(f) != 1 || f[0].Spec.Bounds.MaxX != 1000 || len(f[0].Spec.Obstacles) != 2 {
+		t.Errorf("embedded fields read back as %+v", f)
+	}
+
+	svc, err := mobisense.NewService(filepath.Join(dir, "serve"), mobisense.ServiceOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	defer svc.Close()
+	body := `{"scheme":"floor","n":20,"duration":60,"repeats":4,"seed":9,"field":` + spec + `}`
+	job := requestJob(t, http.MethodPost, ts.URL+"/v1/sweeps", body)
+	for deadline := time.Now().Add(2 * time.Minute); job.State != server.StateDone; {
+		if job.State.Terminal() || time.Now().After(deadline) {
+			t.Fatalf("job %s state %q (err %q), want done", job.ID, job.State, job.Error)
+		}
+		time.Sleep(20 * time.Millisecond)
+		job = requestJob(t, http.MethodGet, ts.URL+"/v1/jobs/"+job.ID, "")
+	}
+	// The records' config fingerprints differ (deploy's flags set scheme
+	// options the request leaves at their defaults); the runs do not.
+	served := filepath.Join(dir, "serve", "jobs", job.ID, "store")
+	if m := readFile(t, filepath.Join(served, "manifest.json")); !strings.Contains(m, `"fields"`) {
+		t.Errorf("served manifest does not embed the field spec:\n%s", m)
+	}
+	got, err := mobisense.LoadStores(served)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Runs) != 4 || !reflect.DeepEqual(got.Aggregates, data.Aggregates) {
+		t.Errorf("served aggregates of %d runs differ from deploy -field's:\n%+v\nwant:\n%+v", len(got.Runs), got.Aggregates, data.Aggregates)
+	}
+}
+
+// requestJob sends one request to the service and decodes the job it answers.
+func requestJob(t *testing.T, method, url, body string) server.JobView {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var v server.JobView
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	return v
 }

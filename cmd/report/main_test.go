@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"mobisense"
 )
@@ -121,4 +122,79 @@ func mustAxis(t *testing.T, spec string) mobisense.ParamAxis {
 		t.Fatal(err)
 	}
 	return ax
+}
+
+// floorSweep is a small FLOOR sweep over seeded random obstacles.
+func floorSweep() mobisense.Sweep {
+	base := mobisense.DefaultConfig(mobisense.SchemeFLOOR)
+	base.N, base.Duration = 20, 60
+	return mobisense.Sweep{Base: base, Scenarios: []string{"random"}, Repeats: 6, Seed: 9}
+}
+
+// report runs the command in-process, fails the test unless it exits 0,
+// and returns its stdout.
+func report(t *testing.T, args ...string) string {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("report %s: exit code %d; stderr:\n%s", strings.Join(args, " "), code, stderr.String())
+	}
+	return stdout.String()
+}
+
+// TestRunShardsMergeToUnshardedCSV: the shard stores 0/2 and 1/2 of a
+// sweep merge to the unsharded store's -csv byte for byte, and the
+// merged table lists the scheme.
+func TestRunShardsMergeToUnshardedCSV(t *testing.T) {
+	dir := t.TempDir()
+	path := func(name string) string { return filepath.Join(dir, name) }
+	for name, shard := range map[string]mobisense.Shard{"full": {}, "s0": {Index: 0, Count: 2}, "s1": {Index: 1, Count: 2}} {
+		opts := mobisense.BatchOptions{Workers: 2, Shard: shard, Store: &mobisense.Store{Dir: path(name)}}
+		if _, err := floorSweep().Run(context.Background(), opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	report(t, "-csv", path("full.csv"), path("full"))
+	if out := report(t, "-csv", path("merged.csv"), path("s0"), path("s1")); !strings.Contains(out, "floor") {
+		t.Errorf("merged table lacks the scheme:\n%s", out)
+	}
+	full, err := os.ReadFile(path("full.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := os.ReadFile(path("merged.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full) == 0 || !bytes.Equal(full, merged) {
+		t.Errorf("merged shards' CSV differs from the unsharded store's:\n%s\nwant:\n%s", merged, full)
+	}
+}
+
+// TestRunWatchExitsOnComplete: -watch polls a store while a sweep writes
+// it and exits 0 once the store completes.
+func TestRunWatchExitsOnComplete(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "st")
+	swept := make(chan error, 1)
+	go func() {
+		_, err := floorSweep().Run(context.Background(), mobisense.BatchOptions{Workers: 2, Store: &mobisense.Store{Dir: dir}})
+		swept <- err
+	}()
+	var stdout, stderr bytes.Buffer
+	watched := make(chan int, 1)
+	go func() { watched <- run([]string{"-watch", "-interval", "20ms", dir}, &stdout, &stderr) }()
+	select {
+	case code := <-watched:
+		if code != 0 {
+			t.Errorf("exit code %d; stderr:\n%s", code, stderr.String())
+		}
+	case <-time.After(2 * time.Minute):
+		t.Fatal("-watch did not exit after the store completed")
+	}
+	if err := <-swept; err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stdout.String(), "total: 6/6 runs, complete") {
+		t.Errorf("watch output lacks the completed total:\n%s", stdout.String())
+	}
 }

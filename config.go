@@ -11,6 +11,7 @@ import (
 	"mobisense/internal/field"
 	"mobisense/internal/floor"
 	"mobisense/internal/geom"
+	istore "mobisense/internal/store"
 )
 
 // Scheme identifies a deployment scheme.
@@ -33,11 +34,8 @@ const (
 	SchemeOPT Scheme = "opt"
 )
 
-// Point is a 2-D point in meters.
-type Point struct {
-	X float64 `json:"x"`
-	Y float64 `json:"y"`
-}
+// Point is a 2-D point in meters, the same type store records hold.
+type Point = istore.Point
 
 // Config describes one deployment run. The zero value is not runnable; use
 // DefaultConfig and adjust.

@@ -1,16 +1,11 @@
 package mobisense
 
-import (
-	"fmt"
-	"math/rand/v2"
-
-	"mobisense/internal/field"
-	"mobisense/internal/geom"
-)
+import "mobisense/internal/field"
 
 // Field is an opaque handle to a deployment area: a rectangle with
-// optional polygonal obstacles. Construct with ObstacleFreeField,
-// TwoObstacleField, RandomObstacleField or NewField.
+// optional polygonal obstacles. Build a registered scenario's field with
+// BuildScenario, or any declarative FieldSpec with BuildFieldSpec;
+// ObstacleFreeField is the default.
 type Field struct {
 	f *field.Field
 }
@@ -44,41 +39,12 @@ func (fl Field) FreeAreaFraction() float64 {
 }
 
 // ObstacleFreeField returns the paper's standard 1000×1000 m field with no
-// obstacles and the base station at the origin.
+// obstacles and the base station at the origin: the "free" scenario's
+// field, from the same build cache entry.
 func ObstacleFreeField() Field {
-	return Field{f: field.ObstacleFree()}
-}
-
-// TwoObstacleField returns the Figure 3(c)/8(c) field: two rectangular
-// slabs walling off the initial cluster area with three exits.
-func TwoObstacleField() Field {
-	return Field{f: field.TwoObstacles()}
-}
-
-// RandomObstacleField returns a 1000×1000 m field with 1–4 random
-// rectangular obstacles per §6.4 (possibly overlapping, never partitioning
-// the field).
-func RandomObstacleField(seed uint64) (Field, error) {
-	rng := rand.New(rand.NewPCG(seed, seed^0xabcdef12345))
-	f, err := field.RandomObstacles(rng, field.DefaultRandomObstacleConfig())
+	f, err := BuildFieldSpec(FieldSpec{Bounds: standardBoundsSpec()}, 0)
 	if err != nil {
-		return Field{}, fmt.Errorf("mobisense: %w", err)
+		panic(err) // fixed, valid geometry
 	}
-	return Field{f: f}, nil
-}
-
-// NewField builds a custom field of the given size with rectangular
-// obstacles, each given as [4]float64{x0, y0, x1, y1}. The base station
-// sits at the origin. It errors if the obstacles partition the free space
-// or bury the base station.
-func NewField(width, height float64, obstacles [][4]float64) (Field, error) {
-	polys := make([]geom.Polygon, len(obstacles))
-	for i, r := range obstacles {
-		polys[i] = geom.R(r[0], r[1], r[2], r[3]).Polygon()
-	}
-	f, err := field.New(geom.R(0, 0, width, height), polys)
-	if err != nil {
-		return Field{}, fmt.Errorf("mobisense: %w", err)
-	}
-	return Field{f: f}, nil
+	return f
 }

@@ -3,6 +3,7 @@ package mobisense
 import (
 	"fmt"
 	"os"
+	"sync"
 
 	"mobisense/internal/field"
 )
@@ -71,24 +72,63 @@ func LoadFieldSpecFile(path string) (FieldSpec, error) {
 	return s, nil
 }
 
-// BuildFieldSpec constructs a field from a declarative spec. For seeded
-// specs (Generator set) the seed selects the generated layout; fixed
-// specs ignore it. Builds are cached by geometry fingerprint and seed, so
-// sweeps, paired scheme comparisons and repeated service requests share
-// one immutable field (and therefore one coverage estimator) instead of
-// re-validating the free space every time.
+// BuildFieldSpec constructs a field from a declarative spec; every field
+// of a scenario, an inline sweep field, a -field file or a field axis is
+// built here. For seeded specs (Generator set) the seed selects the
+// generated layout; fixed specs ignore it. Builds are cached by geometry
+// fingerprint and seed, so sweeps, paired scheme comparisons and repeated
+// service requests share one immutable field (and therefore one coverage
+// estimator) instead of re-validating the free space every time.
 func BuildFieldSpec(spec FieldSpec, seed uint64) (Field, error) {
-	eff := seed
 	if !spec.Seeded() {
-		eff = 0
+		seed = 0
 	}
-	return cachedFieldBuild("spec:"+spec.Fingerprint(), eff, func() (Field, error) {
-		f, err := spec.Build(seed)
-		if err != nil {
-			return Field{}, fmt.Errorf("mobisense: field spec: %w", err)
-		}
-		return Field{f: f}, nil
-	})
+	k := fieldCacheKey{spec.Fingerprint(), seed}
+	fieldBuildCache.Lock()
+	f, ok := fieldBuildCache.m[k]
+	fieldBuildCache.Unlock()
+	if ok {
+		return f, nil
+	}
+	// Build outside the lock: construction can flood-fill a large grid,
+	// and a duplicate concurrent build is benign (identical geometry).
+	inner, err := spec.Build(seed)
+	if err != nil {
+		return Field{}, fmt.Errorf("mobisense: field spec: %w", err)
+	}
+	f = Field{f: inner}
+	fieldBuildCache.Lock()
+	defer fieldBuildCache.Unlock()
+	if cached, ok := fieldBuildCache.m[k]; ok {
+		return cached, nil
+	}
+	fieldBuildCache.m[k] = f
+	fieldBuildCache.order = append(fieldBuildCache.order, k)
+	if len(fieldBuildCache.order) > fieldBuildCacheCap {
+		delete(fieldBuildCache.m, fieldBuildCache.order[0])
+		fieldBuildCache.order = fieldBuildCache.order[1:]
+	}
+	return f, nil
+}
+
+// fieldBuildCache memoizes BuildFieldSpec by geometry fingerprint and
+// seed. Building a field validates free-space connectivity on a grid —
+// pure waste to repeat for the same geometry — and sharing the immutable
+// *field.Field also lets the run pool's estimator cache share one
+// coverage estimator across every run of that environment. The cache is
+// bounded FIFO; a sweep touches few distinct fields, so the bound only
+// matters for long-lived services crossing many seeded layouts.
+const fieldBuildCacheCap = 128
+
+var fieldBuildCache = struct {
+	sync.Mutex
+	m     map[fieldCacheKey]Field
+	order []fieldCacheKey
+}{m: map[fieldCacheKey]Field{}}
+
+type fieldCacheKey struct {
+	fingerprint string
+	seed        uint64
 }
 
 // Spec returns the declarative spec describing this field. Fields built

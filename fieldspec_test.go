@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	ifield "mobisense/internal/field"
+	"mobisense/internal/geom"
 	istore "mobisense/internal/store"
 )
 
@@ -42,24 +43,37 @@ func runOn(t *testing.T, f Field) Result {
 // TestScenarioSpecsMatchLegacyBuilders is the field-spec refactor's
 // acceptance test: every built-in scenario, rebuilt from its encoded
 // (JSON round-tripped) spec, must produce bit-identical run metrics to
-// the pre-spec code builder for that environment. New spec-only
-// scenarios compare the registry build against an uncached rebuild from
-// the encoded spec instead.
+// the pre-spec code builder for that environment. The legacy builders
+// are frozen here as geometry literals. New spec-only scenarios compare
+// the registry build against an uncached rebuild from the encoded spec
+// instead.
 func TestScenarioSpecsMatchLegacyBuilders(t *testing.T) {
 	const seed = 7
-	legacy := map[string]func() (Field, error){
-		"free":          func() (Field, error) { return Field{f: ifield.ObstacleFree()}, nil },
-		"two-obstacles": func() (Field, error) { return Field{f: ifield.TwoObstacles()}, nil },
-		"corridor":      func() (Field, error) { return Field{f: ifield.Corridor()}, nil },
-		"campus":        func() (Field, error) { return Field{f: ifield.Campus()}, nil },
-		"random-obstacles": func() (Field, error) {
-			return RandomObstacleField(seed)
-		},
-		"disaster": func() (Field, error) {
-			rng := rand.New(rand.NewPCG(seed, seed^0x6d0b15a7e9c3))
-			f, err := ifield.RandomObstacles(rng, ifield.DisasterObstacleConfig())
-			return Field{f: f}, err
-		},
+	square := geom.R(0, 0, 1000, 1000)
+	rects := func(bounds geom.Rect, rs ...geom.Rect) func() (*ifield.Field, error) {
+		return func() (*ifield.Field, error) {
+			polys := make([]geom.Polygon, len(rs))
+			for i, r := range rs {
+				polys[i] = r.Polygon()
+			}
+			return ifield.New(bounds, polys)
+		}
+	}
+	generated := func(salt uint64, cfg ifield.RandomObstacleConfig) func() (*ifield.Field, error) {
+		return func() (*ifield.Field, error) {
+			return ifield.RandomObstacles(rand.New(rand.NewPCG(seed, seed^salt)), cfg)
+		}
+	}
+	legacy := map[string]func() (*ifield.Field, error){
+		"free":          rects(square),
+		"two-obstacles": rects(square, geom.R(500, 40, 550, 500), geom.R(120, 500, 450, 550)),
+		"corridor":      rects(square, geom.R(150, 200, 1000, 260), geom.R(0, 450, 850, 510), geom.R(150, 700, 1000, 760)),
+		"campus": rects(geom.R(0, 0, 800, 600),
+			geom.R(150, 100, 350, 250), geom.R(450, 100, 650, 250), geom.R(250, 350, 550, 480)),
+		"random-obstacles": generated(0xabcdef12345,
+			ifield.RandomObstacleConfig{MinCount: 1, MaxCount: 4, MinSide: 80, MaxSide: 400, KeepClear: 30}),
+		"disaster": generated(0x6d0b15a7e9c3,
+			ifield.RandomObstacleConfig{MinCount: 3, MaxCount: 6, MinSide: 60, MaxSide: 250, KeepClear: 30}),
 	}
 
 	for _, sc := range Scenarios() {
@@ -101,7 +115,7 @@ func TestScenarioSpecsMatchLegacyBuilders(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ref := runOn(t, f); !reflect.DeepEqual(ref, fromSpec) {
+			if ref := runOn(t, Field{f: f}); !reflect.DeepEqual(ref, fromSpec) {
 				t.Errorf("legacy builder and encoded spec diverge:\nlegacy: %+v\nspec:   %+v", ref, fromSpec)
 			}
 		})
@@ -251,61 +265,57 @@ func TestSweepFieldScenarioExclusive(t *testing.T) {
 // (scenario, seed) — repeated expansions and paired scheme comparisons
 // share one generated field instead of re-running the generator.
 func TestScenarioBuildCache(t *testing.T) {
-	builds := 0
-	RegisterScenario(Scenario{
-		Name:        "cache-probe",
-		Description: "test scenario counting its builds",
-		Seeded:      true,
-		Build: func(seed uint64) (Field, error) {
-			builds++
-			return RandomObstacleField(seed)
-		},
-	})
-
-	f1, err := BuildScenario("cache-probe", 31)
+	const name = "random-obstacles"
+	f1, err := BuildScenario(name, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := BuildScenario("cache-probe", 31)
+	f2, err := BuildScenario(name, 31)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if builds != 1 {
-		t.Errorf("two builds of the same (scenario, seed) ran the builder %d times, want 1", builds)
 	}
 	if f1.f != f2.f {
 		t.Error("cache returned distinct field instances for one (scenario, seed)")
 	}
-	if _, err := BuildScenario("cache-probe", 32); err != nil {
+	f3, err := BuildScenario(name, 32)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if builds != 2 {
-		t.Errorf("a new seed should build again (builds = %d)", builds)
+	if f3.f == f1.f {
+		t.Error("a new seed returned the cached field of another seed")
 	}
 
 	// A two-scheme paired sweep over the seeded scenario: expanding twice
-	// (the server expands once to fingerprint and once to execute) must
-	// not rebuild the generated environments.
-	builds = 0
+	// (the server expands once to fingerprint and once to execute) returns
+	// the same field instances, one per repeat, shared by both schemes.
 	s := Sweep{
 		Base:      specTestConfig(),
 		Schemes:   []Scheme{SchemeCPVF, SchemeFLOOR},
-		Scenarios: []string{"cache-probe"},
+		Scenarios: []string{name},
 		Repeats:   2,
 		Seed:      9,
 	}
-	if _, err := s.Expand(); err != nil {
+	first, err := s.Expand()
+	if err != nil {
 		t.Fatal(err)
 	}
-	first := builds
-	if first != 2 {
-		t.Errorf("first expansion built %d fields, want 2 (one per repeat)", first)
-	}
-	if _, err := s.Expand(); err != nil {
+	second, err := s.Expand()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if builds != first {
-		t.Errorf("re-expansion rebuilt fields (%d -> %d builds)", first, builds)
+	perRepeat := map[int]*ifield.Field{}
+	for i, sp := range first {
+		f := sp.Config.Field.f
+		if second[i].Config.Field.f != f {
+			t.Errorf("run %d: re-expansion built a new field", i)
+		}
+		if prev, ok := perRepeat[sp.Repeat]; ok && prev != f {
+			t.Errorf("run %d: schemes of repeat %d deploy into different fields", i, sp.Repeat)
+		}
+		perRepeat[sp.Repeat] = f
+	}
+	if len(perRepeat) != 2 || perRepeat[0] == perRepeat[1] {
+		t.Errorf("want one distinct field per repeat, got %d", len(perRepeat))
 	}
 }
 

@@ -59,7 +59,7 @@ func FuzzParseAxis(f *testing.F) {
 		}
 		vals := slices.Clone(ax.Strings)
 		for _, v := range ax.Values {
-			vals = append(vals, formatAxisValue(v))
+			vals = append(vals, AxisValue{Value: v}.ValueString())
 		}
 		canon := ax.Name + "=" + strings.Join(vals, ",")
 		back, err := ParseAxis(canon)

@@ -270,8 +270,7 @@ func TestStripPatternCoverageNearOptimal(t *testing.T) {
 	// With enough sensors the pattern should cover nearly everything.
 	f := field.MustNew(geom.R(0, 0, 500, 500), nil)
 	rc, rs := 60.0, 40.0
-	need := StripPatternCount(f.Bounds(), rc, rs)
-	pts := StripPattern(f.Bounds(), need, rc, rs)
+	pts := StripPattern(f.Bounds(), 1<<20, rc, rs) // every sensor the pattern places
 	est := coverage.NewEstimator(f, 5)
 	if cov := est.Fraction(pts, rs); cov < 0.95 {
 		t.Errorf("saturated pattern coverage = %.3f, want >= 0.95", cov)

@@ -64,10 +64,3 @@ func StripPattern(bounds geom.Rect, n int, rc, rs float64) []geom.Vec {
 	}
 	return out
 }
-
-// StripPatternCount returns how many sensors the strip pattern needs to
-// tile the whole bounds (the saturation point of the OPT curve in Fig 9).
-func StripPatternCount(bounds geom.Rect, rc, rs float64) int {
-	// Generate with a huge budget and count.
-	return len(StripPattern(bounds, 1<<20, rc, rs))
-}

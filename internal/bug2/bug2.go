@@ -188,9 +188,6 @@ func (p *Planner) Status() Status { return p.status }
 // Traveled returns the total distance traveled so far.
 func (p *Planner) Traveled() float64 { return p.traveled }
 
-// Following reports whether the planner is currently wall-following.
-func (p *Planner) Following() bool { return p.mode == modeFollow }
-
 // refLine returns the BUG2 reference line segment.
 func (p *Planner) refLine() geom.Segment { return geom.Seg(p.start, p.target) }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"mobisense"
 	"mobisense/internal/core"
 	"mobisense/internal/coverage"
 	"mobisense/internal/cpvf"
@@ -54,12 +55,19 @@ func TestPaperScaleQualitativeClaims(t *testing.T) {
 	p30 := p
 	p30.Rc = 30
 
-	cpvf60 := run(t, "CPVF rc60", field.ObstacleFree(), p, cpvf.New(cpvf.DefaultConfig()))
-	floor60 := run(t, "FLOOR rc60", field.ObstacleFree(), p, floor.New(floor.DefaultConfig()))
-	cpvf30 := run(t, "CPVF rc30", field.ObstacleFree(), p30, cpvf.New(cpvf.DefaultConfig()))
-	floor30 := run(t, "FLOOR rc30", field.ObstacleFree(), p30, floor.New(floor.DefaultConfig()))
-	cpvfObs := run(t, "CPVF two-obs", field.TwoObstacles(), p, cpvf.New(cpvf.DefaultConfig()))
-	floorObs := run(t, "FLOOR two-obs", field.TwoObstacles(), p, floor.New(floor.DefaultConfig()))
+	free := field.MustNew(field.StandardBounds(), nil)
+	sc, _ := mobisense.LookupScenario("two-obstacles")
+	twoObs, err := sc.Spec.Build(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cpvf60 := run(t, "CPVF rc60", free, p, cpvf.New(cpvf.DefaultConfig()))
+	floor60 := run(t, "FLOOR rc60", free, p, floor.New(floor.DefaultConfig()))
+	cpvf30 := run(t, "CPVF rc30", free, p30, cpvf.New(cpvf.DefaultConfig()))
+	floor30 := run(t, "FLOOR rc30", free, p30, floor.New(floor.DefaultConfig()))
+	cpvfObs := run(t, "CPVF two-obs", twoObs, p, cpvf.New(cpvf.DefaultConfig()))
+	floorObs := run(t, "FLOOR two-obs", twoObs, p, floor.New(floor.DefaultConfig()))
 
 	// Fig 3: small rc collapses CPVF's coverage; obstacles hurt it badly.
 	if cpvf30.cov > 0.6*cpvf60.cov {

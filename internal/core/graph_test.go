@@ -79,7 +79,7 @@ func TestUnitDiskReachableMatchesBrute(t *testing.T) {
 func TestSampleTraceAllocationFree(t *testing.T) {
 	p := DefaultParams()
 	p.InitRegion = geom.R(0, 0, 500, 500)
-	w, err := NewWorld(field.ObstacleFree(), p)
+	w, err := NewWorld(field.MustNew(field.StandardBounds(), nil), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -411,11 +411,6 @@ func (e *Estimator) Fraction(positions []geom.Vec, rs float64) float64 {
 	return float64(count) / float64(e.nFree)
 }
 
-// CoveredArea returns the covered free area in square meters.
-func (e *Estimator) CoveredArea(positions []geom.Vec, rs float64) float64 {
-	return e.Fraction(positions, rs) * e.FreeArea()
-}
-
 // KFraction returns the fraction of the free area covered by at least k
 // sensing disks (k-coverage, the "higher degree of coverage" the paper's
 // §7 names as future work). KFraction(p, rs, 1) equals Fraction(p, rs).

@@ -68,16 +68,6 @@ func TestFractionMonotoneInSensors(t *testing.T) {
 	}
 }
 
-func TestCoveredArea(t *testing.T) {
-	f := field.MustNew(geom.R(0, 0, 100, 100), nil)
-	e := NewEstimator(f, 1)
-	got := e.CoveredArea([]geom.Vec{geom.V(50, 50)}, 10)
-	want := math.Pi * 100
-	if math.Abs(got-want) > 0.05*want {
-		t.Errorf("covered area = %v, want ~%v", got, want)
-	}
-}
-
 func TestExclusiveArea(t *testing.T) {
 	f := field.MustNew(geom.R(0, 0, 200, 200), nil)
 	center := geom.V(100, 100)

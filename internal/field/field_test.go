@@ -197,32 +197,45 @@ func TestFreeArea(t *testing.T) {
 	}
 }
 
+// twoObstacles is the geometry of the "two-obstacles" scenario (Figs
+// 3c/8c): two slabs walling off the initial cluster with three exits.
+func twoObstacles() *Field {
+	return MustNew(StandardBounds(), []geom.Polygon{
+		geom.R(500, 40, 550, 500).Polygon(),
+		geom.R(120, 500, 450, 550).Polygon(),
+	})
+}
+
+// TestStandardFields: the paper's standard geometry — a 1000 × 1000 m
+// field with the base station at the origin — is what an obstacle-free
+// standard spec and the §6.4 generator both build on. The named
+// environments on it (e.g. two-obstacles) are checked with the scenario
+// registry.
 func TestStandardFields(t *testing.T) {
-	of := ObstacleFree()
+	if StandardBounds() != geom.R(0, 0, 1000, 1000) {
+		t.Fatalf("standard bounds = %v", StandardBounds())
+	}
+
+	of, err := Spec{Bounds: RectSpec{MaxX: StandardSize, MaxY: StandardSize}}.Build(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if of.Bounds() != StandardBounds() {
 		t.Error("obstacle-free bounds mismatch")
 	}
 	if len(of.Obstacles()) != 0 {
 		t.Error("obstacle-free field has obstacles")
 	}
+	if of.Reference() != (geom.Vec{}) || !of.Free(of.Reference()) {
+		t.Errorf("base station %v should be a free origin", of.Reference())
+	}
 
-	two := TwoObstacles()
-	if len(two.Obstacles()) != 2 {
-		t.Fatalf("two-obstacle field has %d obstacles", len(two.Obstacles()))
+	rf, err := RandomObstacles(rand.New(rand.NewPCG(3, 1)), DefaultRandomObstacleConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The three exits must be free.
-	for _, p := range []geom.Vec{
-		geom.V(525, 20),  // bottom exit
-		geom.V(60, 525),  // left/top exit
-		geom.V(475, 525), // corner exit
-	} {
-		if !two.Free(p) {
-			t.Errorf("exit point %v should be free", p)
-		}
-	}
-	// Inside the slabs must be blocked.
-	if two.Free(geom.V(525, 300)) || two.Free(geom.V(300, 525)) {
-		t.Error("slab interiors should be blocked")
+	if rf.Bounds() != StandardBounds() || rf.Reference() != (geom.Vec{}) {
+		t.Errorf("random field bounds %v, reference %v; want the standard field", rf.Bounds(), rf.Reference())
 	}
 }
 
@@ -266,7 +279,7 @@ func TestRandomFreePoint(t *testing.T) {
 func TestSolidOrientation(t *testing.T) {
 	// All solids (obstacles and frame) must be CCW so wall-following can
 	// assume a consistent orientation.
-	f := TwoObstacles()
+	f := twoObstacles()
 	for i := 0; i < f.NumSolids(); i++ {
 		if !f.Solid(i).IsCCW() {
 			t.Errorf("solid %d is not CCW", i)

@@ -111,7 +111,7 @@ func TestSpecRoundTripProperty(t *testing.T) {
 // TestSpecGeometricExtraction: a field built directly from geometry
 // (no spec) extracts to a spec that rebuilds the identical field.
 func TestSpecGeometricExtraction(t *testing.T) {
-	f := TwoObstacles()
+	f := twoObstacles()
 	s := f.Spec()
 	if s.Generator != nil || len(s.Obstacles) != 2 {
 		t.Fatalf("extracted spec = %+v", s)
@@ -126,7 +126,7 @@ func TestSpecGeometricExtraction(t *testing.T) {
 }
 
 // TestGeneratorSpecMatchesLegacyStream: a generator spec with the
-// pre-spec RandomObstacleField salt reproduces the legacy generator's
+// pre-spec random-obstacle salt reproduces the legacy generator's
 // layouts bit for bit, seed by seed.
 func TestGeneratorSpecMatchesLegacyStream(t *testing.T) {
 	const salt = 0xabcdef12345

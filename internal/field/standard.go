@@ -9,79 +9,14 @@ import (
 )
 
 // The standard experimental geometry of the paper (§4.3, §6): a
-// 1000 × 1000 m field with the base station at the origin, and sensors
-// initially clustered in the [0,500]² sub-area.
+// 1000 × 1000 m field with the base station at the origin. The named
+// environments built on it are field specs in the scenario registry.
 
 // StandardSize is the side length of the paper's square field, in meters.
 const StandardSize = 1000.0
 
 // StandardBounds returns the paper's 1000×1000 m field rectangle.
 func StandardBounds() geom.Rect { return geom.R(0, 0, StandardSize, StandardSize) }
-
-// ClusterRegion returns the paper's clustered initial-distribution region,
-// the [0,500]² sub-area of the field.
-func ClusterRegion() geom.Rect { return geom.R(0, 0, StandardSize/2, StandardSize/2) }
-
-// ObstacleFree returns the paper's obstacle-free 1000×1000 field
-// (Figures 3(a,b), 8(a,b), 9–12).
-func ObstacleFree() *Field {
-	return MustNew(StandardBounds(), nil)
-}
-
-// TwoObstacles returns a field reproducing Figure 3(c)/8(c): two
-// rectangular obstacles walling off the initial cluster area, leaving three
-// exits to the large vacant area — two at the top and a narrower one at the
-// bottom of the field.
-//
-// The exact obstacle coordinates are not given in the paper; these are
-// inferred from the figure: a vertical slab east of the cluster with a 40 m
-// gap at the field's bottom edge, and a horizontal slab north of the
-// cluster leaving a 120 m exit at the left edge and a 50 m exit at the
-// corner between the two slabs.
-func TwoObstacles() *Field {
-	obstacles := []geom.Polygon{
-		geom.R(500, 40, 550, 500).Polygon(),  // vertical slab; bottom exit y ∈ [0,40]
-		geom.R(120, 500, 450, 550).Polygon(), // horizontal slab; left exit x ∈ [0,120], corner exit x ∈ [450,500]
-	}
-	return MustNew(StandardBounds(), obstacles)
-}
-
-// Corridor returns a standard-size field folded into a serpentine corridor
-// by three wall slabs with alternating gaps — a maze-like environment that
-// forces deployments to thread long narrow passages.
-func Corridor() *Field {
-	obstacles := []geom.Polygon{
-		geom.R(150, 200, StandardSize, 260).Polygon(), // gap at the left edge
-		geom.R(0, 450, 850, 510).Polygon(),            // gap at the right edge
-		geom.R(150, 700, StandardSize, 760).Polygon(), // gap at the left edge
-	}
-	return MustNew(StandardBounds(), obstacles)
-}
-
-// Campus returns an 800×600 m field with three rectangular buildings
-// forming two corridors and an open quad; the base station (gateway) sits
-// at the south-west corner.
-func Campus() *Field {
-	obstacles := []geom.Polygon{
-		geom.R(150, 100, 350, 250).Polygon(), // west hall
-		geom.R(450, 100, 650, 250).Polygon(), // east hall
-		geom.R(250, 350, 550, 480).Polygon(), // north hall
-	}
-	return MustNew(geom.R(0, 0, 800, 600), obstacles)
-}
-
-// DisasterObstacleConfig returns a denser variant of the §6.4 generator:
-// more, smaller debris rectangles, modeling a disaster zone strewn with
-// rubble rather than a few large buildings.
-func DisasterObstacleConfig() RandomObstacleConfig {
-	return RandomObstacleConfig{
-		MinCount:  3,
-		MaxCount:  6,
-		MinSide:   60,
-		MaxSide:   250,
-		KeepClear: 30,
-	}
-}
 
 // RandomObstacleConfig controls RandomObstacles (§6.4).
 type RandomObstacleConfig struct {

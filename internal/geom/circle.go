@@ -14,12 +14,6 @@ func (c Circle) Contains(p Vec) bool { return c.C.Dist2(p) <= (c.R+Eps)*(c.R+Eps
 // Area returns the area of the disk.
 func (c Circle) Area() float64 { return math.Pi * c.R * c.R }
 
-// PointAt returns the point on the circle at polar angle theta.
-func (c Circle) PointAt(theta float64) Vec {
-	s, cos := math.Sincos(theta)
-	return Vec{c.C.X + c.R*cos, c.C.Y + c.R*s}
-}
-
 // IntersectSegment returns the portion of segment s inside the circle as a
 // parameter interval [t0, t1] ⊆ [0, 1] along s, and whether the segment
 // touches the disk at all.
@@ -66,34 +60,6 @@ func (c Circle) IntersectCircle(o Circle) (p1, p2 Vec, ok bool) {
 	mid := c.C.Add(o.C.Sub(c.C).Scale(a / d))
 	perp := o.C.Sub(c.C).Unit().Perp().Scale(h)
 	return mid.Add(perp), mid.Sub(perp), true
-}
-
-// UnionAreaGrid estimates the area of the union of the given disks clipped
-// to rect, by sampling a uniform grid with the given resolution. It is the
-// reference implementation used in tests; the simulator uses the faster
-// coverage estimator in internal/coverage.
-func UnionAreaGrid(disks []Circle, rect Rect, res float64) float64 {
-	if res <= 0 {
-		res = 1
-	}
-	var covered int
-	var total int
-	for y := rect.Min.Y + res/2; y < rect.Max.Y; y += res {
-		for x := rect.Min.X + res/2; x < rect.Max.X; x += res {
-			total++
-			p := Vec{x, y}
-			for _, d := range disks {
-				if d.Contains(p) {
-					covered++
-					break
-				}
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return rect.Area() * float64(covered) / float64(total)
 }
 
 // MinEnclosingCircle returns the smallest circle containing all points.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 )
 
 func TestCircleContains(t *testing.T) {
@@ -17,14 +16,6 @@ func TestCircleContains(t *testing.T) {
 	}
 	if c.Contains(V(4, 4)) {
 		t.Error("exterior point should not be contained")
-	}
-}
-
-func TestCirclePointAt(t *testing.T) {
-	c := Circle{C: V(1, 2), R: 3}
-	p := c.PointAt(math.Pi / 2)
-	if !p.Eq(V(1, 5)) {
-		t.Errorf("PointAt(pi/2) = %v", p)
 	}
 }
 
@@ -133,37 +124,5 @@ func TestMinEnclosingCircleProperty(t *testing.T) {
 		if mec.R > rad+1e-7 {
 			t.Fatalf("trial %d: MEC radius %v exceeds centroid bound %v", trial, mec.R, rad)
 		}
-	}
-}
-
-func TestUnionAreaGrid(t *testing.T) {
-	rect := R(0, 0, 100, 100)
-	// One disk fully inside.
-	disks := []Circle{{C: V(50, 50), R: 20}}
-	got := UnionAreaGrid(disks, rect, 1)
-	want := math.Pi * 400
-	if math.Abs(got-want) > 0.05*want {
-		t.Errorf("single disk area = %v, want ~%v", got, want)
-	}
-	// Two identical disks should not double-count.
-	disks = append(disks, disks[0])
-	got2 := UnionAreaGrid(disks, rect, 1)
-	if got2 != got {
-		t.Errorf("duplicate disk changed union area: %v vs %v", got2, got)
-	}
-}
-
-// Property: adding a disk never decreases union area.
-func TestUnionAreaMonotone(t *testing.T) {
-	f := func(x1, y1, x2, y2 uint8) bool {
-		rect := R(0, 0, 64, 64)
-		a := Circle{C: V(float64(x1%64), float64(y1%64)), R: 8}
-		b := Circle{C: V(float64(x2%64), float64(y2%64)), R: 8}
-		one := UnionAreaGrid([]Circle{a}, rect, 2)
-		two := UnionAreaGrid([]Circle{a, b}, rect, 2)
-		return two >= one-1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }

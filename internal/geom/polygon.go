@@ -227,44 +227,3 @@ func (p Polygon) ClipHalfPlane(a, b Vec) Polygon {
 	}
 	return out
 }
-
-// ConvexHull returns the convex hull of the given points in
-// counter-clockwise order using Andrew's monotone chain. The input slice is
-// not modified. Fewer than three distinct points yield a degenerate hull
-// with the points that exist.
-func ConvexHull(points []Vec) Polygon {
-	pts := make([]Vec, len(points))
-	copy(pts, points)
-	n := len(pts)
-	if n < 3 {
-		return pts
-	}
-	// Sort by (X, Y).
-	for i := 1; i < n; i++ {
-		for j := i; j > 0; j-- {
-			if pts[j].X < pts[j-1].X || (pts[j].X == pts[j-1].X && pts[j].Y < pts[j-1].Y) {
-				pts[j], pts[j-1] = pts[j-1], pts[j]
-			} else {
-				break
-			}
-		}
-	}
-	hull := make([]Vec, 0, 2*n)
-	// Lower hull.
-	for _, pt := range pts {
-		for len(hull) >= 2 && hull[len(hull)-1].Sub(hull[len(hull)-2]).Cross(pt.Sub(hull[len(hull)-2])) <= 0 {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, pt)
-	}
-	// Upper hull.
-	lower := len(hull) + 1
-	for i := n - 2; i >= 0; i-- {
-		pt := pts[i]
-		for len(hull) >= lower && hull[len(hull)-1].Sub(hull[len(hull)-2]).Cross(pt.Sub(hull[len(hull)-2])) <= 0 {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, pt)
-	}
-	return Polygon(hull[:len(hull)-1])
-}

@@ -147,29 +147,6 @@ func TestClipHalfPlaneRepeatedIsStable(t *testing.T) {
 	}
 }
 
-func TestConvexHull(t *testing.T) {
-	pts := []Vec{V(0, 0), V(10, 0), V(10, 10), V(0, 10), V(5, 5), V(2, 3)}
-	hull := ConvexHull(pts)
-	if len(hull) != 4 {
-		t.Fatalf("hull size = %d, want 4: %v", len(hull), hull)
-	}
-	if !hull.IsCCW() {
-		t.Error("hull should be CCW")
-	}
-	if !almostEq(hull.Area(), 100, 1e-9) {
-		t.Errorf("hull area = %v", hull.Area())
-	}
-}
-
-func TestConvexHullDegenerate(t *testing.T) {
-	if h := ConvexHull([]Vec{V(1, 1)}); len(h) != 1 {
-		t.Errorf("single point hull = %v", h)
-	}
-	if h := ConvexHull([]Vec{V(0, 0), V(1, 1)}); len(h) != 2 {
-		t.Errorf("two point hull = %v", h)
-	}
-}
-
 // Property: clipping can only shrink area, and all original points that were
 // inside the half-plane remain inside the clipped polygon.
 func TestClipHalfPlaneShrinks(t *testing.T) {
@@ -187,27 +164,6 @@ func TestClipHalfPlaneShrinks(t *testing.T) {
 		}
 		if clipped.Area() > p.Area()+1e-6 {
 			t.Fatalf("trial %d: clip grew area %v -> %v", trial, p.Area(), clipped.Area())
-		}
-	}
-}
-
-// Property: convex hull contains all input points.
-func TestConvexHullContainsAll(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 9))
-	for trial := 0; trial < 100; trial++ {
-		n := 3 + rng.IntN(30)
-		pts := make([]Vec, n)
-		for i := range pts {
-			pts[i] = V(rng.Float64()*50, rng.Float64()*50)
-		}
-		hull := ConvexHull(pts)
-		if len(hull) < 3 {
-			continue
-		}
-		for _, p := range pts {
-			if !hull.Contains(p) {
-				t.Fatalf("trial %d: point %v outside hull %v", trial, p, hull)
-			}
 		}
 	}
 }

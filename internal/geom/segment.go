@@ -170,12 +170,6 @@ func (r Rect) Expand(d float64) Rect {
 	return Rect{Min: Vec{r.Min.X - d, r.Min.Y - d}, Max: Vec{r.Max.X + d, r.Max.Y + d}}
 }
 
-// Intersects reports whether r and o share any area or boundary.
-func (r Rect) Intersects(o Rect) bool {
-	return r.Min.X <= o.Max.X && o.Min.X <= r.Max.X &&
-		r.Min.Y <= o.Max.Y && o.Min.Y <= r.Max.Y
-}
-
 // Polygon returns the rectangle as a counter-clockwise polygon.
 func (r Rect) Polygon() Polygon {
 	return Polygon{

@@ -114,25 +114,6 @@ func TestRectBasics(t *testing.T) {
 	}
 }
 
-func TestRectIntersects(t *testing.T) {
-	a := R(0, 0, 10, 10)
-	tests := []struct {
-		name string
-		b    Rect
-		want bool
-	}{
-		{"overlap", R(5, 5, 15, 15), true},
-		{"touch edge", R(10, 0, 20, 10), true},
-		{"disjoint", R(11, 0, 20, 10), false},
-		{"contained", R(2, 2, 8, 8), true},
-	}
-	for _, tt := range tests {
-		if got := a.Intersects(tt.b); got != tt.want {
-			t.Errorf("%s: got %v", tt.name, got)
-		}
-	}
-}
-
 func TestRectPolygonIsCCW(t *testing.T) {
 	p := R(0, 0, 4, 3).Polygon()
 	if !p.IsCCW() {

@@ -110,9 +110,6 @@ func (v Vec) Perp() Vec { return Vec{-v.Y, v.X} }
 // Neg returns -v.
 func (v Vec) Neg() Vec { return Vec{-v.X, -v.Y} }
 
-// Angle returns the polar angle of v in radians, in (-pi, pi].
-func (v Vec) Angle() float64 { return math.Atan2(v.Y, v.X) }
-
 // Rotate returns v rotated by theta radians counter-clockwise.
 func (v Vec) Rotate(theta float64) Vec {
 	s, c := math.Sincos(theta)
@@ -134,12 +131,6 @@ func (v Vec) Towards(w Vec, d float64) Vec {
 // Eq reports whether v and w coincide within Eps.
 func (v Vec) Eq(w Vec) bool {
 	return math.Abs(v.X-w.X) <= Eps && math.Abs(v.Y-w.Y) <= Eps
-}
-
-// IsFinite reports whether both coordinates are finite numbers.
-func (v Vec) IsFinite() bool {
-	return !math.IsNaN(v.X) && !math.IsInf(v.X, 0) &&
-		!math.IsNaN(v.Y) && !math.IsInf(v.Y, 0)
 }
 
 // String implements fmt.Stringer.

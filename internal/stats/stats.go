@@ -89,24 +89,3 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	return s[lo]*(1-frac) + s[lo+1]*frac
 }
-
-// CDFPoint is one point of an empirical distribution function.
-type CDFPoint struct {
-	X float64 // value
-	P float64 // fraction of samples ≤ X
-}
-
-// CDF returns the empirical CDF of xs as a step-function sample, one point
-// per input value.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	out := make([]CDFPoint, len(s))
-	for i, x := range s {
-		out[i] = CDFPoint{X: x, P: float64(i+1) / float64(len(s))}
-	}
-	return out
-}

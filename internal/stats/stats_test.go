@@ -36,16 +36,3 @@ func TestQuantileDoesNotMutate(t *testing.T) {
 		t.Error("input mutated")
 	}
 }
-
-func TestCDF(t *testing.T) {
-	pts := CDF([]float64{2, 1})
-	if len(pts) != 2 {
-		t.Fatal("size")
-	}
-	if pts[0].X != 1 || pts[0].P != 0.5 || pts[1].X != 2 || pts[1].P != 1 {
-		t.Errorf("cdf = %+v", pts)
-	}
-	if CDF(nil) != nil {
-		t.Error("empty CDF should be nil")
-	}
-}

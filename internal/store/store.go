@@ -90,17 +90,20 @@ type FieldEntry struct {
 	Spec     field.Spec `json:"spec"`
 }
 
-// AxisValue is one run's assignment on one axis, as persisted in records.
-// A categorical assignment carries its value in Str (omitted for numeric
-// axes, keeping pre-categorical records byte-identical).
+// AxisValue is one axis assignment of an expanded run, carried on run
+// specs, store records and aggregates. Numeric axes fill Value;
+// categorical axes fill Str (a non-empty Str wins when rendering, and
+// numeric records omit it, keeping pre-categorical records
+// byte-identical).
 type AxisValue struct {
 	Name  string  `json:"name"`
 	Value float64 `json:"value"`
 	Str   string  `json:"str,omitempty"`
 }
 
-// ValueString renders the assignment's value: the categorical string, or
-// the compact lossless numeric form.
+// ValueString renders the assignment's value for keys, tables and CSV
+// columns: the categorical string, or the compact lossless numeric form
+// (integer values render without a decimal point).
 func (a AxisValue) ValueString() string {
 	if a.Str != "" {
 		return a.Str
@@ -210,33 +213,57 @@ type Record struct {
 	Err string `json:"err,omitempty"`
 }
 
-// Point is one stored sensor position in meters.
+// Point is a 2-D point in meters: a sensor position in run results and
+// store records.
 type Point struct {
 	X float64 `json:"x"`
 	Y float64 `json:"y"`
 }
 
-// TraceSample is one stored per-tick telemetry observation. Layout is the
-// optional per-sample layout snapshot, present only in stores created
-// with Manifest.TraceLayouts.
+// TraceSample is one per-tick telemetry observation of a running
+// deployment: how the paper's evaluation quantities evolve on the way to
+// the final layout, not just where they end up.
 type TraceSample struct {
-	Time       float64 `json:"t"`
-	Coverage   float64 `json:"coverage"`
-	Connected  int     `json:"connected"`
-	Alive      int     `json:"alive"`
-	Moving     int     `json:"moving"`
+	// Time is the simulation clock of the sample in seconds.
+	Time float64 `json:"t"`
+	// Coverage is the instantaneous 1-coverage fraction.
+	Coverage float64 `json:"coverage"`
+	// Connected is the number of alive sensors unit-disk reachable from
+	// the base station at the sample time.
+	Connected int `json:"connected"`
+	// Alive is the number of non-failed sensors; Moving how many of them
+	// are mid-step.
+	Alive  int `json:"alive"`
+	Moving int `json:"moving"`
+	// TotalMoved is the summed cumulative moving distance in meters over
+	// all sensors; MaxMoved the largest single sensor's.
 	TotalMoved float64 `json:"total_moved"`
 	MaxMoved   float64 `json:"max_moved"`
-	Layout     []Point `json:"layout,omitempty"`
+	// Layout is the alive-sensor layout at the sample time, captured only
+	// when the run's trace options ask for layouts; stores keep it only
+	// when created with Manifest.TraceLayouts.
+	Layout []Point `json:"layout,omitempty"`
 }
 
-// Convergence is the stored form of a run's trace-derived convergence
-// metrics.
+// Convergence summarizes how one traced run approached its final state —
+// the paper's §6 evaluation is about these transients, not just the end
+// point. All times are simulation seconds read off the trace grid, so
+// their resolution is the trace stride.
 type Convergence struct {
-	TimeTo90Coverage   float64 `json:"t90"`
-	TimeTo99Coverage   float64 `json:"t99"`
+	// TimeTo90Coverage / TimeTo99Coverage are the first sample times at
+	// which coverage reached 90% / 99% of the run's final coverage.
+	TimeTo90Coverage float64 `json:"t90"`
+	TimeTo99Coverage float64 `json:"t99"`
+	// TimeToConnectivity is the earliest sample time from which every
+	// alive sensor stayed base-station reachable through the end of the
+	// trace; -1 when the final sample is not fully connected.
 	TimeToConnectivity float64 `json:"tconn"`
-	SettlingTime       float64 `json:"settle"`
+	// SettlingTime is the earliest sample time from which no sensor moved
+	// (and no distance accrued) through the end of the trace; the final
+	// sample time when the run never settled.
+	SettlingTime float64 `json:"settle"`
+	// TotalMovedAtSettle / MaxMovedAtSettle are the cumulative movement
+	// totals at the settling sample — the movement cost of convergence.
 	TotalMovedAtSettle float64 `json:"settle_total_moved"`
 	MaxMovedAtSettle   float64 `json:"settle_max_moved"`
 }
@@ -383,14 +410,6 @@ func (w *Writer) Append(seq int, rec Record, elapsed time.Duration) error {
 		w.next++
 		w.written++
 	}
-}
-
-// Written returns the number of records on disk, including any replayed
-// from a previous session.
-func (w *Writer) Written() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.written
 }
 
 // Close flushes and closes the store files and, when every expected record

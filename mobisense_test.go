@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mobisense/internal/geom"
 	"mobisense/internal/render"
 )
 
@@ -13,7 +14,7 @@ func quickConfig(s Scheme) Config {
 	cfg := DefaultConfig(s)
 	cfg.N = 40
 	cfg.Duration = 120
-	f, err := NewField(400, 400, nil)
+	f, err := BuildFieldSpec(FieldSpec{Bounds: RectSpec{MaxX: 400, MaxY: 400}}, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -110,6 +111,9 @@ func TestVORBaselineDisconnectsAtSmallRc(t *testing.T) {
 	}
 }
 
+// TestFieldConstructors: the default field is the "free" scenario's
+// cached field, the registry's two-obstacles field leaves the three exits
+// of Figs 3c/8c open, and a field-covering obstacle is an error.
 func TestFieldConstructors(t *testing.T) {
 	of := ObstacleFreeField()
 	if w, h := of.Bounds(); w != 1000 || h != 1000 {
@@ -118,17 +122,38 @@ func TestFieldConstructors(t *testing.T) {
 	if of.NumObstacles() != 0 {
 		t.Error("obstacle-free field has obstacles")
 	}
-	two := TwoObstacleField()
+	if free, err := BuildScenario("free", 9); err != nil || free.f != of.f {
+		t.Errorf("the default field is not the free scenario's cached field (err %v)", err)
+	}
+
+	two, err := BuildScenario("two-obstacles", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if two.NumObstacles() != 2 {
 		t.Errorf("two-obstacle field has %d obstacles", two.NumObstacles())
 	}
 	if frac := two.FreeAreaFraction(); frac >= 1 || frac < 0.9 {
 		t.Errorf("free fraction = %v", frac)
 	}
-	if _, err := RandomObstacleField(7); err != nil {
+	for _, p := range []geom.Vec{
+		geom.V(525, 20),  // bottom exit
+		geom.V(60, 525),  // left/top exit
+		geom.V(475, 525), // corner exit
+	} {
+		if !two.f.Free(p) {
+			t.Errorf("exit point %v should be free", p)
+		}
+	}
+	if two.f.Free(geom.V(525, 300)) || two.f.Free(geom.V(300, 525)) {
+		t.Error("slab interiors should be blocked")
+	}
+
+	if _, err := BuildScenario("random-obstacles", 7); err != nil {
 		t.Errorf("random field: %v", err)
 	}
-	if _, err := NewField(100, 100, [][4]float64{{-10, -10, 200, 200}}); err == nil {
+	covered := FieldSpec{Bounds: RectSpec{MaxX: 100, MaxY: 100}, Obstacles: []ObstacleSpec{RectObstacle(-10, -10, 200, 200)}}
+	if _, err := BuildFieldSpec(covered, 0); err == nil {
 		t.Error("field-covering obstacle should error")
 	}
 }

@@ -4,31 +4,26 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"mobisense/internal/field"
 )
 
-// Scenario is a named, parameterized deployment environment. Scenarios are
+// Scenario is a named deployment environment: a name, a one-line
+// description and the declarative FieldSpec that builds it. Scenarios are
 // resolved by string from the CLIs and from Sweep, so new environments
-// plug in with a single registration. Since the field-spec refactor a
-// scenario is data first: its geometry lives in a declarative FieldSpec
-// that encodes to JSON, embeds in store manifests, and rebuilds the exact
-// same field anywhere; the optional Build hook remains for environments
-// that cannot be expressed as data.
+// plug in with a single registration. A scenario is data only: its spec
+// encodes to JSON, embeds in store manifests, and rebuilds the exact same
+// field anywhere.
 type Scenario struct {
 	// Name identifies the scenario (e.g. "two-obstacles").
 	Name string
 	// Description is a one-line summary for catalogs and -help output.
 	Description string
-	// Seeded reports whether the built field varies with the seed
-	// (randomly generated environments). It is set automatically for
-	// specs with a Generator. Unseeded scenarios are built once per sweep
-	// and shared across runs.
-	Seeded bool
-	// Spec is the scenario's declarative geometry. RegisterScenario
-	// normalizes it, so lookups always observe the canonical form.
+	// Spec is the scenario's geometry. RegisterScenario normalizes it, so
+	// lookups always observe the canonical form. Spec.Seeded reports
+	// whether the built field varies with the seed; unseeded scenarios
+	// are built once and shared across runs.
 	Spec FieldSpec
-	// Build, when set, overrides spec-driven construction. Scenarios with
-	// only a Build cannot be exported to foreign machines; prefer Spec.
-	Build func(seed uint64) (Field, error)
 }
 
 var (
@@ -38,23 +33,17 @@ var (
 )
 
 // RegisterScenario adds a scenario to the registry; it panics on an empty
-// name, a scenario with neither a Spec nor a Build, an invalid spec, or a
-// duplicate registration.
+// name, a missing or invalid spec, or a duplicate registration.
 func RegisterScenario(sc Scenario) {
-	if sc.Name == "" || (sc.Build == nil && sc.Spec.Empty()) {
-		panic("mobisense: RegisterScenario needs a name and a Spec or Build")
+	if sc.Name == "" || sc.Spec.Empty() {
+		panic("mobisense: RegisterScenario needs a name and a Spec")
 	}
-	if !sc.Spec.Empty() {
-		n, err := sc.Spec.Normalize()
-		if err != nil {
-			panic(fmt.Sprintf("mobisense: scenario %q: %v", sc.Name, err))
-		}
-		n.Name = sc.Name
-		sc.Spec = n
-		if sc.Spec.Seeded() {
-			sc.Seeded = true
-		}
+	n, err := sc.Spec.Normalize()
+	if err != nil {
+		panic(fmt.Sprintf("mobisense: scenario %q: %v", sc.Name, err))
 	}
+	n.Name = sc.Name
+	sc.Spec = n
 	scenarioMu.Lock()
 	defer scenarioMu.Unlock()
 	if _, dup := scenarioByName[sc.Name]; dup {
@@ -110,85 +99,23 @@ func ScenarioNames() []string {
 	return out
 }
 
-// BuildScenario constructs the named scenario's field. For seeded
-// scenarios the seed selects the generated environment. Builds are
-// cached (see BuildFieldSpec), so the schemes of a paired comparison —
-// and repeated requests for the same generated environment — share one
-// field instead of regenerating it.
+// BuildScenario constructs the named scenario's field with BuildFieldSpec.
+// For seeded scenarios the seed selects the generated environment. Builds
+// are cached, so the schemes of a paired comparison — and repeated
+// requests for the same generated environment — share one field instead
+// of regenerating it.
 func BuildScenario(name string, seed uint64) (Field, error) {
 	sc, ok := LookupScenario(name)
 	if !ok {
 		return Field{}, fmt.Errorf("mobisense: unknown scenario %q (have %v)", name, ScenarioNames())
 	}
-	return sc.buildField(seed)
-}
-
-// buildField constructs the scenario's field through the shared build
-// cache. Unseeded scenarios normalize the cache seed to 0 so every seed
-// maps to the single shared instance.
-func (sc Scenario) buildField(seed uint64) (Field, error) {
-	if sc.Build != nil {
-		eff := seed
-		if !sc.Seeded {
-			eff = 0
-		}
-		return cachedFieldBuild("name:"+sc.Name, eff, func() (Field, error) {
-			return sc.Build(seed)
-		})
-	}
 	return BuildFieldSpec(sc.Spec, seed)
 }
 
-// fieldBuildCache memoizes field construction by geometry identity and
-// seed. Building a field validates free-space connectivity on a grid —
-// pure waste to repeat for the same geometry — and sharing the immutable
-// *field.Field also lets the run pool's estimator cache share one
-// coverage estimator across every run of that environment. The cache is
-// bounded FIFO; a sweep touches few distinct fields, so the bound only
-// matters for long-lived services crossing many seeded layouts.
-const fieldBuildCacheCap = 128
-
-var fieldBuildCache = struct {
-	sync.Mutex
-	m     map[fieldCacheKey]Field
-	order []fieldCacheKey
-}{m: map[fieldCacheKey]Field{}}
-
-type fieldCacheKey struct {
-	id   string
-	seed uint64
-}
-
-func cachedFieldBuild(id string, seed uint64, build func() (Field, error)) (Field, error) {
-	k := fieldCacheKey{id, seed}
-	fieldBuildCache.Lock()
-	if f, ok := fieldBuildCache.m[k]; ok {
-		fieldBuildCache.Unlock()
-		return f, nil
-	}
-	fieldBuildCache.Unlock()
-	// Build outside the lock: construction can flood-fill a large grid,
-	// and a duplicate concurrent build is benign (identical geometry).
-	f, err := build()
-	if err != nil || f.f == nil {
-		return f, err
-	}
-	fieldBuildCache.Lock()
-	if _, ok := fieldBuildCache.m[k]; !ok {
-		fieldBuildCache.m[k] = f
-		fieldBuildCache.order = append(fieldBuildCache.order, k)
-		if len(fieldBuildCache.order) > fieldBuildCacheCap {
-			evict := fieldBuildCache.order[0]
-			fieldBuildCache.order = fieldBuildCache.order[1:]
-			delete(fieldBuildCache.m, evict)
-		}
-	}
-	fieldBuildCache.Unlock()
-	return f, nil
-}
-
 // standardBoundsSpec is the paper's 1000×1000 m field rectangle (§4.3).
-func standardBoundsSpec() RectSpec { return RectSpec{MaxX: 1000, MaxY: 1000} }
+func standardBoundsSpec() RectSpec {
+	return RectSpec{MaxX: field.StandardSize, MaxY: field.StandardSize}
+}
 
 func init() {
 	RegisterScenario(Scenario{
@@ -210,14 +137,16 @@ func init() {
 		},
 	})
 
+	def := field.DefaultRandomObstacleConfig()
 	RegisterScenario(Scenario{
 		Name:        "random-obstacles",
 		Description: "1–4 random rectangular obstacles per §6.4; the seed picks the layout",
 		Spec: FieldSpec{
 			Bounds: standardBoundsSpec(),
-			// Salt matches the pre-spec RandomObstacleField stream, so old
-			// seeds keep producing bit-identical layouts.
-			Generator: &GeneratorSpec{MinCount: 1, MaxCount: 4, MinSide: 80, MaxSide: 400, KeepClear: 30, Salt: 0xabcdef12345},
+			// §6.4's ranges; the salt keeps the pre-spec random stream, so
+			// old seeds keep producing bit-identical layouts.
+			Generator: &GeneratorSpec{MinCount: def.MinCount, MaxCount: def.MaxCount,
+				MinSide: def.MinSide, MaxSide: def.MaxSide, KeepClear: def.KeepClear, Salt: 0xabcdef12345},
 		},
 	})
 	registerScenarioAlias("random", "random-obstacles")

@@ -82,13 +82,13 @@ func TestScenarioAliasLookup(t *testing.T) {
 }
 
 func TestRegisterScenarioValidation(t *testing.T) {
-	build := func(uint64) (Field, error) { return ObstacleFreeField(), nil }
+	spec := FieldSpec{Bounds: RectSpec{MaxX: 100, MaxY: 100}}
 
-	mustPanic(t, "needs a name and a Spec or Build", func() {
-		RegisterScenario(Scenario{Name: "", Build: build})
+	mustPanic(t, "needs a name and a Spec", func() {
+		RegisterScenario(Scenario{Name: "", Spec: spec})
 	})
-	mustPanic(t, "needs a name and a Spec or Build", func() {
-		RegisterScenario(Scenario{Name: "no-builder"})
+	mustPanic(t, "needs a name and a Spec", func() {
+		RegisterScenario(Scenario{Name: "no-spec"})
 	})
 	// A spec that cannot normalize is rejected at registration, not at
 	// first build.
@@ -100,19 +100,24 @@ func TestRegisterScenarioValidation(t *testing.T) {
 	// Duplicate registration of an existing scenario panics and leaves the
 	// original registration intact.
 	mustPanic(t, "registered twice", func() {
-		RegisterScenario(Scenario{Name: "free", Build: build})
+		RegisterScenario(Scenario{Name: "free", Spec: spec})
 	})
 	sc, ok := LookupScenario("free")
-	if !ok || sc.Seeded {
+	if !ok || sc.Spec.Bounds.MaxX != 1000 {
 		t.Error("duplicate panic must not clobber the original scenario")
 	}
 
 	// A scenario may not take a name already used as an alias, and an
 	// alias may not shadow a scenario.
 	mustPanic(t, "shadows an alias", func() {
-		RegisterScenario(Scenario{Name: "maze", Build: build})
+		RegisterScenario(Scenario{Name: "maze", Spec: spec})
 	})
 	mustPanic(t, "shadows a scenario", func() {
 		registerScenarioAlias("free", "two-obstacles")
 	})
+	for _, name := range []string{"", "no-spec", "degenerate", "maze"} {
+		if _, ok := scenarioByName[name]; ok {
+			t.Errorf("a refused registration left scenario %q behind", name)
+		}
+	}
 }

@@ -488,13 +488,8 @@ func (e *serviceEngine) Execute(ctx context.Context, job server.ExecJob) (json.R
 // without this server's binary.
 func runFieldEntries(req RunRequest, cfg Config) []istore.FieldEntry {
 	if name := req.scenarioName(); name != "" {
-		if sc, ok := LookupScenario(name); ok && !sc.Spec.Empty() {
-			return []istore.FieldEntry{{Scenario: sc.Name, Spec: sc.Spec}}
-		}
-		return nil
-	}
-	if cfg.Field.internal() == nil {
-		return nil
+		sc, _ := LookupScenario(name) // config has resolved the name
+		return []istore.FieldEntry{{Scenario: sc.Name, Spec: sc.Spec}}
 	}
 	// Cosmetic names stay out of manifests (and therefore out of cache
 	// fingerprints); see Sweep.fieldEntries.
@@ -539,8 +534,7 @@ type ScenarioInfo struct {
 	// add generated ones on top; see the spec's generator).
 	Obstacles int `json:"obstacles"`
 	// Spec is the scenario's full declarative geometry — fetch it, tweak
-	// it, and resubmit it as an inline "field". Omitted for the rare
-	// code-only scenario that has no spec.
+	// it, and resubmit it as an inline "field".
 	Spec *FieldSpec `json:"spec,omitempty"`
 }
 
@@ -556,13 +550,13 @@ func (e *serviceEngine) Scenarios() any {
 	scs := Scenarios()
 	out := make([]ScenarioInfo, 0, len(scs))
 	for _, sc := range scs {
-		info := ScenarioInfo{Name: sc.Name, Description: sc.Description, Seeded: sc.Seeded}
-		if !sc.Spec.Empty() {
-			spec := sc.Spec
-			info.Spec = &spec
-			info.Obstacles = len(spec.Obstacles)
-		}
-		out = append(out, info)
+		out = append(out, ScenarioInfo{
+			Name:        sc.Name,
+			Description: sc.Description,
+			Seeded:      sc.Spec.Seeded(),
+			Obstacles:   len(sc.Spec.Obstacles),
+			Spec:        &sc.Spec,
+		})
 	}
 	return out
 }

@@ -104,8 +104,10 @@ func (s *storeSession) lookup(sp RunSpec) (istore.Record, bool) {
 func (s *storeSession) append(seq int, sp RunSpec, res Result, runErr error, elapsed time.Duration) {
 	rec := recordFrom(sp, res, runErr, s.layouts)
 	if s.trace {
-		rec.Trace = toStoreTrace(res.Trace)
-		rec.Convergence = toStoreConvergence(res.Convergence)
+		// Append encodes the record before returning, so the record can
+		// share the result's slices.
+		rec.Trace = res.Trace
+		rec.Convergence = res.Convergence
 	}
 	if err := s.w.Append(seq, rec, elapsed); err != nil {
 		s.mu.Lock()
@@ -144,7 +146,7 @@ func recordFrom(sp RunSpec, res Result, runErr error, layouts bool) istore.Recor
 		Scenario:          sp.Scenario,
 		N:                 sp.N,
 		Repeat:            sp.Repeat,
-		Axes:              toStoreAxes(sp.Axes),
+		Axes:              sp.Axes,
 		Seed:              sp.Seed,
 		ConfigFingerprint: configFingerprint(sp.Config),
 	}
@@ -161,122 +163,10 @@ func recordFrom(sp RunSpec, res Result, runErr error, layouts bool) istore.Recor
 	rec.Connected = res.Connected
 	rec.IncorrectCells = res.IncorrectVoronoiCells
 	if layouts {
-		rec.Positions = toStorePoints(res.Positions)
-		rec.InitialPositions = toStorePoints(res.InitialPositions)
+		rec.Positions = res.Positions
+		rec.InitialPositions = res.InitialPositions
 	}
 	return rec
-}
-
-func toStoreAxes(axes []AxisValue) []istore.AxisValue {
-	if axes == nil {
-		return nil
-	}
-	out := make([]istore.AxisValue, len(axes))
-	for i, a := range axes {
-		out[i] = istore.AxisValue{Name: a.Name, Value: a.Value, Str: a.Str}
-	}
-	return out
-}
-
-func fromStoreAxes(axes []istore.AxisValue) []AxisValue {
-	if axes == nil {
-		return nil
-	}
-	out := make([]AxisValue, len(axes))
-	for i, a := range axes {
-		out[i] = AxisValue{Name: a.Name, Value: a.Value, Str: a.Str}
-	}
-	return out
-}
-
-func toStorePoints(ps []Point) []istore.Point {
-	if ps == nil {
-		return nil
-	}
-	out := make([]istore.Point, len(ps))
-	for i, p := range ps {
-		out[i] = istore.Point{X: p.X, Y: p.Y}
-	}
-	return out
-}
-
-func fromStorePoints(ps []istore.Point) []Point {
-	if ps == nil {
-		return nil
-	}
-	out := make([]Point, len(ps))
-	for i, p := range ps {
-		out[i] = Point{X: p.X, Y: p.Y}
-	}
-	return out
-}
-
-func toStoreTrace(ts []TraceSample) []istore.TraceSample {
-	if ts == nil {
-		return nil
-	}
-	out := make([]istore.TraceSample, len(ts))
-	for i, s := range ts {
-		out[i] = istore.TraceSample{
-			Time:       s.Time,
-			Coverage:   s.Coverage,
-			Connected:  s.Connected,
-			Alive:      s.Alive,
-			Moving:     s.Moving,
-			TotalMoved: s.TotalMoved,
-			MaxMoved:   s.MaxMoved,
-			Layout:     toStorePoints(s.Layout),
-		}
-	}
-	return out
-}
-
-func fromStoreTrace(ts []istore.TraceSample) []TraceSample {
-	if ts == nil {
-		return nil
-	}
-	out := make([]TraceSample, len(ts))
-	for i, s := range ts {
-		out[i] = TraceSample{
-			Time:       s.Time,
-			Coverage:   s.Coverage,
-			Connected:  s.Connected,
-			Alive:      s.Alive,
-			Moving:     s.Moving,
-			TotalMoved: s.TotalMoved,
-			MaxMoved:   s.MaxMoved,
-			Layout:     fromStorePoints(s.Layout),
-		}
-	}
-	return out
-}
-
-func toStoreConvergence(c *Convergence) *istore.Convergence {
-	if c == nil {
-		return nil
-	}
-	return &istore.Convergence{
-		TimeTo90Coverage:   c.TimeTo90Coverage,
-		TimeTo99Coverage:   c.TimeTo99Coverage,
-		TimeToConnectivity: c.TimeToConnectivity,
-		SettlingTime:       c.SettlingTime,
-		TotalMovedAtSettle: c.TotalMovedAtSettle,
-		MaxMovedAtSettle:   c.MaxMovedAtSettle,
-	}
-}
-
-func fromStoreConvergence(c *istore.Convergence) *Convergence {
-	if c == nil {
-		return nil
-	}
-	return &Convergence{
-		TimeTo90Coverage:   c.TimeTo90Coverage,
-		TimeTo99Coverage:   c.TimeTo99Coverage,
-		TimeToConnectivity: c.TimeToConnectivity,
-		SettlingTime:       c.SettlingTime,
-		TotalMovedAtSettle: c.TotalMovedAtSettle,
-		MaxMovedAtSettle:   c.MaxMovedAtSettle,
-	}
 }
 
 // replayedResult reconstructs a BatchResult from a stored record. The
@@ -304,10 +194,10 @@ func resultFromRecord(rec istore.Record) Result {
 		ConvergenceTime:       rec.ConvergenceTime,
 		Connected:             rec.Connected,
 		IncorrectVoronoiCells: rec.IncorrectCells,
-		Positions:             fromStorePoints(rec.Positions),
-		InitialPositions:      fromStorePoints(rec.InitialPositions),
-		Trace:                 fromStoreTrace(rec.Trace),
-		Convergence:           fromStoreConvergence(rec.Convergence),
+		Positions:             rec.Positions,
+		InitialPositions:      rec.InitialPositions,
+		Trace:                 rec.Trace,
+		Convergence:           rec.Convergence,
 	}
 }
 
@@ -481,7 +371,7 @@ func LoadStores(dirs ...string) (StoreData, error) {
 			Scenario: rec.Scenario,
 			N:        rec.N,
 			Repeat:   rec.Repeat,
-			Axes:     fromStoreAxes(rec.Axes),
+			Axes:     rec.Axes,
 			Seed:     rec.Seed,
 		}
 		data.Runs = append(data.Runs, replayedResult(sp, rec))

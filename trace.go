@@ -6,6 +6,7 @@ import (
 
 	"mobisense/internal/core"
 	ifield "mobisense/internal/field"
+	istore "mobisense/internal/store"
 )
 
 // TraceOptions turns on run-level telemetry for event-driven schemes
@@ -60,51 +61,12 @@ func (t *TraceOptions) stride(period float64) float64 {
 }
 
 // TraceSample is one per-tick telemetry observation of a running
-// deployment: how the paper's evaluation quantities evolve on the way to
-// the final layout, not just where they end up.
-type TraceSample struct {
-	// Time is the simulation clock of the sample in seconds.
-	Time float64 `json:"t"`
-	// Coverage is the instantaneous 1-coverage fraction.
-	Coverage float64 `json:"coverage"`
-	// Connected is the number of alive sensors unit-disk reachable from
-	// the base station at the sample time.
-	Connected int `json:"connected"`
-	// Alive is the number of non-failed sensors; Moving how many of them
-	// are mid-step.
-	Alive  int `json:"alive"`
-	Moving int `json:"moving"`
-	// TotalMoved is the summed cumulative moving distance in meters over
-	// all sensors; MaxMoved the largest single sensor's.
-	TotalMoved float64 `json:"total_moved"`
-	MaxMoved   float64 `json:"max_moved"`
-	// Layout is the alive-sensor layout at the sample time, captured only
-	// when TraceOptions.Layouts is set.
-	Layout []Point `json:"layout,omitempty"`
-}
+// deployment; its stored form in internal/store documents the fields.
+type TraceSample = istore.TraceSample
 
-// Convergence summarizes how one traced run approached its final state —
-// the paper's §6 evaluation is about these transients, not just the end
-// point. All times are simulation seconds read off the trace grid, so
-// their resolution is the trace stride.
-type Convergence struct {
-	// TimeTo90Coverage / TimeTo99Coverage are the first sample times at
-	// which coverage reached 90% / 99% of the run's final coverage.
-	TimeTo90Coverage float64 `json:"t90"`
-	TimeTo99Coverage float64 `json:"t99"`
-	// TimeToConnectivity is the earliest sample time from which every
-	// alive sensor stayed base-station reachable through the end of the
-	// trace; -1 when the final sample is not fully connected.
-	TimeToConnectivity float64 `json:"tconn"`
-	// SettlingTime is the earliest sample time from which no sensor moved
-	// (and no distance accrued) through the end of the trace; the final
-	// sample time when the run never settled.
-	SettlingTime float64 `json:"settle"`
-	// TotalMovedAtSettle / MaxMovedAtSettle are the cumulative movement
-	// totals at the settling sample — the movement cost of convergence.
-	TotalMovedAtSettle float64 `json:"settle_total_moved"`
-	MaxMovedAtSettle   float64 `json:"settle_max_moved"`
-}
+// Convergence summarizes how one traced run approached its final state;
+// its stored form in internal/store documents the fields.
+type Convergence = istore.Convergence
 
 // ConvergenceFrom derives the convergence metrics of one trace series.
 // It returns nil for an empty trace (untraced runs, baselines with no
