@@ -4,11 +4,11 @@
 //
 // Snapshot a baseline (done once per perf-sensitive PR):
 //
-//	go run ./cmd/bench -count 5 -out BENCH_PR17.json
+//	go run ./cmd/bench -count 5 -out BENCH_PR22.json
 //
 // Gate the current tree against it (CI's bench-gate job):
 //
-//	go run ./cmd/bench -count 5 -compare BENCH_PR17.json -ns-gate -ns-tol 0.75
+//	go run ./cmd/bench -count 5 -compare BENCH_PR22.json -ns-gate -ns-tol 0.75
 //
 // The gate fails when any benchmark's allocs/op regresses by more than
 // -allocs-tol (default 10%), or, for a benchmark recorded at 0 allocs/op,
@@ -47,14 +47,17 @@ import (
 // steps of waiting sensors that read them, the event
 // engine's queue with and without a periodic ticker, the
 // geometry/connectivity kernel benches guarded by the ns/op gate
-// (FirstHit, LOS coverage, exclusive area, unit-disk flood), and the
-// trace-sampling kernels (incremental coverage, tracker seed, a transient
-// sample's fleet-wide move, per-sample world telemetry). The expression
-// is anchored at both ends, so no name matches another by prefix.
+// (FirstHit, LOS coverage, exclusive area, unit-disk flood), the field
+// set-up kernels (a random-obstacle field's build and validation, an
+// estimator's free mask), and the trace-sampling kernels (incremental
+// coverage, tracker seed, a transient sample's fleet-wide move,
+// per-sample world telemetry). The expression is anchored at both ends,
+// so no name matches another by prefix.
 const defaultBenchRegexp = "^(BenchmarkBatchSweepSequential|BenchmarkBatchSweepParallel|" +
 	"BenchmarkStoreWrite|BenchmarkFractionReuse|BenchmarkInsertMoveQuery|BenchmarkNeighborsWithin|BenchmarkWalkNeighbors|BenchmarkLazyWait|" +
 	"BenchmarkEngineStep|BenchmarkEngineStepTicked|" +
 	"BenchmarkFirstHit|BenchmarkFractionLOS|BenchmarkExclusiveArea|BenchmarkUnitDiskReachable|" +
+	"BenchmarkBuildRandomField|BenchmarkNewEstimator|" +
 	"BenchmarkFractionIncremental|BenchmarkIncrementalTraceSweep|" +
 	"BenchmarkTrackerSeedLOS|BenchmarkTrackerMoveLOS|BenchmarkSampleTrace)$"
 

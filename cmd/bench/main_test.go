@@ -148,7 +148,8 @@ func TestRunFlags(t *testing.T) {
 // another's (EngineStep, EngineStepTicked) is selected only when listed.
 func TestDefaultBenchRegexpExact(t *testing.T) {
 	re := regexp.MustCompile(defaultBenchRegexp)
-	for _, name := range []string{"BenchmarkEngineStep", "BenchmarkEngineStepTicked", "BenchmarkNeighborsWithin", "BenchmarkWalkNeighbors", "BenchmarkLazyWait"} {
+	for _, name := range []string{"BenchmarkEngineStep", "BenchmarkEngineStepTicked", "BenchmarkNeighborsWithin", "BenchmarkWalkNeighbors", "BenchmarkLazyWait",
+		"BenchmarkBuildRandomField", "BenchmarkNewEstimator"} {
 		if !re.MatchString(name) {
 			t.Errorf("%s is not selected", name)
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -140,6 +141,68 @@ func report(t *testing.T, args ...string) string {
 		t.Fatalf("report %s: exit code %d; stderr:\n%s", strings.Join(args, " "), code, stderr.String())
 	}
 	return stdout.String()
+}
+
+// TestRunWatchFailsWhenStoreDisappears: a store that -watch has read and
+// that then vanishes mid-watch (deleted, or its server job pruned) fails
+// the watch with exit code 1 and says so, rather than waiting forever for
+// it to complete. The store holds 2 of its 4 runs, and the directory is
+// removed inside the first poll's write of its totals, so the next poll
+// finds it gone.
+func TestRunWatchFailsWhenStoreDisappears(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "gone")
+	sweep := floorSweep()
+	sweep.Repeats = 4
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := 0
+	opts := mobisense.BatchOptions{Workers: 1, Store: &mobisense.Store{Dir: dir}, OnProgress: func(int, int) {
+		if done++; done == 2 {
+			cancel()
+		}
+	}}
+	if _, err := sweep.Run(ctx, opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("sweep stopped after 2 runs with %v, want context.Canceled", err)
+	}
+	if p, err := mobisense.ReadStoreProgress(dir); err != nil || p.Done != 2 || p.Total != 4 {
+		t.Fatalf("store progress %d/%d (%v), want 2/4", p.Done, p.Total, err)
+	}
+
+	stdout := &removeOnTotal{dir: dir}
+	var stderr bytes.Buffer
+	watched := make(chan int, 1)
+	go func() { watched <- run([]string{"-watch", "-interval", "20ms", dir}, stdout, &stderr) }()
+	select {
+	case code := <-watched:
+		if code != 1 {
+			t.Errorf("exit code %d, want 1; stderr:\n%s", code, stderr.String())
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("-watch did not exit after its store disappeared")
+	}
+	if !stdout.removed {
+		t.Error("the watch never printed a total, so the store was not removed mid-watch")
+	}
+	if !strings.Contains(stderr.String(), "disappeared mid-watch") {
+		t.Errorf("stderr lacks the disappearance:\n%s", stderr.String())
+	}
+}
+
+// removeOnTotal is -watch's stdout: it removes the store directory while
+// the first poll writes its total line.
+type removeOnTotal struct {
+	dir     string
+	removed bool
+}
+
+func (w *removeOnTotal) Write(p []byte) (int, error) {
+	if !w.removed && bytes.Contains(p, []byte("total: ")) {
+		if err := os.RemoveAll(w.dir); err != nil {
+			return 0, err
+		}
+		w.removed = true
+	}
+	return len(p), nil
 }
 
 // TestRunShardsMergeToUnshardedCSV: the shard stores 0/2 and 1/2 of a

@@ -7,7 +7,8 @@ import "mobisense/internal/field"
 // BuildScenario, or any declarative FieldSpec with BuildFieldSpec;
 // ObstacleFreeField is the default.
 type Field struct {
-	f *field.Field
+	f    *field.Field
+	name string // the name of the spec it was built from
 }
 
 func (fl Field) internal() *field.Field { return fl.f }

@@ -78,7 +78,9 @@ func LoadFieldSpecFile(path string) (FieldSpec, error) {
 // generated layout; fixed specs ignore it. Builds are cached by geometry
 // fingerprint and seed, so sweeps, paired scheme comparisons and repeated
 // service requests share one immutable field (and therefore one coverage
-// estimator) instead of re-validating the free space every time.
+// estimator) instead of re-validating the free space every time. The
+// fingerprint leaves the name out, so the returned handle carries the
+// requested spec's name itself.
 func BuildFieldSpec(spec FieldSpec, seed uint64) (Field, error) {
 	if !spec.Seeded() {
 		seed = 0
@@ -87,20 +89,25 @@ func BuildFieldSpec(spec FieldSpec, seed uint64) (Field, error) {
 	fieldBuildCache.Lock()
 	f, ok := fieldBuildCache.m[k]
 	fieldBuildCache.Unlock()
-	if ok {
-		return f, nil
+	if !ok {
+		// Build outside the lock: validation rasterizes the free space, and
+		// a duplicate concurrent build is benign (identical geometry).
+		inner, err := spec.Build(seed)
+		if err != nil {
+			return Field{}, fmt.Errorf("mobisense: field spec: %w", err)
+		}
+		f = cacheField(k, inner)
 	}
-	// Build outside the lock: construction can flood-fill a large grid,
-	// and a duplicate concurrent build is benign (identical geometry).
-	inner, err := spec.Build(seed)
-	if err != nil {
-		return Field{}, fmt.Errorf("mobisense: field spec: %w", err)
-	}
-	f = Field{f: inner}
+	return Field{f: f, name: spec.Name}, nil
+}
+
+// cacheField stores a built field under k and returns the cached one,
+// which is f unless a concurrent build of the same key got there first.
+func cacheField(k fieldCacheKey, f *field.Field) *field.Field {
 	fieldBuildCache.Lock()
 	defer fieldBuildCache.Unlock()
 	if cached, ok := fieldBuildCache.m[k]; ok {
-		return cached, nil
+		return cached
 	}
 	fieldBuildCache.m[k] = f
 	fieldBuildCache.order = append(fieldBuildCache.order, k)
@@ -108,37 +115,39 @@ func BuildFieldSpec(spec FieldSpec, seed uint64) (Field, error) {
 		delete(fieldBuildCache.m, fieldBuildCache.order[0])
 		fieldBuildCache.order = fieldBuildCache.order[1:]
 	}
-	return f, nil
+	return f
 }
 
 // fieldBuildCache memoizes BuildFieldSpec by geometry fingerprint and
-// seed. Building a field validates free-space connectivity on a grid —
-// pure waste to repeat for the same geometry — and sharing the immutable
-// *field.Field also lets the run pool's estimator cache share one
-// coverage estimator across every run of that environment. The cache is
-// bounded FIFO; a sweep touches few distinct fields, so the bound only
-// matters for long-lived services crossing many seeded layouts.
+// seed. Building a field rasterizes its free space to check that it is
+// connected — pure waste to repeat for the same geometry — and sharing
+// the immutable *field.Field also lets the run pool's estimator cache
+// share one coverage estimator across every run of that environment. The
+// cache is bounded FIFO; a sweep touches few distinct fields, so the
+// bound only matters for long-lived services crossing many seeded
+// layouts.
 const fieldBuildCacheCap = 128
 
 var fieldBuildCache = struct {
 	sync.Mutex
-	m     map[fieldCacheKey]Field
+	m     map[fieldCacheKey]*field.Field
 	order []fieldCacheKey
-}{m: map[fieldCacheKey]Field{}}
+}{m: map[fieldCacheKey]*field.Field{}}
 
 type fieldCacheKey struct {
 	fingerprint string
 	seed        uint64
 }
 
-// Spec returns the declarative spec describing this field. Fields built
-// from a spec (scenario registry, BuildFieldSpec, -field files) return
-// that spec, generator parameters included; fields built directly from
-// geometry return an extraction of their bounds, reference and
-// obstacles. A zero Field returns a zero spec.
+// Spec returns the declarative spec describing this field: the spec it
+// was built from (scenario registry, BuildFieldSpec, -field files), name
+// and generator parameters included, in normal form. A zero Field
+// returns a zero spec.
 func (fl Field) Spec() FieldSpec {
 	if fl.f == nil {
 		return FieldSpec{}
 	}
-	return fl.f.Spec()
+	s := fl.f.Spec()
+	s.Name = fl.name
+	return s
 }

@@ -336,6 +336,33 @@ func TestBuildFieldSpecCachesUnseeded(t *testing.T) {
 	}
 }
 
+// TestFieldSpecKeepsRequestedName: specs that differ only in name share
+// one cached field, and so one coverage estimator, yet each handle's
+// Spec reports the name it was built with, whichever name built the
+// cached field first.
+func TestFieldSpecKeepsRequestedName(t *testing.T) {
+	free := ObstacleFreeField()
+	scenario, err := BuildScenario("free", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	depot, err := BuildFieldSpec(FieldSpec{Name: "depot", Bounds: RectSpec{MaxX: 1000, MaxY: 1000}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scenario.f != free.f || depot.f != free.f {
+		t.Error("specs that differ only in name built distinct fields")
+	}
+	for _, tc := range []struct {
+		f    Field
+		want string
+	}{{free, ""}, {scenario, "free"}, {depot, "depot"}} {
+		if got := tc.f.Spec().Name; got != tc.want {
+			t.Errorf("Spec().Name = %q, want %q", got, tc.want)
+		}
+	}
+}
+
 // TestManifestIgnoresSpecName: the cosmetic spec "name" must not enter
 // sweep identity — renaming a spec file stays a cache hit and resumes
 // the same store.

@@ -87,3 +87,18 @@ func BenchmarkExclusiveArea(b *testing.B) {
 		}
 	}
 }
+
+// estimatorSink keeps BenchmarkNewEstimator's result live.
+var estimatorSink *Estimator
+
+// BenchmarkNewEstimator measures building an estimator's free mask for
+// the two-obstacles field at the default 5 m resolution: the set-up each
+// field's first run pays.
+func BenchmarkNewEstimator(b *testing.B) {
+	f := twoObstacleField(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		estimatorSink = NewEstimator(f, 5)
+	}
+}

@@ -89,14 +89,10 @@ func NewEstimator(f *field.Field, res float64) *Estimator {
 	for iy := range e.cy {
 		e.cy[iy] = b.Min.Y + (float64(iy)+0.5)*res
 	}
-	e.free = make([]bool, e.nx*e.ny)
-	for iy := 0; iy < e.ny; iy++ {
-		for ix := 0; ix < e.nx; ix++ {
-			p := e.cellCenter(ix, iy)
-			if b.Contains(p) && f.Free(p) {
-				e.free[iy*e.nx+ix] = true
-				e.nFree++
-			}
+	e.free = f.FreeMask(res, e.nx, e.ny)
+	for _, free := range e.free {
+		if free {
+			e.nFree++
 		}
 	}
 	e.scratch.New = func() any {
@@ -123,10 +119,6 @@ func (e *Estimator) putScratch(g *gridScratch) {
 		return
 	}
 	e.scratch.Put(g)
-}
-
-func (e *Estimator) cellCenter(ix, iy int) geom.Vec {
-	return geom.V(e.cx[ix], e.cy[iy])
 }
 
 // Resolution returns the grid resolution.

@@ -47,3 +47,26 @@ func BenchmarkFirstHit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBuildRandomField measures building the random-obstacles
+// scenario's field (§6.4: 1–4 rectangles of 80–400 m on the standard
+// field, with that scenario's salt) for 32 distinct seeds per op. Each
+// build generates a layout, validates it and retries it when it splits
+// the free space; Spec.Build has no cache, so every op does all of it.
+func BenchmarkBuildRandomField(b *testing.B) {
+	def := DefaultRandomObstacleConfig()
+	spec := Spec{
+		Bounds: RectSpec{MaxX: StandardSize, MaxY: StandardSize},
+		Generator: &GeneratorSpec{MinCount: def.MinCount, MaxCount: def.MaxCount,
+			MinSide: def.MinSide, MaxSide: def.MaxSide, KeepClear: def.KeepClear, Salt: 0xabcdef12345},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for seed := uint64(1); seed <= 32; seed++ {
+			if _, err := spec.Build(seed); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -11,6 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
+	"sort"
 
 	"mobisense/internal/geom"
 )
@@ -221,13 +223,15 @@ func (f *Field) RandomFreePoint(rng *rand.Rand, sub geom.Rect) geom.Vec {
 	panic("field: RandomFreePoint could not find a free point; region blocked")
 }
 
-// freeSpaceConnected reports whether every free cell of a res grid over
-// the bounds is reachable from the reference point's cell.
+// freeSpaceConnected reports whether the free cells of a res grid over
+// the bounds form exactly one 4-connected region, so that every free cell
+// is reachable from the reference point's.
 //
 // Without interior obstacles a cell is free exactly when its centre lies
 // in the bounds. Centres grow with the cell index, so the free cells form
 // a prefix rectangle of the grid, which is connected when it is not empty,
-// that is, when cell (0, 0) is free. Fields with obstacles flood-fill.
+// that is, when cell (0, 0) is free. Fields with obstacles rasterize the
+// free space and join its row runs.
 func (f *Field) freeSpaceConnected(res float64) bool {
 	nx := int(f.bounds.W()/res) + 1
 	ny := int(f.bounds.H()/res) + 1
@@ -237,7 +241,7 @@ func (f *Field) freeSpaceConnected(res float64) bool {
 	if len(f.obstacles) == 0 {
 		return f.bounds.Contains(f.cellCentre(res, 0, 0))
 	}
-	return f.flood(res, nx, ny)
+	return oneRegion(f.FreeMask(res, nx, ny), nx)
 }
 
 // cellCentre is the centre of cell (ix, iy) of a res grid over the bounds.
@@ -245,87 +249,129 @@ func (f *Field) cellCentre(res float64, ix, iy int) geom.Vec {
 	return geom.V(f.bounds.Min.X+(float64(ix)+0.5)*res, f.bounds.Min.Y+(float64(iy)+0.5)*res)
 }
 
-// flood flood-fills the nx×ny grid of res cells over the free space and
-// reports whether every free cell is reachable from the reference point's
-// cell.
-func (f *Field) flood(res float64, nx, ny int) bool {
-	idx := func(ix, iy int) int { return iy*nx + ix }
-	free := make([]bool, nx*ny)
-	nFree := 0
-	for iy := 0; iy < ny; iy++ {
-		for ix := 0; ix < nx; ix++ {
-			p := f.cellCentre(res, ix, iy)
-			if f.bounds.Contains(p) && f.Free(p) {
-				free[idx(ix, iy)] = true
-				nFree++
-			}
+// FreeMask rasterizes the free space onto the nx×ny grid of res cells
+// whose lower-left corner is the bounds' (cell (ix, iy) is entry
+// iy·nx + ix, centred at Min + ((ix+0.5)·res, (iy+0.5)·res)). An entry
+// is true when its centre c lies in the bounds and is free, that is
+// Bounds().Contains(c) && Free(c), cell for cell.
+//
+// It answers that without asking Free per cell. The bounds test is an x
+// test and a y test, so it passes a rectangle of cells. Each obstacle
+// then clears only the cells whose centres pass Free's padded
+// bounding-box test. Per row of them, the polygon's edge crossings are
+// computed once (AppendRowCrossings, the interior test's own
+// expression), and a centre is inside when an odd number of crossings
+// lie to its right. Only inside centres pay the boundary test, as in
+// ContainsStrict.
+func (f *Field) FreeMask(res float64, nx, ny int) []bool {
+	mask := make([]bool, nx*ny)
+	cx := make([]float64, nx)
+	for ix := range cx {
+		cx[ix] = f.bounds.Min.X + (float64(ix)+0.5)*res
+	}
+	cy := make([]float64, ny)
+	for iy := range cy {
+		cy[iy] = f.bounds.Min.Y + (float64(iy)+0.5)*res
+	}
+	// Centres grow with the index, so those passing a range test, the
+	// bounds' or an obstacle's padded box, form a column and a row range.
+	ix0, ix1 := span(cx, f.bounds.Min.X-geom.Eps, f.bounds.Max.X+geom.Eps)
+	iy0, iy1 := span(cy, f.bounds.Min.Y-geom.Eps, f.bounds.Max.Y+geom.Eps)
+	if iy0 < iy1 {
+		first := mask[iy0*nx+ix0 : iy0*nx+ix1]
+		for i := range first {
+			first[i] = true
+		}
+		for iy := iy0 + 1; iy < iy1; iy++ {
+			copy(mask[iy*nx+ix0:iy*nx+ix1], first)
 		}
 	}
-	if nFree == 0 {
-		return false
-	}
-	// Start from the free cell nearest the reference point.
-	startX := clampInt(int((f.reference.X-f.bounds.Min.X)/res), 0, nx-1)
-	startY := clampInt(int((f.reference.Y-f.bounds.Min.Y)/res), 0, ny-1)
-	start := -1
-	for r := 0; r < nx+ny && start < 0; r++ {
-		for iy := maxInt(0, startY-r); iy <= minInt(ny-1, startY+r) && start < 0; iy++ {
-			for ix := maxInt(0, startX-r); ix <= minInt(nx-1, startX+r); ix++ {
-				if free[idx(ix, iy)] {
-					start = idx(ix, iy)
-					break
+	var buf [8]float64
+	for i, ob := range f.obstacles {
+		bb := f.solidBB[i]
+		ix0, ix1 := span(cx, bb.Min.X-accelPad, bb.Max.X+accelPad)
+		iy0, iy1 := span(cy, bb.Min.Y-accelPad, bb.Max.Y+accelPad)
+		for iy := iy0; iy < iy1; iy++ {
+			xs := ob.AppendRowCrossings(buf[:0], cy[iy])
+			if len(xs) == 0 {
+				continue
+			}
+			slices.Sort(xs)
+			row := mask[iy*nx : (iy+1)*nx]
+			left := 0 // crossings at or left of the current centre
+			for ix := ix0; ix < ix1; ix++ {
+				for left < len(xs) && xs[left] <= cx[ix] {
+					left++
+				}
+				if (len(xs)-left)%2 == 1 && row[ix] && !ob.OnBoundary(geom.V(cx[ix], cy[iy]), geom.Eps) {
+					row[ix] = false
 				}
 			}
 		}
 	}
-	if start < 0 {
-		return false
+	return mask
+}
+
+// span returns the index range [i0, i1) of the non-decreasing centres
+// that lie in [lo, hi].
+func span(centres []float64, lo, hi float64) (i0, i1 int) {
+	i0 = sort.Search(len(centres), func(i int) bool { return centres[i] >= lo })
+	i1 = sort.Search(len(centres), func(i int) bool { return centres[i] > hi })
+	return i0, max(i0, i1)
+}
+
+// oneRegion reports whether the true cells of an nx-wide row-major mask
+// form exactly one 4-connected region. It joins runs rather than cells:
+// each row's maximal runs of true cells start as regions of their own,
+// and a union-find joins two runs of adjacent rows that share a column.
+func oneRegion(mask []bool, nx int) bool {
+	type run struct {
+		lo, hi int // columns, inclusive
+		id     int32
 	}
-	visited := make([]bool, nx*ny)
-	queue := make([]int, 0, nFree)
-	queue = append(queue, start)
-	visited[start] = true
-	reached := 0
-	for len(queue) > 0 {
-		cur := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		reached++
-		cx, cy := cur%nx, cur/nx
-		for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
-			nxt, nyt := cx+d[0], cy+d[1]
-			if nxt < 0 || nxt >= nx || nyt < 0 || nyt >= ny {
+	ny := len(mask) / nx
+	parent := make([]int32, 0, 4*ny) // room for four runs a row
+	find := func(i int32) int32 {
+		for parent[i] != i {
+			parent[i] = parent[parent[i]]
+			i = parent[i]
+		}
+		return i
+	}
+	regions := 0
+	prev, cur := make([]run, 0, 8), make([]run, 0, 8)
+	for y := 0; y < ny; y++ {
+		row := mask[y*nx : (y+1)*nx]
+		cur = cur[:0]
+		for ix := 0; ix < nx; ix++ {
+			if !row[ix] {
 				continue
 			}
-			ni := idx(nxt, nyt)
-			if free[ni] && !visited[ni] {
-				visited[ni] = true
-				queue = append(queue, ni)
+			lo := ix
+			for ix+1 < nx && row[ix+1] {
+				ix++
+			}
+			id := int32(len(parent))
+			parent = append(parent, id)
+			cur = append(cur, run{lo, ix, id})
+			regions++
+		}
+		// Both rows' runs are sorted and disjoint, so one merge pass
+		// visits every overlapping pair.
+		for i, j := 0, 0; i < len(prev) && j < len(cur); {
+			if prev[i].lo <= cur[j].hi && cur[j].lo <= prev[i].hi {
+				if a, b := find(prev[i].id), find(cur[j].id); a != b {
+					parent[b] = a
+					regions--
+				}
+			}
+			if prev[i].hi < cur[j].hi {
+				i++
+			} else {
+				j++
 			}
 		}
+		prev, cur = cur, prev
 	}
-	return reached == nFree
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return regions == 1
 }

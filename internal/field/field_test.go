@@ -288,10 +288,10 @@ func TestSolidOrientation(t *testing.T) {
 }
 
 // TestObstacleFreeCheckMatchesFlood: for bounds without interior
-// obstacles New skips the flood fill and asks only whether cell (0, 0) is
-// free. The flood, still the path for fields with obstacles, is the
-// oracle: on every bounds it must agree, and New must fail with
-// ErrDisconnected exactly when it says no.
+// obstacles New skips the raster and asks only whether cell (0, 0) is
+// free. The per-cell flood (dfsConnected) is the oracle: on every bounds
+// it must agree, and New must fail with ErrDisconnected exactly when it
+// says no.
 func TestObstacleFreeCheckMatchesFlood(t *testing.T) {
 	// The largest square Spec.Normalize accepts: (w/5 + 1)² = 2²² cells.
 	limit := RectSpec{MaxX: 2047 * connectivityRes, MaxY: 2047 * connectivityRes}
@@ -327,7 +327,7 @@ func TestObstacleFreeCheckMatchesFlood(t *testing.T) {
 			f := MustNew(bounds, nil, WithoutValidation())
 			nx := int(bounds.W()/tt.res) + 1
 			ny := int(bounds.H()/tt.res) + 1
-			flood := f.flood(tt.res, nx, ny)
+			flood := dfsConnected(f, tt.res, nx, ny)
 			if got := f.freeSpaceConnected(tt.res); got != flood || got != tt.connected {
 				t.Fatalf("check = %v, flood = %v, want %v", got, flood, tt.connected)
 			}

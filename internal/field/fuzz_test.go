@@ -2,18 +2,23 @@ package field
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
 	"testing"
+
+	"mobisense/internal/geom"
 )
 
 // FuzzParseSpec: every input parses to a spec that normalizes or fails
 // cleanly. An accepted spec's normal form is a fixed point and survives
 // a JSON round trip with its fingerprint, and it builds without a panic:
 // Build returns a field whose bounds and fingerprint are the spec's, or
-// an error. Normalize bounds a spec's size, so every accepted spec is
-// built except those whose free-space check would walk more than
-// maxFuzzCells cells: valid, but too slow to build once per input. The
-// seed corpus is testdata/fuzz/FuzzParseSpec.
+// an error. A built field's FreeMask equals the per-cell oracle, and a
+// fixed spec fails with ErrDisconnected exactly when the per-cell flood
+// finds its free space split. Normalize bounds a spec's size, so every
+// accepted spec is built except those whose free-space check would walk
+// more than maxFuzzCells cells: valid, but too slow to build once per
+// input. The seed corpus is testdata/fuzz/FuzzParseSpec.
 func FuzzParseSpec(f *testing.F) {
 	const maxFuzzCells = 1 << 14
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -44,6 +49,9 @@ func FuzzParseSpec(f *testing.F) {
 			return
 		}
 		fld, err := s.Build(7)
+		if !n.Seeded() {
+			checkConnectivityVerdict(t, data, n, err)
+		}
 		if err != nil {
 			return
 		}
@@ -53,5 +61,31 @@ func FuzzParseSpec(f *testing.F) {
 		if got := fld.Spec().Fingerprint(); got != fp {
 			t.Fatalf("%q: built field's spec fingerprint %s, want %s", data, got, fp)
 		}
+		nx, ny := int(fld.bounds.W()/connectivityRes)+1, int(fld.bounds.H()/connectivityRes)+1
+		got, want := fld.FreeMask(connectivityRes, nx, ny), perCellFreeMask(fld, connectivityRes, nx, ny)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%q: FreeMask cell (%d, %d) is %v, per-cell %v", data, i%nx, i/nx, got[i], want[i])
+			}
+		}
 	})
+}
+
+// checkConnectivityVerdict: a fixed spec n whose build returned err
+// fails with ErrDisconnected exactly when its reference point is free
+// and the per-cell flood finds the free space split.
+func checkConnectivityVerdict(t *testing.T, data []byte, n Spec, err error) {
+	t.Helper()
+	obstacles := make([]geom.Polygon, len(n.Obstacles))
+	for i, ob := range n.Obstacles {
+		obstacles[i] = ob.polygon()
+	}
+	raw, rawErr := New(n.Bounds.rect(), obstacles, WithReference(geom.V(n.Reference.X, n.Reference.Y)), WithoutValidation())
+	if rawErr != nil || !raw.Free(raw.reference) {
+		return // rejected before the connectivity check
+	}
+	nx, ny := int(raw.bounds.W()/connectivityRes)+1, int(raw.bounds.H()/connectivityRes)+1
+	if split := !dfsConnected(raw, connectivityRes, nx, ny); errors.Is(err, ErrDisconnected) != split {
+		t.Fatalf("%q: Build error %v, but the per-cell flood says split = %v", data, err, split)
+	}
 }

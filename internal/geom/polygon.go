@@ -61,12 +61,10 @@ func (p Polygon) Contains(q Vec) bool {
 }
 
 // ContainsStrict reports whether q lies strictly inside the polygon, i.e.
-// farther than margin from every edge.
+// farther than margin from every edge. The interior test runs first: it is
+// the cheaper one, and most points asked about lie outside.
 func (p Polygon) ContainsStrict(q Vec, margin float64) bool {
-	if p.OnBoundary(q, margin) {
-		return false
-	}
-	return p.containsInterior(q)
+	return p.containsInterior(q) && !p.OnBoundary(q, margin)
 }
 
 func (p Polygon) containsInterior(q Vec) bool {
@@ -74,21 +72,51 @@ func (p Polygon) containsInterior(q Vec) bool {
 	n := len(p)
 	for i := 0; i < n; i++ {
 		a, b := p[i], p[(i+1)%n]
-		if (a.Y > q.Y) != (b.Y > q.Y) {
-			xCross := a.X + (q.Y-a.Y)/(b.Y-a.Y)*(b.X-a.X)
-			if q.X < xCross {
-				inside = !inside
-			}
+		if (a.Y > q.Y) != (b.Y > q.Y) && q.X < crossX(a, b, q.Y) {
+			inside = !inside
 		}
 	}
 	return inside
 }
 
-// OnBoundary reports whether q lies within tol of the polygon boundary.
-func (p Polygon) OnBoundary(q Vec, tol float64) bool {
+// crossX is the x at which edge a→b meets the horizontal line through y,
+// for an edge that straddles it.
+func crossX(a, b Vec, y float64) float64 {
+	return a.X + (y-a.Y)/(b.Y-a.Y)*(b.X-a.X)
+}
+
+// AppendRowCrossings appends to dst the x of every edge crossing on the
+// horizontal line through y, computed as the interior test computes them.
+// So a point q with q.Y == y is strictly inside by the even-odd rule (the
+// interior half of ContainsStrict) exactly when an odd number of the
+// crossings exceed q.X.
+func (p Polygon) AppendRowCrossings(dst []float64, y float64) []float64 {
 	n := len(p)
 	for i := 0; i < n; i++ {
-		if p.Edge(i).Dist(q) <= tol {
+		a, b := p[i], p[(i+1)%n]
+		if (a.Y > y) != (b.Y > y) {
+			dst = append(dst, crossX(a, b, y))
+		}
+	}
+	return dst
+}
+
+// OnBoundary reports whether q lies within tol of the polygon boundary.
+// An edge whose bounding box, padded by tol + 1e-3 m, excludes q is
+// skipped before its distance is taken: the closest point lies in that
+// box up to rounding far below 1e-3 m (for coordinates below about
+// 10¹² m), so such an edge is farther than tol from q, and skipping it
+// changes no answer.
+func (p Polygon) OnBoundary(q Vec, tol float64) bool {
+	pad := tol + 1e-3
+	n := len(p)
+	for i := 0; i < n; i++ {
+		e := p.Edge(i)
+		if q.X < min(e.A.X, e.B.X)-pad || q.X > max(e.A.X, e.B.X)+pad ||
+			q.Y < min(e.A.Y, e.B.Y)-pad || q.Y > max(e.A.Y, e.B.Y)+pad {
+			continue
+		}
+		if e.Dist(q) <= tol {
 			return true
 		}
 	}
