@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -193,31 +194,29 @@ func RunBatch(ctx context.Context, cfgs []Config, opts BatchOptions) ([]BatchRes
 	// store will actually record it.
 	var m istore.Manifest
 	if opts.Store != nil {
-		m = istore.Manifest{
+		m = opts.Store.mark(istore.Manifest{
 			Kind:              "batch",
 			ConfigFingerprint: combinedFingerprint(specs),
 			ShardIndex:        opts.Shard.Index,
 			ShardCount:        opts.Shard.count(),
-			Layouts:           opts.Store.Layouts,
-			Trace:             opts.Store.Trace,
-			TraceLayouts:      opts.Store.Trace && traceLayouts(cfgs),
-		}
+		}, specs)
 	}
 	specs = opts.Shard.filter(specs)
 	m.TotalRuns = len(specs)
 	return runSpecs(ctx, specs, opts, m)
 }
 
-// traceLayouts reports whether any config samples layout snapshots into
-// its trace; the manifest records it so readers know whether the store's
-// trace records can drive a replay.
-func traceLayouts(cfgs []Config) bool {
-	for _, cfg := range cfgs {
-		if cfg.Trace != nil && cfg.Trace.Layouts {
-			return true
-		}
-	}
-	return false
+// mark records in a store manifest what the store's records keep: layouts,
+// trace series, and whether any run snapshots layouts into its trace, so
+// readers know whether the records can drive a replay. specs is the whole
+// expansion, not one shard's slice, so every shard marks alike.
+func (st *Store) mark(m istore.Manifest, specs []RunSpec) istore.Manifest {
+	m.Layouts = st.Layouts
+	m.Trace = st.Trace
+	m.TraceLayouts = st.Trace && slices.ContainsFunc(specs, func(sp RunSpec) bool {
+		return sp.Config.Trace != nil && sp.Config.Trace.Layouts
+	})
+	return m
 }
 
 // runSpecs is the one executor behind RunBatch, Sweep.Run and the
@@ -731,13 +730,11 @@ func (s Sweep) Run(ctx context.Context, opts BatchOptions) (SweepResult, error) 
 	if err != nil {
 		return SweepResult{}, err
 	}
+	all := specs
 	specs = opts.Shard.filter(specs)
 	var m istore.Manifest
 	if opts.Store != nil {
-		m = s.manifest(opts.Shard, len(specs))
-		m.Layouts = opts.Store.Layouts
-		m.Trace = opts.Store.Trace
-		m.TraceLayouts = opts.Store.Trace && s.Base.Trace != nil && s.Base.Trace.Layouts
+		m = opts.Store.mark(s.manifest(opts.Shard, len(specs)), all)
 	}
 	runs, err := runSpecs(ctx, specs, opts, m)
 	return SweepResult{Runs: runs, Aggregates: aggregateRuns(runs)}, err

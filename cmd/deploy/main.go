@@ -70,7 +70,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -95,7 +94,12 @@ var figureFlags = map[string]bool{
 // run is the command: it parses args, runs the deployment, sweep or
 // figures and writes the reports. It returns the exit code: 0 on success
 // or -h (and when -max-runs stops a sweep), 1 on a run or write failure,
-// 2 on bad flags and 130 on Ctrl-C.
+// 2 on bad flags or a bad request and 130 on Ctrl-C.
+//
+// The flags that describe the work fill the serve API's SweepRequest,
+// which validates and expands them exactly as POST /v1/runs and
+// /v1/sweeps do, so a sweep run here writes the store the service writes
+// for the same request. The remaining flags say how to execute it.
 func run(args []string, stdout, stderr io.Writer) int {
 	flags := flag.NewFlagSet("deploy", flag.ContinueOnError)
 	flags.SetOutput(stderr)
@@ -105,8 +109,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var (
 		scheme    = flags.String("scheme", "floor", "deployment scheme: "+strings.Join(schemeNames, ", "))
-		scenario  = flags.String("scenario", "free", "scenario: "+strings.Join(mobisense.ScenarioNames(), ", "))
-		fieldKind = flags.String("field", "", "field-spec JSON file defining a custom environment (overrides -scenario); a registered scenario name is accepted as a deprecated alias for -scenario")
+		scenario  = flags.String("scenario", "", "scenario (default free): "+strings.Join(mobisense.ScenarioNames(), ", "))
+		fieldFile = flags.String("field", "", "field-spec JSON file defining a custom environment (instead of -scenario)")
 		fieldSeed = flags.Uint64("field-seed", 1, "seed for seeded scenarios/specs in single runs; sweeps (-runs > 1) derive fields from -seed")
 		n         = flags.Int("n", 240, "number of sensors")
 		rc        = flags.Float64("rc", 60, "communication range (m)")
@@ -117,8 +121,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		runs      = flags.Int("runs", 1, "number of repeated runs with derived seeds")
 		workers   = flags.Int("workers", 0, "worker-pool size for sweeps and -figure (0 = GOMAXPROCS)")
 		uniform   = flags.Bool("uniform", false, "uniform initial distribution instead of clustered")
-		osc       = flags.String("oscillation", "none", "CPVF oscillation avoidance: none, one-step, two-step")
-		delta     = flags.Float64("delta", 4, "CPVF oscillation avoidance factor δ")
+		osc       = flags.String("oscillation", "", "CPVF oscillation avoidance: none, one-step, two-step (empty = none)")
+		delta     = flags.Float64("delta", 0, "CPVF oscillation avoidance factor δ (0 = the scheme's default, 4)")
 		ttl       = flags.Int("ttl", 0, "FLOOR invitation TTL in hops (0 = 0.2*N)")
 		showMap   = flags.Bool("map", true, "print an ASCII layout map (single run only)")
 		csvPath   = flags.String("csv", "", "write final positions CSV to this path (single run), or every -figure row")
@@ -134,14 +138,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fixedSeed = flags.Bool("fixed-seed", false, "give every sweep run the -seed verbatim instead of derived seeds (paired axis points)")
 		figure    = flags.String("figure", "", "run the paper's figures as sweeps: "+strings.Join(experiments.Names(), ",")+" (comma-separated) or all")
 	)
-	var axes []mobisense.ParamAxis
+	var axes []mobisense.AxisSpec
 	flags.Func("axis", "sweep a built-in axis as \"name=v1,v2,...\" ("+strings.Join(mobisense.AxisNames(), ", ")+"); string-valued axes take their values by name, e.g. cpvf.osc=none,two-step; repeatable",
 		func(spec string) error {
 			ax, err := mobisense.ParseAxis(spec)
 			if err != nil {
 				return err
 			}
-			axes = append(axes, ax)
+			axes = append(axes, mobisense.AxisSpec{Name: ax.Name, Values: ax.Values, Strings: ax.Strings})
 			return nil
 		})
 	if err := flags.Parse(args); err != nil {
@@ -151,7 +155,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	scenarioExplicit := false
 	var figures []experiments.Figure
 	if *figure != "" {
 		names := experiments.Names()
@@ -169,7 +172,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	bad := ""
 	flags.Visit(func(f *flag.Flag) {
-		scenarioExplicit = scenarioExplicit || f.Name == "scenario"
 		if figures != nil && !figureFlags[f.Name] {
 			bad = f.Name
 		}
@@ -178,98 +180,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "-figure defines its own sweep: -%s does not apply\n", bad)
 		return 2
 	}
-	scenarioName := *scenario
-	var fieldSpec *mobisense.FieldSpec
-	if *fieldKind != "" {
-		// A regular file is a spec; anything else (including a directory
-		// that happens to share a scenario's name) falls through to the
-		// deprecated -field <scenario-name> alias.
-		if st, statErr := os.Stat(*fieldKind); statErr == nil && st.Mode().IsRegular() {
-			if scenarioExplicit {
-				// Mirror the serve API: a request may name a scenario or
-				// supply a field spec, never both silently.
-				fmt.Fprintln(stderr, "-scenario and a -field spec file conflict: pick one environment")
-				return 2
-			}
-			spec, err := mobisense.LoadFieldSpecFile(*fieldKind)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 2
-			}
-			fieldSpec = &spec
-		} else if _, ok := mobisense.LookupScenario(*fieldKind); ok {
-			scenarioName = *fieldKind
-		} else {
-			fmt.Fprintf(stderr, "-field %q is neither a readable spec file nor a scenario name (have %s)\n",
-				*fieldKind, strings.Join(mobisense.ScenarioNames(), ", "))
-			return 2
-		}
-	}
-	if fieldSpec == nil {
-		if _, ok := mobisense.LookupScenario(scenarioName); !ok {
-			fmt.Fprintf(stderr, "unknown scenario %q (have %s)\n",
-				scenarioName, strings.Join(mobisense.ScenarioNames(), ", "))
-			return 2
-		}
-	}
 	shard, err := mobisense.ParseShard(*shardSpec)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	if *resume && *storeDir == "" {
-		fmt.Fprintln(stderr, "-resume needs -store: there is nothing to resume from")
-		return 2
-	}
-	if shard.Count > 1 && *storeDir == "" {
-		fmt.Fprintln(stderr, "-shard needs -store: a shard's slice of the aggregates is useless unpersisted")
-		return 2
-	}
-	if *layouts && *storeDir == "" {
-		fmt.Fprintln(stderr, "-store-layouts needs -store: layouts persist in store records")
-		return 2
-	}
-	if math.IsNaN(*trace) || math.IsInf(*trace, 0) || *trace < 0 {
-		fmt.Fprintf(stderr, "-trace stride must be a finite value >= 0, got %g\n", *trace)
-		return 2
-	}
-	if *trace > 0 && (*runs > 1 || len(axes) > 0) && *storeDir == "" {
-		fmt.Fprintln(stderr, "-trace in a sweep needs -store: the series persist in store records")
-		return 2
-	}
-	if *traceLay && *trace == 0 {
-		fmt.Fprintln(stderr, "-trace-layouts needs -trace: there is no series to capture layouts into")
-		return 2
-	}
-	if *traceLayN < 0 {
-		fmt.Fprintf(stderr, "-trace-layout-stride must be >= 0, got %d\n", *traceLayN)
-		return 2
-	}
-	if *traceLayN > 1 && !*traceLay {
-		fmt.Fprintln(stderr, "-trace-layout-stride needs -trace-layouts: there are no layout samples to thin")
-		return 2
-	}
-	if *traceCSV != "" && *trace == 0 {
-		fmt.Fprintln(stderr, "-trace-csv needs -trace: there is no series to write")
-		return 2
-	}
-	if *traceCSV != "" && (*runs > 1 || len(axes) > 0) {
-		fmt.Fprintln(stderr, "-trace-csv is single-run only; sweeps export aggregated curves via report -traces")
-		return 2
-	}
-
-	cfg := mobisense.DefaultConfig(mobisense.Scheme(*scheme))
-	cfg.N = *n
-	cfg.Rc = *rc
-	cfg.Rs = *rs
-	cfg.Speed = *speed
-	cfg.Duration = *duration
-	cfg.Seed = *seed
-	cfg.ClusterInit = !*uniform
-	cfg.CPVF = &mobisense.CPVFOptions{Oscillation: *osc, Delta: *delta}
-	cfg.Floor = &mobisense.FloorOptions{TTL: *ttl}
-	if *trace > 0 {
-		cfg.Trace = &mobisense.TraceOptions{Stride: *trace, Layouts: *traceLay, LayoutStride: *traceLayN}
+	sweeping := *runs > 1 || len(axes) > 0
+	for _, rule := range []struct {
+		broken bool
+		msg    string
+	}{
+		{*resume && *storeDir == "", "-resume needs -store: there is nothing to resume from"},
+		{shard.Count > 1 && *storeDir == "", "-shard needs -store: a shard's slice of the aggregates is useless unpersisted"},
+		{*layouts && *storeDir == "", "-store-layouts needs -store: layouts persist in store records"},
+		{*trace > 0 && sweeping && *storeDir == "", "-trace in a sweep needs -store: the series persist in store records"},
+		{*traceCSV != "" && *trace == 0, "-trace-csv needs -trace: there is no series to write"},
+		{*traceCSV != "" && sweeping, "-trace-csv is single-run only; sweeps export aggregated curves via report -traces"},
+		{figures == nil && !sweeping && (*storeDir != "" || shard.Count > 1), "-store and -shard need a sweep: set -runs > 1, add -axis or pick a -figure"},
+	} {
+		if rule.broken {
+			fmt.Fprintln(stderr, rule.msg)
+			return 2
+		}
 	}
 
 	// Ctrl-C cancels the sweep; every finished run is kept (and persisted
@@ -291,7 +223,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			capStop()
 		}
 	}
-
 	if figures != nil {
 		csv := []byte(experiments.CSVHeader)
 		for _, f := range figures {
@@ -333,59 +264,51 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *runs <= 1 && len(axes) == 0 {
-		if *storeDir != "" || shard.Count > 1 {
-			fmt.Fprintln(stderr, "-store and -shard need a sweep: set -runs > 1, add -axis or pick a -figure")
+	req := mobisense.SweepRequest{
+		RunRequest: mobisense.RunRequest{
+			Scheme: *scheme, Scenario: *scenario, FieldSeed: *fieldSeed,
+			N: *n, Rc: *rc, Rs: *rs, Speed: *speed, Duration: *duration, Seed: *seed, Uniform: *uniform,
+			StoreLayouts: *layouts, Trace: *trace, TraceLayouts: *traceLay, TraceLayoutStride: *traceLayN,
+		},
+		Axes:      axes,
+		FixedSeed: *fixedSeed,
+		Repeats:   *runs,
+	}
+	if *fieldFile != "" {
+		spec, err := mobisense.LoadFieldSpecFile(*fieldFile)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
-		// For one run, honor -seed and -field-seed verbatim rather than
-		// deriving, so single-run invocations stay reproducible by hand.
-		var f mobisense.Field
-		var err error
-		if fieldSpec != nil {
-			f, err = mobisense.BuildFieldSpec(*fieldSpec, *fieldSeed)
-		} else {
-			f, err = mobisense.BuildScenario(scenarioName, *fieldSeed)
-		}
+		req.Field = &spec
+	}
+	if *osc != "" || *delta != 0 {
+		req.CPVF = &mobisense.CPVFOptions{Oscillation: *osc, Delta: *delta}
+	}
+	if *ttl != 0 {
+		req.Floor = &mobisense.FloorOptions{TTL: *ttl}
+	}
+
+	if !sweeping {
+		cfg, err := req.Config()
 		if err != nil {
-			fmt.Fprintf(stderr, "scenario: %v\n", err)
-			return 1
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
-		cfg.Field = f
 		out, err := mobisense.RunBatch(ctx, []mobisense.Config{cfg}, mobisense.BatchOptions{Workers: 1})
-		if err != nil {
-			fmt.Fprintf(stderr, "run: %v\n", err)
-			return 1
+		if err == nil {
+			err = out[0].Err
 		}
-		if err := out[0].Err; err != nil {
+		if err != nil {
 			fmt.Fprintf(stderr, "run: %v\n", err)
 			return 1
 		}
 		return printSingle(stdout, stderr, cfg, out[0].Result, *showMap, *csvPath, *traceCSV)
 	}
-
-	// Sweeps derive both run seeds and seeded-scenario fields from -seed
-	// (-fixed-seed keeps run seeds verbatim for paired axis studies).
-	sweep := mobisense.Sweep{
-		Base:      cfg,
-		Axes:      axes,
-		Repeats:   *runs,
-		Seed:      *seed,
-		FixedSeed: *fixedSeed,
-	}
-	if fieldSpec != nil {
-		// The spec is the environment axis; the base config carries a
-		// field built from it (field-seed layout) so fingerprints match
-		// the serve API's handling of the same inline spec.
-		f, err := mobisense.BuildFieldSpec(*fieldSpec, *fieldSeed)
-		if err != nil {
-			fmt.Fprintf(stderr, "field: %v\n", err)
-			return 1
-		}
-		sweep.Base.Field = f
-		sweep.Field = fieldSpec
-	} else {
-		sweep.Scenarios = []string{scenarioName}
+	sweep, err := req.Sweep()
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	if *storeDir != "" {
 		opts.Store = &mobisense.Store{Dir: *storeDir, Resume: *resume, Layouts: *layouts, Trace: *trace > 0}

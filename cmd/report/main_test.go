@@ -3,7 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -206,31 +209,81 @@ func (w *removeOnTotal) Write(p []byte) (int, error) {
 }
 
 // TestRunShardsMergeToUnshardedCSV: the shard stores 0/2 and 1/2 of a
-// sweep merge to the unsharded store's -csv byte for byte, and the
-// merged table lists the scheme.
+// traced sweep, written at other worker counts, merge to the unsharded
+// store's -csv (convergence columns included) and -traces curves byte
+// for byte, and the merged table lists the scheme.
 func TestRunShardsMergeToUnshardedCSV(t *testing.T) {
 	dir := t.TempDir()
 	path := func(name string) string { return filepath.Join(dir, name) }
+	sweep := floorSweep()
+	sweep.Base.Trace = &mobisense.TraceOptions{Stride: 20}
 	for name, shard := range map[string]mobisense.Shard{"full": {}, "s0": {Index: 0, Count: 2}, "s1": {Index: 1, Count: 2}} {
-		opts := mobisense.BatchOptions{Workers: 2, Shard: shard, Store: &mobisense.Store{Dir: path(name)}}
-		if _, err := floorSweep().Run(context.Background(), opts); err != nil {
+		opts := mobisense.BatchOptions{Workers: 1 + shard.Index, Shard: shard, Store: &mobisense.Store{Dir: path(name), Trace: true}}
+		if _, err := sweep.Run(context.Background(), opts); err != nil {
 			t.Fatal(err)
 		}
 	}
-	report(t, "-csv", path("full.csv"), path("full"))
-	if out := report(t, "-csv", path("merged.csv"), path("s0"), path("s1")); !strings.Contains(out, "floor") {
+	report(t, "-csv", path("full.csv"), "-traces", path("full-traces.csv"), path("full"))
+	if out := report(t, "-csv", path("merged.csv"), "-traces", path("merged-traces.csv"), path("s0"), path("s1")); !strings.Contains(out, "floor") {
 		t.Errorf("merged table lacks the scheme:\n%s", out)
 	}
-	full, err := os.ReadFile(path("full.csv"))
+	for _, tc := range []struct{ full, merged, header string }{
+		{"full.csv", "merged.csv", "settle_mean"},
+		{"full-traces.csv", "merged-traces.csv", "scheme,scenario,n,axes,t,runs,coverage_mean"},
+	} {
+		full, err := os.ReadFile(path(tc.full))
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged, err := os.ReadFile(path(tc.merged))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if header, _, _ := strings.Cut(string(full), "\n"); !strings.Contains(header, tc.header) {
+			t.Errorf("%s header %q lacks %q", tc.full, header, tc.header)
+		}
+		if !bytes.Equal(full, merged) {
+			t.Errorf("merged shards' %s differs from the unsharded store's:\n%s\nwant:\n%s", tc.merged, merged, full)
+		}
+	}
+}
+
+// TestRunWatchesServedStore: -watch follows a serve job's store over the
+// /v1/jobs/{id}/store endpoints from submission until it completes, and
+// report of the URL merges the finished store.
+func TestRunWatchesServedStore(t *testing.T) {
+	svc, err := mobisense.NewService(t.TempDir(), mobisense.ServiceOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := os.ReadFile(path("merged.csv"))
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	defer svc.Close()
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json",
+		strings.NewReader(`{"scheme":"floor","scenario":"free","n":24,"duration":90,"repeats":8,"seed":9,"trace":30}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(full) == 0 || !bytes.Equal(full, merged) {
-		t.Errorf("merged shards' CSV differs from the unsharded store's:\n%s\nwant:\n%s", merged, full)
+	var job struct{ ID string }
+	err = json.NewDecoder(resp.Body).Decode(&job)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d, %v", resp.StatusCode, err)
+	}
+	url := ts.URL + "/v1/jobs/" + job.ID + "/store"
+	var stdout, stderr bytes.Buffer
+	watched := make(chan int, 1)
+	go func() { watched <- run([]string{"-watch", "-interval", "20ms", url}, &stdout, &stderr) }()
+	select {
+	case code := <-watched:
+		if code != 0 || !strings.Contains(stdout.String(), "total: 8/8 runs, complete") {
+			t.Errorf("exit code %d; stdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+		}
+	case <-time.After(2 * time.Minute):
+		t.Fatal("-watch of the served store did not exit")
+	}
+	if out := report(t, url); !strings.Contains(out, "merged: 8 runs") || !strings.Contains(out, "floor") {
+		t.Errorf("report of the served store:\n%s", out)
 	}
 }
 

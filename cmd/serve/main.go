@@ -48,6 +48,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -60,13 +61,16 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
 }
 
-// run is the command: it parses args, then serves until interrupted. It
-// returns the exit code: 0 on a clean shutdown or -h, 1 when the service
-// fails, 2 on bad flags or a bad -field spec.
-func run(args []string, stdout, stderr io.Writer) int {
+// run is the command: it parses args, then serves until ctx is done
+// (Ctrl-C). It returns the exit code: 0 on a clean shutdown or -h, 1 when
+// the service fails, 2 on bad flags or a bad -field spec.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -136,15 +140,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// imported net/http/pprof and expvar packages register only on
 		// http.DefaultServeMux, which the API handler never serves, so
 		// profiling endpoints are reachable exactly when -debug-addr is up.
-		expvar.Publish("mobisense_metrics", expvar.Func(func() any {
-			return metrics.Default.Snapshot()
-		}))
-		go func() {
-			logger.Info("debug listener up", "addr", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, http.DefaultServeMux); err != nil {
-				logger.Error("debug listener failed", "addr", *debugAddr, "err", err)
-			}
-		}()
+		if expvar.Get("mobisense_metrics") == nil {
+			expvar.Publish("mobisense_metrics", expvar.Func(func() any {
+				return metrics.Default.Snapshot()
+			}))
+		}
+		ln, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			svc.Close()
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		dbg := &http.Server{Handler: http.DefaultServeMux}
+		defer dbg.Close()
+		logger.Info("debug listener up", "addr", ln.Addr().String())
+		go dbg.Serve(ln)
 	}
 
 	if *jobsTTL > 0 {
@@ -166,13 +176,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		svc.Close()
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	hs := &http.Server{Handler: svc.Handler()}
 	errCh := make(chan error, 1)
-	go func() { errCh <- hs.ListenAndServe() }()
-	fmt.Fprintf(stderr, "serving deployment API on %s (data in %s)\n", *addr, *dataDir)
+	go func() { errCh <- hs.Serve(ln) }()
+	fmt.Fprintf(stderr, "serving deployment API on %s (data in %s)\n", ln.Addr(), *dataDir)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	select {
 	case <-ctx.Done():
 		// Graceful shutdown: stop accepting requests, then cancel running

@@ -108,42 +108,14 @@ type Planner struct {
 	traveled float64
 }
 
-// Option configures a Planner.
-type Option func(*Planner)
-
-// WithHand selects the wall-following hand rule (default RightHand).
-func WithHand(h Hand) Option {
-	return func(p *Planner) { p.hand = h }
-}
-
-// WithArriveTolerance sets the distance at which the target counts as
-// reached (default 0.25 m).
-func WithArriveTolerance(tol float64) Option {
-	return func(p *Planner) { p.arriveTol = tol }
-}
-
-// WithStopOnHit makes the planner report StatusHit and halt when the
-// straight walk first touches an obstacle instead of wall-following. This
-// realizes the "until ... hitting an obstacle" clauses of FLOOR's
-// Algorithm 1.
-func WithStopOnHit() Option {
-	return func(p *Planner) { p.stopOnHit = true }
-}
-
-// New creates a planner from start to target on field f.
-func New(f *field.Field, start, target geom.Vec, opts ...Option) *Planner {
-	p := &Planner{hand: RightHand, arriveTol: defaultArriveTol}
-	for _, opt := range opts {
-		opt(p)
-	}
-	p.Init(f, start, target, p.hand, p.arriveTol, p.stopOnHit)
-	return p
-}
-
 // Init (re)initializes p in place for a fresh start→target walk with the
 // given configuration, letting callers that plan many consecutive legs
 // (e.g. multi-leg route walkers) reuse one planner value instead of
-// allocating one per leg. A zero arriveTol selects the default.
+// allocating one per leg. hand picks the wall-following rule; arriveTol is
+// the distance at which the target counts as reached (zero selects the
+// default, 0.25 m); stopOnHit halts the walk with StatusHit where it first
+// touches an obstacle instead of following the wall, which realizes the
+// "until ... hitting an obstacle" clauses of FLOOR's Algorithm 1.
 func (p *Planner) Init(f *field.Field, start, target geom.Vec, hand Hand, arriveTol float64, stopOnHit bool) {
 	if arriveTol <= 0 {
 		arriveTol = defaultArriveTol

@@ -9,6 +9,14 @@ import (
 	"mobisense/internal/geom"
 )
 
+// plan sets a planner up the way every scheme does, with Planner.Init; a
+// zero tol selects the default arrival tolerance.
+func plan(f *field.Field, start, target geom.Vec, hand Hand, tol float64, stopOnHit bool) *Planner {
+	p := new(Planner)
+	p.Init(f, start, target, hand, tol, stopOnHit)
+	return p
+}
+
 // run drives a planner to completion and returns the trajectory sampled at
 // every advance call.
 func run(t *testing.T, p *Planner, stepBudget, maxTravel float64) []geom.Vec {
@@ -27,7 +35,7 @@ func run(t *testing.T, p *Planner, stepBudget, maxTravel float64) []geom.Vec {
 
 func TestStraightLineNoObstacles(t *testing.T) {
 	f := field.MustNew(geom.R(0, 0, 100, 100), nil)
-	p := New(f, geom.V(10, 10), geom.V(80, 60))
+	p := plan(f, geom.V(10, 10), geom.V(80, 60), RightHand, 0, false)
 	run(t, p, 2, 200)
 	if p.Status() != StatusArrived {
 		t.Fatalf("status = %v", p.Status())
@@ -42,7 +50,7 @@ func TestAroundSingleObstacle(t *testing.T) {
 	// Square obstacle directly between start and target.
 	f := field.MustNew(geom.R(0, 0, 200, 100), []geom.Polygon{geom.R(80, 30, 120, 70).Polygon()})
 	for _, hand := range []Hand{RightHand, LeftHand} {
-		p := New(f, geom.V(10, 50), geom.V(190, 50), WithHand(hand))
+		p := plan(f, geom.V(10, 50), geom.V(190, 50), hand, 0, false)
 		path := run(t, p, 2, 1000)
 		if p.Status() != StatusArrived {
 			t.Fatalf("hand %v: status = %v at %v", hand, p.Status(), p.Pos())
@@ -71,8 +79,8 @@ func TestHandsDivergeAroundObstacle(t *testing.T) {
 	// rounds the obstacle over the top (y > 70); the left-hand planner
 	// goes under it (y < 30).
 	f := field.MustNew(geom.R(0, 0, 200, 100), []geom.Polygon{geom.R(80, 30, 120, 70).Polygon()})
-	right := New(f, geom.V(10, 50), geom.V(190, 50), WithHand(RightHand))
-	left := New(f, geom.V(10, 50), geom.V(190, 50), WithHand(LeftHand))
+	right := plan(f, geom.V(10, 50), geom.V(190, 50), RightHand, 0, false)
+	left := plan(f, geom.V(10, 50), geom.V(190, 50), LeftHand, 0, false)
 	var rightAbove, rightBelow, leftAbove, leftBelow bool
 	for right.Status() == StatusMoving && right.Traveled() < 1000 {
 		right.Advance(2)
@@ -99,7 +107,7 @@ func TestFigure2TwoObstacles(t *testing.T) {
 		geom.R(60, 20, 100, 80).Polygon(),
 		geom.R(160, 10, 220, 60).Polygon(),
 	})
-	p := New(f, geom.V(10, 50), geom.V(280, 40))
+	p := plan(f, geom.V(10, 50), geom.V(280, 40), RightHand, 0, false)
 	path := run(t, p, 2, 2000)
 	if p.Status() != StatusArrived {
 		t.Fatalf("status = %v at %v", p.Status(), p.Pos())
@@ -118,7 +126,7 @@ func TestOverlappingObstaclesUnionBoundary(t *testing.T) {
 		geom.R(60, 40, 100, 160).Polygon(),
 		geom.R(80, 80, 160, 120).Polygon(),
 	})
-	p := New(f, geom.V(20, 100), geom.V(190, 100))
+	p := plan(f, geom.V(20, 100), geom.V(190, 100), RightHand, 0, false)
 	path := run(t, p, 2, 3000)
 	if p.Status() != StatusArrived {
 		t.Fatalf("status = %v at %v", p.Status(), p.Pos())
@@ -132,7 +140,7 @@ func TestOverlappingObstaclesUnionBoundary(t *testing.T) {
 
 func TestUnreachableTargetInsideObstacle(t *testing.T) {
 	f := field.MustNew(geom.R(0, 0, 100, 100), []geom.Polygon{geom.R(40, 40, 60, 60).Polygon()})
-	p := New(f, geom.V(10, 50), geom.V(50, 50)) // target at obstacle center
+	p := plan(f, geom.V(10, 50), geom.V(50, 50), RightHand, 0, false) // target at obstacle center
 	for p.Status() == StatusMoving && p.Traveled() < 5000 {
 		p.Advance(2)
 	}
@@ -143,7 +151,7 @@ func TestUnreachableTargetInsideObstacle(t *testing.T) {
 
 func TestTargetOutsideFieldIsStuck(t *testing.T) {
 	f := field.MustNew(geom.R(0, 0, 100, 100), nil)
-	p := New(f, geom.V(50, 50), geom.V(150, 50))
+	p := plan(f, geom.V(50, 50), geom.V(150, 50), RightHand, 0, false)
 	for p.Status() == StatusMoving && p.Traveled() < 30000 {
 		p.Advance(5)
 	}
@@ -154,7 +162,7 @@ func TestTargetOutsideFieldIsStuck(t *testing.T) {
 
 func TestStopOnHit(t *testing.T) {
 	f := field.MustNew(geom.R(0, 0, 200, 100), []geom.Polygon{geom.R(80, 30, 120, 70).Polygon()})
-	p := New(f, geom.V(10, 50), geom.V(190, 50), WithStopOnHit())
+	p := plan(f, geom.V(10, 50), geom.V(190, 50), RightHand, 0, true)
 	for p.Status() == StatusMoving {
 		p.Advance(2)
 	}
@@ -174,7 +182,7 @@ func TestStopOnHit(t *testing.T) {
 
 func TestResumeIsNoOpWhenMoving(t *testing.T) {
 	f := field.MustNew(geom.R(0, 0, 100, 100), nil)
-	p := New(f, geom.V(10, 10), geom.V(90, 90))
+	p := plan(f, geom.V(10, 10), geom.V(90, 90), RightHand, 0, false)
 	p.Resume()
 	if p.Status() != StatusMoving {
 		t.Errorf("status = %v", p.Status())
@@ -183,7 +191,7 @@ func TestResumeIsNoOpWhenMoving(t *testing.T) {
 
 func TestAlreadyAtTarget(t *testing.T) {
 	f := field.MustNew(geom.R(0, 0, 100, 100), nil)
-	p := New(f, geom.V(50, 50), geom.V(50, 50.1))
+	p := plan(f, geom.V(50, 50), geom.V(50, 50.1), RightHand, 0, false)
 	if p.Status() != StatusArrived {
 		t.Errorf("status = %v, want arrived immediately", p.Status())
 	}
@@ -194,7 +202,7 @@ func TestAlreadyAtTarget(t *testing.T) {
 
 func TestAdvanceBudgetRespected(t *testing.T) {
 	f := field.MustNew(geom.R(0, 0, 1000, 1000), nil)
-	p := New(f, geom.V(100, 100), geom.V(900, 900))
+	p := plan(f, geom.V(100, 100), geom.V(900, 900), RightHand, 0, false)
 	moved := p.Advance(2)
 	if math.Abs(moved-2) > 1e-9 {
 		t.Errorf("moved %v, want 2", moved)
@@ -208,7 +216,7 @@ func TestWallTargetReachableWithinTolerance(t *testing.T) {
 	// FLOOR leg 2/3 targets lie on the field boundary (x=0). The planner
 	// should arrive within tolerance despite the wall stand-off.
 	f := field.MustNew(geom.R(0, 0, 100, 100), nil)
-	p := New(f, geom.V(50, 40), geom.V(0, 40), WithArriveTolerance(0.5))
+	p := plan(f, geom.V(50, 40), geom.V(0, 40), RightHand, 0.5, false)
 	run(t, p, 2, 500)
 	if p.Status() != StatusArrived {
 		t.Fatalf("status = %v at %v", p.Status(), p.Pos())
@@ -222,7 +230,7 @@ func TestCornerTargetReachable(t *testing.T) {
 	// The base station sits at the field corner (0,0); both frames meet
 	// there.
 	f := field.MustNew(geom.R(0, 0, 100, 100), nil)
-	p := New(f, geom.V(80, 30), geom.V(0, 0), WithArriveTolerance(0.5))
+	p := plan(f, geom.V(80, 30), geom.V(0, 0), RightHand, 0.5, false)
 	run(t, p, 2, 500)
 	if p.Status() != StatusArrived {
 		t.Fatalf("status = %v at %v", p.Status(), p.Pos())
@@ -244,7 +252,7 @@ func TestRandomFieldsAlwaysArrive(t *testing.T) {
 		if len(f.BoundariesWithin(start, 1)) > 0 || len(f.BoundariesWithin(target, 1)) > 0 {
 			continue
 		}
-		p := New(f, start, target, WithArriveTolerance(0.5))
+		p := plan(f, start, target, RightHand, 0.5, false)
 		for p.Status() == StatusMoving && p.Traveled() < 50000 {
 			p.Advance(10)
 			if pos := p.Pos(); !f.Free(pos) {
@@ -277,7 +285,7 @@ func TestPathLengthBound(t *testing.T) {
 		if len(f.BoundariesWithin(start, 1)) > 0 || len(f.BoundariesWithin(target, 1)) > 0 {
 			continue
 		}
-		p := New(f, start, target, WithArriveTolerance(0.5))
+		p := plan(f, start, target, RightHand, 0.5, false)
 		bound := start.Dist(target) + 2*perims
 		for p.Status() == StatusMoving && p.Traveled() <= bound {
 			p.Advance(10)

@@ -18,7 +18,7 @@ func TestConcaveTrapEscape(t *testing.T) {
 	}
 	f := field.MustNew(geom.R(0, 0, 300, 200), []geom.Polygon{c})
 	// Start inside the pocket.
-	p := New(f, geom.V(120, 100), geom.V(280, 100), WithArriveTolerance(0.5))
+	p := plan(f, geom.V(120, 100), geom.V(280, 100), RightHand, 0.5, false)
 	path := run(t, p, 2, 3000)
 	if p.Status() != StatusArrived {
 		t.Fatalf("status = %v at %v", p.Status(), p.Pos())
@@ -41,7 +41,7 @@ func TestDeadEndCorridor(t *testing.T) {
 	f := field.MustNew(geom.R(0, 0, 300, 200), walls,
 		field.WithValidationResolution(2))
 	// Start inside the corridor, target north of it.
-	p := New(f, geom.V(150, 100), geom.V(150, 180), WithArriveTolerance(0.5))
+	p := plan(f, geom.V(150, 100), geom.V(150, 180), RightHand, 0.5, false)
 	for p.Status() == StatusMoving && p.Traveled() < 5000 {
 		p.Advance(2)
 		if !f.Free(p.Pos()) {

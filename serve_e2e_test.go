@@ -3,11 +3,13 @@ package mobisense
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -168,4 +170,77 @@ func firstEvent(t *testing.T, r io.Reader) (event, data string) {
 	}
 	t.Fatalf("event stream ended without an event (%v)", sc.Err())
 	return "", ""
+}
+
+// TestServeObservability: the dashboard and its script serve before any
+// job runs, and /metrics in both formats; a traced sweep then advances
+// the run, job, store and HTTP counters, the per-scheme run-duration
+// histogram and the convergence histograms, and its store keeps every
+// run's series.
+func TestServeObservability(t *testing.T) {
+	dir := t.TempDir()
+	svc, ts := startService(t, dir, 2)
+	defer ts.Close()
+	defer svc.Close()
+	for _, tc := range []struct{ path, want string }{
+		{"/", "<title>mobisense"},
+		{"/ui/app.js", "refreshJobs"},
+		{"/ui/app.js", "drawTraceAgg"},
+		{"/metrics", "\njobs_total{"},
+		{"/metrics?format=json", `"jobs_running"`},
+	} {
+		if body, status := readAll(t, mustGet(t, ts.URL+tc.path)); status != http.StatusOK || !bytes.Contains(body, []byte(tc.want)) {
+			t.Errorf("GET %s: status %d, body lacks %q", tc.path, status, tc.want)
+		}
+	}
+
+	const repeats = 8
+	before := scrapeMetrics(t, ts.URL)
+	body := fmt.Sprintf(`{"scheme":"floor","scenario":"free","n":24,"duration":90,"repeats":%d,"seed":9,"trace":30}`, repeats)
+	job, status := postJSON(t, ts.URL+"/v1/sweeps", body)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit status = %d", status)
+	}
+	waitState(t, ts.URL, job.ID, server.StateDone)
+	after := scrapeMetrics(t, ts.URL)
+	for name, least := range map[string]float64{
+		"runs_started_total":                         repeats,
+		`jobs_total{outcome="done"}`:                 1,
+		`run_duration_seconds_count{scheme="floor"}`: repeats,
+		"store_bytes_written_total":                  1,
+		`http_requests_total{method="GET"}`:          1,
+		"run_settling_time_seconds_count":            repeats,
+		"run_time_to_90_coverage_seconds_count":      repeats,
+	} {
+		if got := after[name] - before[name]; got < least {
+			t.Errorf("%s advanced by %g across the sweep, want at least %g", name, got, least)
+		}
+	}
+	store := filepath.Join(dir, "jobs", job.ID, "store")
+	if m := readFile(t, filepath.Join(store, "manifest.json")); !bytes.Contains(m, []byte(`"trace": true`)) {
+		t.Errorf("manifest lacks the trace flag:\n%s", m)
+	}
+	if recs, _ := readAll(t, mustGet(t, ts.URL+"/v1/jobs/"+job.ID+"/store/records.jsonl")); bytes.Count(recs, []byte(`"trace":[`)) != repeats {
+		t.Errorf("served records lack a series in every run:\n%.500s", recs)
+	}
+}
+
+// scrapeMetrics reads GET /metrics' Prometheus text into a map from
+// series to value.
+func scrapeMetrics(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	body, _ := readAll(t, mustGet(t, base+"/metrics"))
+	out := map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if line == "" || line[0] == '#' || i < 0 {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("metrics line %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
 }

@@ -29,8 +29,9 @@ import (
 // from a fingerprint-keyed result cache when an identical computation
 // has already completed.
 
-// RunRequest is the JSON body of POST /v1/runs: one deployment. Zero
-// fields take the paper's §4.3 defaults (DefaultConfig).
+// RunRequest is the JSON body of POST /v1/runs: one deployment, and what
+// cmd/deploy's flags fill. Zero fields take the paper's §4.3 defaults
+// (DefaultConfig); negative or non-finite numbers are refused.
 type RunRequest struct {
 	// Scheme is required; see GET /v1/schemes.
 	Scheme string `json:"scheme"`
@@ -76,10 +77,15 @@ type RunRequest struct {
 	TraceLayoutStride int `json:"trace_layout_stride,omitempty"`
 }
 
-// config expands the request into a validated run configuration.
-func (r RunRequest) config() (Config, error) {
+// Config expands the request into a validated run configuration: the
+// one front door of deploy's flags and of POST /v1/runs. A zero number
+// takes the default; a negative or non-finite one is an error.
+func (r RunRequest) Config() (Config, error) {
 	if r.Scheme == "" {
 		return Config{}, fmt.Errorf("mobisense: request has no scheme (have %v)", RegisteredSchemes())
+	}
+	if err := r.checkNumbers(); err != nil {
+		return Config{}, err
 	}
 	cfg := DefaultConfig(Scheme(r.Scheme))
 	fieldSeed := r.FieldSeed
@@ -94,11 +100,7 @@ func (r RunRequest) config() (Config, error) {
 		}
 		f, err = BuildFieldSpec(*r.Field, fieldSeed)
 	} else {
-		scenario := r.Scenario
-		if scenario == "" {
-			scenario = "free"
-		}
-		f, err = BuildScenario(scenario, fieldSeed)
+		f, err = BuildScenario(r.scenarioName(), fieldSeed)
 	}
 	if err != nil {
 		return Config{}, err
@@ -129,26 +131,48 @@ func (r RunRequest) config() (Config, error) {
 	cfg.CPVF = r.CPVF
 	cfg.Floor = r.Floor
 	cfg.VD = r.VD
-	if math.IsNaN(r.Trace) || math.IsInf(r.Trace, 0) || r.Trace < 0 {
-		return Config{}, fmt.Errorf("mobisense: trace stride must be a finite value >= 0, got %g", r.Trace)
-	}
-	if r.TraceLayoutStride < 0 {
-		return Config{}, fmt.Errorf("mobisense: trace_layout_stride must be >= 0, got %d", r.TraceLayoutStride)
-	}
-	if r.Trace > 0 {
+	switch {
+	case r.Trace > 0:
 		if r.TraceLayoutStride > 1 && !r.TraceLayouts {
 			return Config{}, fmt.Errorf("mobisense: trace_layout_stride requires trace_layouts")
 		}
 		cfg.Trace = &TraceOptions{Stride: r.Trace, Layouts: r.TraceLayouts, LayoutStride: r.TraceLayoutStride}
-	} else if r.TraceLayouts {
+	case r.TraceLayouts:
 		return Config{}, fmt.Errorf("mobisense: trace_layouts requires a trace stride; set trace > 0")
-	} else if r.TraceLayoutStride > 1 {
+	case r.TraceLayoutStride > 1:
 		return Config{}, fmt.Errorf("mobisense: trace_layout_stride requires a trace stride; set trace > 0")
 	}
 	if err := cfg.validate(); err != nil {
 		return Config{}, err
 	}
 	return cfg, nil
+}
+
+// checkNumbers refuses a negative or non-finite number anywhere in the
+// request, naming its field: zero selects the default, so a negative
+// value would otherwise run, and cache, as the default silently.
+func (r RunRequest) checkNumbers() error {
+	type number struct {
+		name string
+		v    float64
+	}
+	nums := []number{{"n", float64(r.N)}, {"rc", r.Rc}, {"rs", r.Rs}, {"speed", r.Speed}, {"duration", r.Duration},
+		{"coverage_res", r.CoverageRes}, {"trace", r.Trace}, {"trace_layout_stride", float64(r.TraceLayoutStride)}}
+	if o := r.CPVF; o != nil {
+		nums = append(nums, number{"cpvf.Delta", o.Delta}, number{"cpvf.ForceGain", o.ForceGain})
+	}
+	if o := r.Floor; o != nil {
+		nums = append(nums, number{"floor.TTL", float64(o.TTL)}, number{"floor.ExclusiveFrac", o.ExclusiveFrac})
+	}
+	if o := r.VD; o != nil {
+		nums = append(nums, number{"vd.Rounds", float64(o.Rounds)})
+	}
+	for _, n := range nums {
+		if math.IsNaN(n.v) || math.IsInf(n.v, 0) || n.v < 0 {
+			return fmt.Errorf("mobisense: %s must be a finite number >= 0 (0 takes the default), got %g", n.name, n.v)
+		}
+	}
+	return nil
 }
 
 // scenarioName returns the request's effective scenario name ("" for an
@@ -181,15 +205,16 @@ type SweepRequest struct {
 	Repeats   int  `json:"repeats,omitempty"`
 }
 
-// sweep expands the request into a Sweep. The scenario axis is always
+// Sweep expands the request into a Sweep: the one front door of deploy's
+// sweep flags and of POST /v1/sweeps. The scenario axis is always
 // explicit (default: the base scenario) so fields resolve through the
-// registry with paired per-repeat seeds, exactly like the CLIs.
-func (r SweepRequest) sweep() (Sweep, error) {
+// registry with paired per-repeat seeds.
+func (r SweepRequest) Sweep() (Sweep, error) {
 	base := r.RunRequest
 	if base.Scheme == "" && len(r.Schemes) > 0 {
 		base.Scheme = r.Schemes[0]
 	}
-	cfg, err := base.config()
+	cfg, err := base.Config()
 	if err != nil {
 		return Sweep{}, err
 	}
@@ -221,7 +246,7 @@ func (r SweepRequest) sweep() (Sweep, error) {
 		}
 		axes = append(axes, ax)
 	}
-	return Sweep{
+	s := Sweep{
 		Base:      cfg,
 		Schemes:   schemes,
 		Scenarios: scenarios,
@@ -231,7 +256,13 @@ func (r SweepRequest) sweep() (Sweep, error) {
 		Repeats:   r.Repeats,
 		Seed:      cfg.Seed,
 		FixedSeed: r.FixedSeed,
-	}, nil
+	}
+	// Bad sensor counts, repeats and duplicate axes are the request's
+	// errors too: refuse them before any field of the expansion builds.
+	if _, _, _, _, err := s.resolve(); err != nil {
+		return Sweep{}, err
+	}
+	return s, nil
 }
 
 // ServiceOptions tune a deployment service.
@@ -329,69 +360,72 @@ func decodeStrict(raw json.RawMessage, v any) error {
 	return nil
 }
 
-func (e *serviceEngine) Prepare(kind string, raw json.RawMessage) (server.Prepared, error) {
+// jobPlan is a job's work, planned from its request alone: the runs it
+// expands to and the manifest of the store they stream into. Prepare and
+// Execute both plan, and the job's cache key is the manifest's hash, so
+// the key cannot drift from the store it names.
+type jobPlan struct {
+	specs    []RunSpec
+	manifest istore.Manifest
+	store    Store // what the records keep; the job adds Dir and Resume
+}
+
+func planJob(kind string, raw json.RawMessage) (jobPlan, error) {
+	var p jobPlan
+	var req RunRequest
 	switch kind {
 	case "run":
-		var req RunRequest
 		if err := decodeStrict(raw, &req); err != nil {
-			return server.Prepared{}, err
+			return p, err
 		}
-		cfg, err := req.config()
+		cfg, err := req.Config()
 		if err != nil {
-			return server.Prepared{}, err
+			return p, err
 		}
-		return server.Prepared{Fingerprint: runFingerprint(req, cfg), TotalRuns: 1}, nil
+		// The spec carries the scenario name, so the stored record does,
+		// exactly like sweep-job records.
+		p.specs = []RunSpec{{Scheme: cfg.Scheme, Scenario: req.scenarioName(), N: cfg.N, Seed: cfg.Seed, Config: cfg}}
+		p.manifest = istore.Manifest{
+			Kind:              "batch",
+			Fields:            runFieldEntries(req, cfg),
+			ConfigFingerprint: combinedFingerprint(p.specs),
+			ShardCount:        1,
+			TotalRuns:         1,
+		}
 	case "sweep":
-		var req SweepRequest
-		if err := decodeStrict(raw, &req); err != nil {
-			return server.Prepared{}, err
+		var sreq SweepRequest
+		if err := decodeStrict(raw, &sreq); err != nil {
+			return p, err
 		}
-		sweep, err := req.sweep()
+		sweep, err := sreq.Sweep()
 		if err != nil {
-			return server.Prepared{}, err
+			return p, err
 		}
-		specs, err := sweep.Expand()
-		if err != nil {
-			return server.Prepared{}, err
+		if p.specs, err = sweep.Expand(); err != nil {
+			return p, err
 		}
-		return server.Prepared{
-			Fingerprint: sweepFingerprint(sweep, len(specs), req.StoreLayouts, req.Trace > 0),
-			TotalRuns:   len(specs),
-		}, nil
+		req = sreq.RunRequest
+		p.manifest = sweep.manifest(Shard{}, len(p.specs))
 	default:
-		return server.Prepared{}, fmt.Errorf("mobisense: unknown job kind %q", kind)
+		return p, fmt.Errorf("mobisense: unknown job kind %q", kind)
 	}
+	p.store = Store{Layouts: req.StoreLayouts, Trace: req.Trace > 0}
+	p.manifest = p.store.mark(p.manifest, p.specs)
+	return p, nil
 }
 
-// runFingerprint is a single run's cache/restart identity: its axes plus
-// the full config fingerprint (field geometry included).
-func runFingerprint(req RunRequest, cfg Config) string {
-	sp := RunSpec{
-		Scheme:   cfg.Scheme,
-		Scenario: req.scenarioName(),
-		N:        cfg.N,
-		Seed:     cfg.Seed,
-		Config:   cfg,
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "run|%s|layouts=%t", specKey(sp), req.StoreLayouts)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// sweepFingerprint is a sweep's cache/restart identity: the hash of its
-// store manifest (axes, base-config fingerprint, run count), which is a
-// pure function of the sweep definition.
-func sweepFingerprint(s Sweep, totalRuns int, layouts, trace bool) string {
-	m := s.manifest(Shard{}, totalRuns)
-	m.Layouts = layouts
-	m.Trace = trace
-	data, err := json.Marshal(m)
+func (e *serviceEngine) Prepare(kind string, raw json.RawMessage) (server.Prepared, error) {
+	p, err := planJob(kind, raw)
 	if err != nil {
-		panic(fmt.Sprintf("mobisense: encode manifest: %v", err))
+		return server.Prepared{}, err
+	}
+	data, err := json.Marshal(p.manifest)
+	if err != nil {
+		return server.Prepared{}, fmt.Errorf("mobisense: encode manifest: %w", err)
 	}
 	h := fnv.New64a()
 	h.Write(data)
-	return fmt.Sprintf("sweep-%016x", h.Sum64())
+	return server.Prepared{Fingerprint: fmt.Sprintf("%s-%016x", kind, h.Sum64()), TotalRuns: len(p.specs)}, nil
 }
 
 // SweepJobResult is the JSON result summary of a sweep job.
@@ -403,83 +437,37 @@ type SweepJobResult struct {
 }
 
 func (e *serviceEngine) Execute(ctx context.Context, job server.ExecJob) (json.RawMessage, error) {
-	opts := BatchOptions{pool: e.pool, dispatched: job.Dispatched}
-	switch job.Kind {
-	case "run":
-		var req RunRequest
-		if err := decodeStrict(job.Request, &req); err != nil {
-			return nil, err
-		}
-		cfg, err := req.config()
-		if err != nil {
-			return nil, err
-		}
-		opts.Store = &Store{Dir: job.StoreDir, Resume: job.Resume, Layouts: req.StoreLayouts, Trace: req.Trace > 0}
-		opts.OnProgress = progressAdapter(job.OnProgress)
-		// Drive the shared executor directly (rather than RunBatch) so the
-		// spec — and therefore the stored record — carries the scenario
-		// name, exactly like sweep-job records do.
-		specs := []RunSpec{{
-			Scheme:   cfg.Scheme,
-			Scenario: req.scenarioName(),
-			N:        cfg.N,
-			Seed:     cfg.Seed,
-			Config:   cfg,
-		}}
-		m := istore.Manifest{
-			Kind:              "batch",
-			Fields:            runFieldEntries(req, cfg),
-			ConfigFingerprint: combinedFingerprint(specs),
-			ShardCount:        1,
-			TotalRuns:         1,
-			Layouts:           req.StoreLayouts,
-			Trace:             req.Trace > 0,
-			TraceLayouts:      req.Trace > 0 && req.TraceLayouts,
-		}
-		out, err := runSpecs(ctx, specs, opts, m)
-		if err != nil {
-			return nil, err
-		}
-		e.logPanics(job, out)
-		br := out[0]
+	p, err := planJob(job.Kind, job.Request)
+	if err != nil {
+		return nil, err
+	}
+	p.store.Dir, p.store.Resume = job.StoreDir, job.Resume
+	opts := BatchOptions{Store: &p.store, OnProgress: progressAdapter(job.OnProgress), pool: e.pool, dispatched: job.Dispatched}
+	runs, err := runSpecs(ctx, p.specs, opts, p.manifest)
+	if err != nil {
+		return nil, err
+	}
+	e.logPanics(job, runs)
+	if br := runs[0]; job.Kind == "run" {
 		if br.Err != nil {
 			return nil, br.Err
 		}
 		// The run's record shape (metrics + optional layouts) is the
 		// natural single-run result document.
-		rec := recordFrom(br.Spec, br.Result, nil, req.StoreLayouts)
-		return json.Marshal(rec)
-	case "sweep":
-		var req SweepRequest
-		if err := decodeStrict(job.Request, &req); err != nil {
-			return nil, err
-		}
-		sweep, err := req.sweep()
-		if err != nil {
-			return nil, err
-		}
-		opts.Store = &Store{Dir: job.StoreDir, Resume: job.Resume, Layouts: req.StoreLayouts, Trace: req.Trace > 0}
-		opts.OnProgress = progressAdapter(job.OnProgress)
-		sr, err := sweep.Run(ctx, opts)
-		if err != nil {
-			return nil, err
-		}
-		e.logPanics(job, sr.Runs)
-		sum := SweepJobResult{Aggregates: sr.Aggregates}
-		for _, br := range sr.Runs {
-			switch {
-			case br.skipped():
-				sum.Skipped++
-			case br.Err != nil:
-				sum.Errors++
-			default:
-				sum.Runs++
-			}
-		}
-		return json.Marshal(sum)
-	default:
-		return nil, fmt.Errorf("mobisense: unknown job kind %q", job.Kind)
+		return json.Marshal(recordFrom(br.Spec, br.Result, nil, p.store.Layouts))
 	}
+	sum := SweepJobResult{Aggregates: aggregateRuns(runs)}
+	for _, br := range runs {
+		switch {
+		case br.skipped():
+			sum.Skipped++
+		case br.Err != nil:
+			sum.Errors++
+		default:
+			sum.Runs++
+		}
+	}
+	return json.Marshal(sum)
 }
 
 // runFieldEntries embeds a single-run job's environment spec in its
@@ -488,7 +476,7 @@ func (e *serviceEngine) Execute(ctx context.Context, job server.ExecJob) (json.R
 // without this server's binary.
 func runFieldEntries(req RunRequest, cfg Config) []istore.FieldEntry {
 	if name := req.scenarioName(); name != "" {
-		sc, _ := LookupScenario(name) // config has resolved the name
+		sc, _ := LookupScenario(name) // Config has resolved the name
 		return []istore.FieldEntry{{Scenario: sc.Name, Spec: sc.Spec}}
 	}
 	// Cosmetic names stay out of manifests (and therefore out of cache

@@ -419,7 +419,7 @@ func TestSweepRequestAxes(t *testing.T) {
 		Axes:       []AxisSpec{{Name: "rc", Values: []float64{50, 60}}},
 		FixedSeed:  true,
 	}
-	s, err := req.sweep()
+	s, err := req.Sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestSweepRequestAxes(t *testing.T) {
 	}
 
 	req.Axes = []AxisSpec{{Name: "bogus", Values: []float64{1}}}
-	if _, err := req.sweep(); err == nil {
+	if _, err := req.Sweep(); err == nil {
 		t.Error("unknown axis name should be rejected")
 	}
 }
@@ -542,7 +542,8 @@ func TestServerInlineField(t *testing.T) {
 	}
 }
 
-// TestServerTraceAnalytics: trace series round-trip through the remote
+// TestServerTraceAnalytics: a trace_layouts sweep marks its manifest for
+// replay, its series and layout snapshots round-trip through the remote
 // store URL, the /traces endpoint serves the same aggregation that local
 // LoadStores + AggregateTraces computes, and bad trace parameters answer
 // 400 with a clear message.
@@ -558,6 +559,10 @@ func TestServerTraceAnalytics(t *testing.T) {
 		t.Fatalf("traced sweep submit status = %d", status)
 	}
 	waitState(t, ts.URL, v.ID, server.StateDone)
+	manifest, _ := readAll(t, mustGet(t, ts.URL+"/v1/jobs/"+v.ID+"/store/manifest.json"))
+	if !bytes.Contains(manifest, []byte(`"trace_layouts": true`)) {
+		t.Errorf("replay store's manifest lacks the trace_layouts flag:\n%s", manifest)
+	}
 
 	// Remote store round trip: the server's store URL loads like a local
 	// directory and aggregates identically.

@@ -85,3 +85,38 @@ func TestConfigRejectsUnknownOscillation(t *testing.T) {
 		t.Errorf("serve sweep with oscillation two_step: status %d, want 400", status)
 	}
 }
+
+// TestRequestRejectsNegativeNumbers: a negative number anywhere in a
+// request is a 400 naming its field, on /v1/runs and /v1/sweeps alike,
+// instead of running (or cache-hitting) the default. Zero still takes
+// the default.
+func TestRequestRejectsNegativeNumbers(t *testing.T) {
+	svc, ts := startService(t, t.TempDir(), 1)
+	defer ts.Close()
+	defer svc.Close()
+	for _, tc := range []struct{ body, field string }{
+		{`{"scheme":"opt","n":-5}`, "n"},
+		{`{"scheme":"opt","n":-5,"rc":-60}`, "n"},
+		{`{"scheme":"opt","rc":-60}`, "rc"},
+		{`{"scheme":"opt","rs":-1}`, "rs"},
+		{`{"scheme":"opt","speed":-2}`, "speed"},
+		{`{"scheme":"opt","duration":-750}`, "duration"},
+		{`{"scheme":"opt","coverage_res":-5}`, "coverage_res"},
+		{`{"scheme":"cpvf","cpvf":{"Delta":-3}}`, "cpvf.Delta"},
+		{`{"scheme":"floor","floor":{"TTL":-1}}`, "floor.TTL"},
+	} {
+		for _, path := range []string{"/v1/runs", "/v1/sweeps"} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, status := readAll(t, resp)
+			if status != http.StatusBadRequest || !strings.Contains(string(body), tc.field+" must be") {
+				t.Errorf("POST %s %s: status %d, body %s; want 400 naming %s", path, tc.body, status, body, tc.field)
+			}
+		}
+	}
+	if _, status := postJSON(t, ts.URL+"/v1/runs", `{"scheme":"opt","n":0,"rc":0,"duration":0}`); status != http.StatusAccepted {
+		t.Errorf("zero numbers: status %d, want 202", status)
+	}
+}
