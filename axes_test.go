@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	istore "mobisense/internal/store"
 )
 
 // axisSweep is a small two-axis sweep used across the axis tests.
@@ -13,9 +16,9 @@ func axisSweep() Sweep {
 	return Sweep{
 		Base:    sweepConfig(),
 		Schemes: []Scheme{SchemeCPVF, SchemeFLOOR},
-		Axes: []ParamAxis{
-			AxisRc(50, 60),
-			AxisFloorTTL(4, 8),
+		Axes: []AxisSpec{
+			{Name: "rc", Values: []float64{50, 60}},
+			{Name: "floor.ttl", Values: []float64{4, 8}},
 		},
 		Repeats: 2,
 		Seed:    42,
@@ -82,7 +85,7 @@ func TestAxisSeedsPairSchemes(t *testing.T) {
 	byPoint := map[point]uint64{}
 	seen := map[uint64]string{}
 	for _, sp := range specs {
-		p := point{sp.Repeat, axisTupleKey(sp.Axes)}
+		p := point{sp.Repeat, istore.AxesString(sp.Axes)}
 		if prev, ok := byPoint[p]; ok {
 			if prev != sp.Seed {
 				t.Errorf("point %+v seeds differ across schemes: %d vs %d", p, prev, sp.Seed)
@@ -135,7 +138,7 @@ func TestFixedSeedSweep(t *testing.T) {
 func TestAggregateSplitsOnAxisValues(t *testing.T) {
 	s := Sweep{
 		Base:    sweepConfig(),
-		Axes:    []ParamAxis{AxisRc(40, 60)},
+		Axes:    []AxisSpec{{Name: "rc", Values: []float64{40, 60}}},
 		Repeats: 2,
 		Seed:    7,
 	}
@@ -213,7 +216,7 @@ func TestAxisStoreRoundTrip(t *testing.T) {
 
 	// Resuming with different axis values is a different sweep.
 	other := s
-	other.Axes = []ParamAxis{AxisRc(50, 70), AxisFloorTTL(4, 8)}
+	other.Axes = []AxisSpec{{Name: "rc", Values: []float64{50, 70}}, {Name: "floor.ttl", Values: []float64{4, 8}}}
 	if _, err := other.Run(context.Background(), BatchOptions{Store: &Store{Dir: full, Resume: true}}); err == nil {
 		t.Error("resuming with different axis values should error")
 	}
@@ -225,42 +228,63 @@ func TestAxisStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAxisValidation: a sweep refuses an axis the table does not
+// resolve — an unknown or empty name, no values, values of the other
+// kind, both kinds at once — and a repeated axis name, before any run.
 func TestAxisValidation(t *testing.T) {
 	base := sweepConfig()
-	for name, axes := range map[string][]ParamAxis{
-		"empty name":     {NewAxis("", func(*Config, float64) {}, 1)},
-		"no values":      {AxisRc()},
-		"nil setter":     {{Name: "rc", Values: []float64{1}}},
-		"duplicate name": {AxisRc(40), AxisRc(60)},
+	for name, axes := range map[string][]AxisSpec{
+		"empty name":     {{Values: []float64{1}}},
+		"unknown name":   {{Name: "bogus", Values: []float64{1, 2}}},
+		"no values":      {{Name: "rc"}},
+		"strings on rc":  {{Name: "rc", Strings: []string{"fast"}}},
+		"numbers on osc": {{Name: "cpvf.osc", Values: []float64{1, 2}}},
+		"both kinds":     {{Name: "cpvf.osc", Values: []float64{1}, Strings: []string{"none"}}},
+		"unknown choice": {{Name: "cpvf.osc", Strings: []string{"sideways"}}},
+		"duplicate name": {{Name: "rc", Values: []float64{40}}, {Name: "rc", Values: []float64{60}}},
 	} {
 		if _, err := (Sweep{Base: base, Axes: axes}).Expand(); err == nil {
 			t.Errorf("sweep with %s axis should error", name)
 		}
 	}
-	if _, err := BuildAxis("bogus", 1, 2); err == nil {
-		t.Error("unknown built-in axis should error")
+	var names []string
+	for _, info := range Axes() {
+		names = append(names, info.Name)
 	}
-	names := AxisNames()
-	want := []string{"cpvf.delta", "cpvf.osc", "field.density", "field.obstacles", "field.ref", "floor.ttl", "rc", "rs", "speed"}
+	want := []string{"cpvf.delta", "cpvf.osc", "field.density", "field.obstacles", "field.ref", "floor.ttl", "floor.ttl_frac", "rc", "rs", "speed"}
 	if !reflect.DeepEqual(names, want) {
-		t.Errorf("AxisNames() = %v, want %v", names, want)
+		t.Errorf("Axes() names = %v, want %v", names, want)
 	}
 }
 
+// TestParseAxis: the CLI syntax parses to the axis's values, and a
+// malformed spec, an unknown name or a value the table refuses — a
+// negative number among them — is an error naming the cause.
 func TestParseAxis(t *testing.T) {
 	ax, err := ParseAxis("rc=30,45.5,60")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ax.Name != "rc" || !reflect.DeepEqual(ax.Values, []float64{30, 45.5, 60}) {
-		t.Errorf("ParseAxis = %q %v", ax.Name, ax.Values)
+	if want := (AxisSpec{Name: "rc", Values: []float64{30, 45.5, 60}}); !reflect.DeepEqual(ax, want) {
+		t.Errorf("ParseAxis = %+v, want %+v", ax, want)
 	}
-	if ax.Set == nil {
-		t.Error("parsed axis has no setter")
-	}
-	for _, bad := range []string{"", "rc", "rc=", "=30", "rc=a,b", "bogus=1"} {
-		if _, err := ParseAxis(bad); err == nil {
-			t.Errorf("ParseAxis(%q) should error", bad)
+	for _, tc := range []struct{ spec, err string }{
+		{"", "bad axis"},
+		{"rc", "bad axis"},
+		{"rc=", "bad axis"},
+		{"=30", "bad axis"},
+		{"rc=a,b", "not a number"},
+		{"bogus=1", "unknown axis"},
+		{"floor.ttl_fraction=0.1", "unknown axis"},
+		{"floor.ttl=-5,0", `axis "floor.ttl" values must be finite numbers >= 0`},
+		{"cpvf.delta=-3,0", `axis "cpvf.delta" values must be finite numbers >= 0`},
+		{"field.density=-0.3", `axis "field.density" values must be finite numbers >= 0`},
+		{"floor.ttl_frac=0.1,-0.4", `axis "floor.ttl_frac" values must be finite numbers >= 0`},
+		{"rc=-Inf", "values must be finite numbers >= 0"},
+		{"cpvf.osc=sideways", `has no value "sideways"`},
+	} {
+		if _, err := ParseAxis(tc.spec); err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("ParseAxis(%q) error = %v, want one containing %q", tc.spec, err, tc.err)
 		}
 	}
 }
@@ -269,7 +293,11 @@ func TestParseAxis(t *testing.T) {
 func TestSpeedAndDeltaAxes(t *testing.T) {
 	s := Sweep{
 		Base: sweepConfig(),
-		Axes: []ParamAxis{AxisSpeed(1, 2), AxisRs(30, 40), AxisCPVFDelta(2, 8)},
+		Axes: []AxisSpec{
+			{Name: "speed", Values: []float64{1, 2}},
+			{Name: "rs", Values: []float64{30, 40}},
+			{Name: "cpvf.delta", Values: []float64{2, 8}},
+		},
 	}
 	specs, err := s.Expand()
 	if err != nil {
@@ -284,13 +312,39 @@ func TestSpeedAndDeltaAxes(t *testing.T) {
 	}
 }
 
+// TestTTLFracAxis: Table 1's floor.ttl_frac resolves each fraction
+// against the run's own N, TTL = int(fraction·N), over a copy of the
+// base's FLOOR options.
+func TestTTLFracAxis(t *testing.T) {
+	base := sweepConfig()
+	base.Floor = &FloorOptions{TTL: 99, ExclusiveFrac: 0.5}
+	s := Sweep{Base: base, Ns: []int{120, 50}, Axes: []AxisSpec{{Name: "floor.ttl_frac", Values: []float64{0.1, 0.4}}}}
+	specs, err := s.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{12, 48, 5, 20} {
+		if o := specs[i].Config.Floor; o.TTL != want || o.ExclusiveFrac != 0.5 {
+			t.Errorf("run %d (N=%d, %+v): floor options %+v, want TTL %d", i, specs[i].N, specs[i].Axes, o, want)
+		}
+	}
+	if base.Floor.TTL != 99 {
+		t.Errorf("the axis wrote into the base's options: TTL = %d", base.Floor.TTL)
+	}
+}
+
 // TestIntegerAxisValidation is the regression test for the silent
 // floor.ttl truncation: integer-valued axes reject fractional values at
-// every entry point (BuildAxis, ParseAxis, Sweep.Expand) instead of
-// running one computation while recording another.
+// every entry point (ParseAxis, Sweep.Expand) instead of running one
+// computation while recording another.
 func TestIntegerAxisValidation(t *testing.T) {
-	if _, err := BuildAxis("floor.ttl", 4, 6.5); err == nil {
-		t.Error("BuildAxis(floor.ttl, 6.5) should reject the fractional value")
+	for _, ax := range []AxisSpec{
+		{Name: "floor.ttl", Values: []float64{4, 6.5}},
+		{Name: "field.obstacles", Values: []float64{2.5}},
+	} {
+		if _, err := (Sweep{Base: sweepConfig(), Axes: []AxisSpec{ax}}).Expand(); err == nil {
+			t.Errorf("sweep over %+v should reject the fractional value", ax)
+		}
 	}
 	if _, err := ParseAxis("floor.ttl=4,4.5"); err == nil {
 		t.Error("ParseAxis(floor.ttl=4.5) should reject the fractional value")
@@ -298,32 +352,25 @@ func TestIntegerAxisValidation(t *testing.T) {
 	if _, err := ParseAxis("field.obstacles=2.5"); err == nil {
 		t.Error("ParseAxis(field.obstacles=2.5) should reject the fractional value")
 	}
-	// Whole-number values pass and apply exactly.
+	// Whole-number values pass and render without a decimal point.
 	ax, err := ParseAxis("floor.ttl=4,8")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !ax.Integer {
-		t.Error("floor.ttl should be an integer axis")
 	}
 	for _, v := range ax.Values {
 		if got := (AxisValue{Value: v}).ValueString(); got != fmt.Sprintf("%d", int(v)) {
 			t.Errorf("integer axis value %v renders as %q", v, got)
 		}
 	}
-	// A custom integer axis is validated by the sweep too.
-	custom := NewAxis("probe", func(*Config, float64) {}, 1, 2.5)
-	custom.Integer = true
-	if _, err := (Sweep{Base: sweepConfig(), Axes: []ParamAxis{custom}}).Expand(); err == nil {
-		t.Error("sweep with fractional values on an integer axis should error")
-	}
 	// Float axes still accept fractions.
 	if _, err := ParseAxis("rc=45.5,60"); err != nil {
 		t.Errorf("float axis rejected fractional value: %v", err)
 	}
-	// The integer flag reaches the HTTP introspection layer.
-	if !AxisIsInteger("floor.ttl") || AxisIsInteger("rc") {
-		t.Error("AxisIsInteger misreports the built-ins")
+	// The integer flag reaches the catalog.
+	for _, info := range Axes() {
+		if want := info.Name == "floor.ttl" || info.Name == "field.obstacles"; info.Integer != want {
+			t.Errorf("Axes() marks %s integer = %v, want %v", info.Name, info.Integer, want)
+		}
 	}
 }
 
@@ -334,7 +381,7 @@ func TestFieldRefAxis(t *testing.T) {
 	s := Sweep{
 		Base:    sweepConfig(),
 		Schemes: []Scheme{SchemeCPVF, SchemeFLOOR},
-		Axes:    []ParamAxis{AxisFieldRef(0, 0.5)},
+		Axes:    []AxisSpec{{Name: "field.ref", Values: []float64{0, 0.5}}},
 		Seed:    11,
 	}
 	specs, err := s.Expand()
@@ -361,7 +408,7 @@ func TestFieldRefAxis(t *testing.T) {
 	}
 	// Out-of-bounds placement fails that run (not the whole sweep) with a
 	// clear error.
-	bad := Sweep{Base: sweepConfig(), Axes: []ParamAxis{AxisFieldRef(5)}, Seed: 3}
+	bad := Sweep{Base: sweepConfig(), Axes: []AxisSpec{{Name: "field.ref", Values: []float64{5}}}, Seed: 3}
 	sr, err := bad.Run(context.Background(), BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +426,7 @@ func TestFieldObstaclesAxis(t *testing.T) {
 		Base:      sweepConfig(),
 		Schemes:   []Scheme{SchemeCPVF, SchemeFLOOR},
 		Scenarios: []string{"random-field"},
-		Axes:      []ParamAxis{AxisFieldObstacles(1, 3)},
+		Axes:      []AxisSpec{{Name: "field.obstacles", Values: []float64{1, 3}}},
 		Seed:      13,
 	}
 	specs, err := s.Expand()
@@ -405,7 +452,7 @@ func TestFieldObstaclesAxis(t *testing.T) {
 	}
 	// field.density on a plain field gains generated obstacles matching
 	// the requested fraction (count = round(density * area / meanSide²)).
-	d := Sweep{Base: sweepConfig(), Axes: []ParamAxis{AxisFieldDensity(0.2)}, Seed: 17}
+	d := Sweep{Base: sweepConfig(), Axes: []AxisSpec{{Name: "field.density", Values: []float64{0.2}}}, Seed: 17}
 	dspecs, err := d.Expand()
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +475,7 @@ func TestFieldAxesPairAcrossOtherAxes(t *testing.T) {
 		Base:      sweepConfig(),
 		Scenarios: []string{"random-field"},
 		Ns:        []int{20, 30},
-		Axes:      []ParamAxis{AxisRc(30, 60), AxisFieldObstacles(3)},
+		Axes:      []AxisSpec{{Name: "rc", Values: []float64{30, 60}}, {Name: "field.obstacles", Values: []float64{3}}},
 		Repeats:   2,
 		Seed:      21,
 	}
@@ -464,7 +511,7 @@ func TestFieldDensityOnSmallField(t *testing.T) {
 	}
 	base := sweepConfig()
 	base.Field = small
-	s := Sweep{Base: base, Axes: []ParamAxis{AxisFieldDensity(0.5)}, Seed: 3}
+	s := Sweep{Base: base, Axes: []AxisSpec{{Name: "field.density", Values: []float64{0.5}}}, Seed: 3}
 	specs, err := s.Expand()
 	if err != nil {
 		t.Fatal(err)

@@ -404,11 +404,10 @@ type Sweep struct {
 	// Ns are sensor counts (default: just Base.N).
 	Ns []int
 	// Axes are generalized parameter dimensions folded into the
-	// cross-product: communication/sensing ranges, speed, scheme options —
-	// any config knob with a ParamAxis setter. Built-ins resolve by name
-	// through BuildAxis; NewAxis defines custom ones. Axis names must be
-	// unique within one sweep.
-	Axes []ParamAxis
+	// cross-product: communication/sensing ranges, speed, scheme options,
+	// the environment — each a built-in axis (see Axes) by name with its
+	// values. Axis names must be unique within one sweep.
+	Axes []AxisSpec
 	// Repeats is the number of seeds per combination (default 1).
 	Repeats int
 	// Seed is the base seed for derivation (default Base.Seed, then 1).
@@ -428,8 +427,9 @@ const (
 )
 
 // resolve computes the sweep's effective axis values (defaults applied)
-// and validates them: empty axis entries and non-positive sensor counts
-// are explicit errors rather than silent zero-length or degenerate sweeps.
+// and validates them: empty axis entries, non-positive sensor counts and
+// axes the table refuses are explicit errors rather than silent
+// zero-length, degenerate or default-valued sweeps.
 func (s Sweep) resolve() (schemes []Scheme, ns []int, repeats int, base uint64, err error) {
 	schemes = s.Schemes
 	if len(schemes) == 0 {
@@ -451,7 +451,7 @@ func (s Sweep) resolve() (schemes []Scheme, ns []int, repeats int, base uint64, 
 	}
 	seen := make(map[string]bool, len(s.Axes))
 	for _, ax := range s.Axes {
-		if err := ax.validate(); err != nil {
+		if err := ax.check(); err != nil {
 			return nil, nil, 0, 0, err
 		}
 		if seen[ax.Name] {
@@ -589,15 +589,8 @@ func (s Sweep) Expand() ([]RunSpec, error) {
 						if len(s.Axes) > 0 {
 							axes = make([]AxisValue, len(s.Axes))
 							for a, ax := range s.Axes {
-								if ax.categorical() {
-									v := ax.Strings[idx[a]]
-									ax.SetString(&cfg, v)
-									axes[a] = AxisValue{Name: ax.Name, Str: v}
-								} else {
-									v := ax.Values[idx[a]]
-									ax.Set(&cfg, v)
-									axes[a] = AxisValue{Name: ax.Name, Value: v}
-								}
+								axes[a] = ax.value(idx[a])
+								builtinAxes[ax.Name].set(&cfg, axes[a])
 							}
 						}
 						specs = append(specs, RunSpec{
@@ -654,14 +647,14 @@ func (s Sweep) manifest(sh Shard, totalRuns int) istore.Manifest {
 		}
 		scenarios = append(scenarios, name)
 	}
-	// Generalized axes are recorded by name and value list: the setter is
-	// code, but two sweeps sharing an axis name, its values and the base
-	// fingerprint are the same computation, which is all resume
-	// compatibility needs. Axis-free sweeps leave the field empty, so
-	// their manifests stay byte-identical to pre-axis stores.
+	// Generalized axes are recorded by name and value list: the name
+	// picks the one setter, so two sweeps sharing an axis name, its values
+	// and the base fingerprint are the same computation, which is all
+	// resume compatibility needs. Axis-free sweeps leave the field empty,
+	// so their manifests stay byte-identical to pre-axis stores.
 	var axes []istore.Axis
 	for _, ax := range s.Axes {
-		axes = append(axes, istore.Axis{Name: ax.Name, Values: ax.Values, Strings: ax.Strings})
+		axes = append(axes, ax.stored())
 	}
 	return istore.Manifest{
 		Kind: "sweep",
@@ -812,7 +805,7 @@ func aggregateRuns(runs []BatchResult) []Aggregate {
 	groups := map[key][]BatchResult{}
 	axesOf := map[key][]AxisValue{}
 	for _, r := range runs {
-		k := key{r.Spec.Scheme, r.Spec.Scenario, r.Spec.N, axisTupleKey(r.Spec.Axes)}
+		k := key{r.Spec.Scheme, r.Spec.Scenario, r.Spec.N, istore.AxesString(r.Spec.Axes)}
 		if _, seen := groups[k]; !seen {
 			order = append(order, k)
 			axesOf[k] = r.Spec.Axes

@@ -21,12 +21,14 @@
 //	deploy -scheme floor -scenario random -runs 300 -store shard0/ -shard 0/2
 //
 // Generalized parameter axes sweep any built-in knob (rc, rs, speed,
-// cpvf.delta, floor.ttl) as a cross-product; -axis repeats for multiple
-// dimensions and -fixed-seed pairs every axis point on one initial
-// deployment (the paper's parameter-study protocol):
+// cpvf.delta, cpvf.osc, floor.ttl, floor.ttl_frac, the field axes) as a
+// cross-product; -axis repeats for multiple dimensions and -fixed-seed
+// pairs every axis point on one initial deployment (the paper's
+// parameter-study protocol). -field-seed applies to single runs only:
 //
 //	deploy -scheme floor -axis rc=30,45,60 -runs 10
 //	deploy -scheme cpvf -axis rc=40,60 -axis speed=1,2 -fixed-seed
+//	deploy -scheme floor -n 120 -fixed-seed -axis floor.ttl_frac=0.1,0.4
 //
 // Custom environments load from declarative field-spec JSON files
 // (-field): bounds, polygonal obstacles, the base-station reference
@@ -139,14 +141,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		figure    = flags.String("figure", "", "run the paper's figures as sweeps: "+strings.Join(experiments.Names(), ",")+" (comma-separated) or all")
 	)
 	var axes []mobisense.AxisSpec
-	flags.Func("axis", "sweep a built-in axis as \"name=v1,v2,...\" ("+strings.Join(mobisense.AxisNames(), ", ")+"); string-valued axes take their values by name, e.g. cpvf.osc=none,two-step; repeatable",
+	axisNames := make([]string, 0, 16)
+	for _, ax := range mobisense.Axes() {
+		axisNames = append(axisNames, ax.Name)
+	}
+	flags.Func("axis", "sweep a built-in axis as \"name=v1,v2,...\" ("+strings.Join(axisNames, ", ")+"); string-valued axes take their values by name, e.g. cpvf.osc=none,two-step; repeatable",
 		func(spec string) error {
 			ax, err := mobisense.ParseAxis(spec)
-			if err != nil {
-				return err
+			if err == nil {
+				axes = append(axes, ax)
 			}
-			axes = append(axes, mobisense.AxisSpec{Name: ax.Name, Values: ax.Values, Strings: ax.Strings})
-			return nil
+			return err
 		})
 	if err := flags.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -170,11 +175,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			figures = append(figures, f)
 		}
 	}
-	bad := ""
+	bad, fieldSeedSet := "", false
 	flags.Visit(func(f *flag.Flag) {
 		if figures != nil && !figureFlags[f.Name] {
 			bad = f.Name
 		}
+		fieldSeedSet = fieldSeedSet || f.Name == "field-seed"
 	})
 	if bad != "" {
 		fmt.Fprintf(stderr, "-figure defines its own sweep: -%s does not apply\n", bad)
@@ -191,6 +197,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		msg    string
 	}{
 		{*resume && *storeDir == "", "-resume needs -store: there is nothing to resume from"},
+		{fieldSeedSet && sweeping, "-field-seed applies to single runs: a sweep derives each repeat's field from -seed"},
 		{shard.Count > 1 && *storeDir == "", "-shard needs -store: a shard's slice of the aggregates is useless unpersisted"},
 		{*layouts && *storeDir == "", "-store-layouts needs -store: layouts persist in store records"},
 		{*trace > 0 && sweeping && *storeDir == "", "-trace in a sweep needs -store: the series persist in store records"},
@@ -266,7 +273,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	req := mobisense.SweepRequest{
 		RunRequest: mobisense.RunRequest{
-			Scheme: *scheme, Scenario: *scenario, FieldSeed: *fieldSeed,
+			Scheme: *scheme, Scenario: *scenario,
 			N: *n, Rc: *rc, Rs: *rs, Speed: *speed, Duration: *duration, Seed: *seed, Uniform: *uniform,
 			StoreLayouts: *layouts, Trace: *trace, TraceLayouts: *traceLay, TraceLayoutStride: *traceLayN,
 		},
@@ -290,6 +297,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if !sweeping {
+		req.FieldSeed = *fieldSeed
 		cfg, err := req.Config()
 		if err != nil {
 			fmt.Fprintln(stderr, err)
@@ -454,7 +462,7 @@ func printAggregates(stdout io.Writer, sr mobisense.SweepResult) {
 		}
 		fmt.Fprintf(stdout, "%s on %s, N=%d", a.Scheme, scen, a.N)
 		for _, ax := range a.Axes {
-			fmt.Fprintf(stdout, ", %s=%g", ax.Name, ax.Value)
+			fmt.Fprintf(stdout, ", %s=%s", ax.Name, ax.ValueString())
 		}
 		fmt.Fprintf(stdout, ": %d runs", a.Runs)
 		if a.Errors > 0 {

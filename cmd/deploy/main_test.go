@@ -62,6 +62,8 @@ func TestRunFlags(t *testing.T) {
 		{"scenario name as field", []string{"-field", "two-obstacles"}, 2, "field spec"},
 		{"trace layouts without trace", []string{"-trace-layouts"}, 2, "trace_layouts requires a trace stride"},
 		{"duplicate axis", []string{"-axis", "rc=30", "-axis", "rc=60"}, 2, `duplicate axis "rc"`},
+		{"negative axis value", []string{"-axis", "floor.ttl=-5,0"}, 2, `axis "floor.ttl" values must be finite numbers >= 0`},
+		{"field seed in a sweep", []string{"-field-seed", "2", "-runs", "2"}, 2, "-field-seed applies to single runs"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
@@ -152,16 +154,46 @@ func TestAxisSweepShardsMerge(t *testing.T) {
 }
 
 // TestStringAxisReachesStore: a categorical cpvf.osc axis reaches the
-// store records by value and the manifest by its string list.
+// store records by value and the manifest by its string list, and each
+// group prints its mode by name.
 func TestStringAxisReachesStore(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "st")
-	deploy(t, 0, "-scheme", "cpvf", "-scenario", "free", "-n", "20", "-duration", "60", "-runs", "2",
+	out, _ := deploy(t, 0, "-scheme", "cpvf", "-scenario", "free", "-n", "20", "-duration", "60", "-runs", "2",
 		"-workers", "2", "-seed", "9", "-axis", "cpvf.osc=none,two-step", "-store", dir)
+	for _, want := range []string{"cpvf on free, N=20, cpvf.osc=none: 2 runs", "cpvf on free, N=20, cpvf.osc=two-step: 2 runs"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, out)
+		}
+	}
 	if recs := readFile(t, filepath.Join(dir, "records.jsonl")); !strings.Contains(recs, `"str":"none"`) {
 		t.Errorf("records lack the string axis value:\n%s", recs)
 	}
 	if m := readFile(t, filepath.Join(dir, "manifest.json")); !strings.Contains(m, `"strings"`) {
 		t.Errorf("manifest lacks the string axis values:\n%s", m)
+	}
+}
+
+// TestTable1AxisFromFlags: Table 1's floor.ttl_frac axis reaches deploy's
+// front door, and its sweep reproduces the quick rows on free that
+// EXPERIMENTS.md records for table1.
+func TestTable1AxisFromFlags(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "st")
+	deploy(t, 0, "-scheme", "floor", "-n", "120", "-fixed-seed", "-seed", "1", "-axis", "floor.ttl_frac=0.1,0.4", "-store", dir)
+	data, err := mobisense.LoadStores(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"floor.ttl_frac=0.1: coverage 0.3298, distance 126.54 m, messages 797751",
+		"floor.ttl_frac=0.4: coverage 0.3407, distance 142.30 m, messages 1238599",
+	}
+	var got []string
+	for _, a := range data.Aggregates {
+		got = append(got, fmt.Sprintf("%s=%s: coverage %.4f, distance %.2f m, messages %.0f",
+			a.Axes[0].Name, a.Axes[0].ValueString(), a.Coverage.Mean, a.AvgMoveDistance.Mean, a.Messages.Mean))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("rows:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

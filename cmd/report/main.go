@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"mobisense"
+	istore "mobisense/internal/store"
 )
 
 func main() {
@@ -147,12 +148,8 @@ func tracesCSV(traces []mobisense.TraceAggregate) string {
 		"coverage_mean,coverage_ci95,connected_mean,moving_mean," +
 		"total_moved_mean,total_moved_ci95,max_moved_mean,max_moved_ci95\n")
 	for _, tr := range traces {
-		axes := make([]string, len(tr.Axes))
-		for i, ax := range tr.Axes {
-			axes[i] = ax.Name + "=" + ax.ValueString()
-		}
 		prefix := fmt.Sprintf("%s,%s,%d,%s", tr.Scheme,
-			strings.ReplaceAll(tr.Scenario, ",", ";"), tr.N, strings.Join(axes, ";"))
+			strings.ReplaceAll(tr.Scenario, ",", ";"), tr.N, istore.AxesString(tr.Axes))
 		for _, p := range tr.Points {
 			fmt.Fprintf(&sb, "%s,%s,%d,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f\n",
 				prefix, strconv.FormatFloat(p.Time, 'g', -1, 64), p.Runs,
@@ -323,7 +320,7 @@ func printRuns(stdout io.Writer, runs []mobisense.BatchResult) {
 		sp := br.Spec
 		axes := ""
 		for _, ax := range sp.Axes {
-			axes += fmt.Sprintf(" %s=%g", ax.Name, ax.Value)
+			axes += fmt.Sprintf(" %s=%s", ax.Name, ax.ValueString())
 		}
 		if br.Err != nil {
 			fmt.Fprintf(stdout, "%5d  %-8s %-16s N=%-4d r%-3d%s FAILED: %v\n",

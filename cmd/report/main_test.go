@@ -79,14 +79,14 @@ func TestRunAxisCSVColumns(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		scheme mobisense.Scheme
-		axes   []mobisense.ParamAxis
+		axes   []mobisense.AxisSpec
 		want   []string
 	}{
 		{"rc x ttl", mobisense.SchemeFLOOR,
-			[]mobisense.ParamAxis{mobisense.AxisRc(50, 60), mobisense.AxisFloorTTL(4, 6)},
+			[]mobisense.AxisSpec{{Name: "rc", Values: []float64{50, 60}}, {Name: "floor.ttl", Values: []float64{4, 6}}},
 			[]string{"axis_rc,axis_floor.ttl"}},
 		{"osc", mobisense.SchemeCPVF,
-			[]mobisense.ParamAxis{mustAxis(t, "cpvf.osc=none,two-step")},
+			[]mobisense.AxisSpec{{Name: "cpvf.osc", Strings: []string{"none", "two-step"}}},
 			[]string{"axis_cpvf.osc", "two-step"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -119,13 +119,23 @@ func TestRunAxisCSVColumns(t *testing.T) {
 	}
 }
 
-func mustAxis(t *testing.T, spec string) mobisense.ParamAxis {
-	t.Helper()
-	ax, err := mobisense.ParseAxis(spec)
-	if err != nil {
+// TestRunPrintsAxisValuesByName: -runs prints a categorical axis value
+// by name, so a store's runs on two oscillation modes read apart.
+func TestRunPrintsAxisValuesByName(t *testing.T) {
+	base := mobisense.DefaultConfig(mobisense.SchemeCPVF)
+	base.N, base.Duration = 10, 10
+	store := filepath.Join(t.TempDir(), "osc")
+	sweep := mobisense.Sweep{Base: base, Scenarios: []string{"free"}, Seed: 9,
+		Axes: []mobisense.AxisSpec{{Name: "cpvf.osc", Strings: []string{"none", "two-step"}}}}
+	if _, err := sweep.Run(context.Background(), mobisense.BatchOptions{Store: &mobisense.Store{Dir: store}}); err != nil {
 		t.Fatal(err)
 	}
-	return ax
+	out := report(t, "-runs", store)
+	for _, want := range []string{" cpvf.osc=none cov=", " cpvf.osc=two-step cov="} {
+		if strings.Count(out, want) != 1 {
+			t.Errorf("-runs prints %q %d times, want once:\n%s", want, strings.Count(out, want), out)
+		}
+	}
 }
 
 // floorSweep is a small FLOOR sweep over seeded random obstacles.

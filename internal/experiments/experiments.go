@@ -14,6 +14,7 @@ import (
 
 	"mobisense"
 	"mobisense/internal/stats"
+	istore "mobisense/internal/store"
 )
 
 // Figure is one artifact of the paper's evaluation.
@@ -55,7 +56,7 @@ type Row struct {
 
 // key names the row's sweep point, e.g. "cpvf free N=240 rc=60".
 func (r Row) key() string {
-	return strings.TrimSpace(fmt.Sprintf("%s %s N=%d %s", r.Scheme, r.Scenario, r.N, axesString(r.Axes)))
+	return strings.TrimSpace(fmt.Sprintf("%s %s N=%d %s", r.Scheme, r.Scenario, r.N, istore.AxesString(r.Axes)))
 }
 
 // Figures is the registry, in the paper's order.
@@ -138,15 +139,6 @@ func (r *Row) fill(runs []mobisense.Result, stat func([]float64) float64) {
 	r.Connected, r.IncorrectCells = stat(conn), stat(inc)
 }
 
-// axesString renders a row's axis assignments as "name=value;…".
-func axesString(axes []mobisense.AxisValue) string {
-	parts := make([]string, len(axes))
-	for i, a := range axes {
-		parts[i] = a.Name + "=" + a.ValueString()
-	}
-	return strings.Join(parts, ";")
-}
-
 // Markdown renders the figure's rows as one EXPERIMENTS.md section: the
 // title, a table and the notes.
 func (f Figure) Markdown(rows []Row) string {
@@ -160,7 +152,7 @@ func (f Figure) Markdown(rows []Row) string {
 			paper = strconv.FormatFloat(r.Paper, 'f', -1, 64)
 		}
 		fmt.Fprintf(&sb, "| %s | %s | %d | %s | %s | %d | %.4f | %.2f | %.0f | %.3g | %.4g | %s |\n",
-			r.Scheme, r.Scenario, r.N, axesString(r.Axes), r.Stat, r.Runs,
+			r.Scheme, r.Scenario, r.N, istore.AxesString(r.Axes), r.Stat, r.Runs,
 			r.Coverage, r.Distance, r.Messages, r.Connected, r.IncorrectCells, paper)
 	}
 	if len(f.Notes) > 0 {
@@ -178,7 +170,7 @@ const CSVHeader = "figure,scheme,scenario,n,axes,stat,runs,coverage,distance,mes
 // AppendCSV appends the figure's rows as CSV lines, every value lossless.
 func AppendCSV(dst []byte, figure string, rows []Row) []byte {
 	for _, r := range rows {
-		dst = fmt.Appendf(dst, "%s,%s,%s,%d,%s,%s,%d", figure, r.Scheme, r.Scenario, r.N, axesString(r.Axes), r.Stat, r.Runs)
+		dst = fmt.Appendf(dst, "%s,%s,%s,%d,%s,%s,%d", figure, r.Scheme, r.Scenario, r.N, istore.AxesString(r.Axes), r.Stat, r.Runs)
 		for _, v := range []float64{r.Coverage, r.Distance, r.Messages, r.Connected, r.IncorrectCells, r.Paper} {
 			dst = append(dst, ',')
 			dst = strconv.AppendFloat(dst, v, 'f', -1, 64)

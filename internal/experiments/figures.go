@@ -12,20 +12,13 @@ import (
 // The registry's figures. Each is one sweep; the quick variants shrink
 // its grid, and those of Figs 11 and 12 also deploy N = 120 sensors.
 
-func must(ax mobisense.ParamAxis, err error) mobisense.ParamAxis {
-	if err != nil {
-		panic(err)
-	}
-	return ax
-}
-
 // layoutSweep is Figures 3 and 8: one scheme in the canonical scenarios,
 // on one fixed initial deployment.
 func layoutSweep(scheme mobisense.Scheme) mobisense.Sweep {
 	return mobisense.Sweep{
 		Base:      mobisense.DefaultConfig(scheme),
 		Scenarios: []string{"free", "two-obstacles"},
-		Axes:      []mobisense.ParamAxis{mobisense.AxisRc(60, 30)},
+		Axes:      []mobisense.AxisSpec{{Name: "rc", Values: []float64{60, 30}}},
 		FixedSeed: true,
 	}
 }
@@ -68,7 +61,7 @@ func fig9Sweep(ns []int, rcs ...float64) mobisense.Sweep {
 		Schemes:   []mobisense.Scheme{mobisense.SchemeCPVF, mobisense.SchemeFLOOR, mobisense.SchemeOPT},
 		Scenarios: []string{"free"},
 		Ns:        ns,
-		Axes:      []mobisense.ParamAxis{mobisense.AxisRc(rcs...)},
+		Axes:      []mobisense.AxisSpec{{Name: "rc", Values: rcs}},
 		FixedSeed: true,
 	}
 }
@@ -95,7 +88,7 @@ func fig10Sweep(rcs ...float64) mobisense.Sweep {
 		Base:      base,
 		Schemes:   []mobisense.Scheme{mobisense.SchemeFLOOR, mobisense.SchemeVOR, mobisense.SchemeMinimax},
 		Scenarios: []string{"free"},
-		Axes:      []mobisense.ParamAxis{mobisense.AxisRc(rcs...)},
+		Axes:      []mobisense.AxisSpec{{Name: "rc", Values: rcs}},
 		FixedSeed: true,
 	}
 }
@@ -172,9 +165,9 @@ func fig12Sweep(n int, deltas ...float64) mobisense.Sweep {
 	return mobisense.Sweep{
 		Base:      base,
 		Scenarios: []string{"free"},
-		Axes: []mobisense.ParamAxis{
-			must(mobisense.BuildStringAxis("cpvf.osc", "none", "one-step", "two-step")),
-			mobisense.AxisCPVFDelta(deltas...),
+		Axes: []mobisense.AxisSpec{
+			{Name: "cpvf.osc", Strings: []string{"none", "one-step", "two-step"}},
+			{Name: "cpvf.delta", Values: deltas},
 		},
 		FixedSeed: true,
 	}
@@ -225,22 +218,13 @@ func quantileRows(r Row, runs []mobisense.Result) ([]Row, error) {
 	return out, nil
 }
 
+// table1Sweep varies the TTL as the paper gives it, a fraction of N.
 func table1Sweep(ns []int, fracs ...float64) mobisense.Sweep {
-	// The paper gives the TTL as a fraction of N, so the setter resolves
-	// each fraction against the run's own sensor count.
-	ttl := mobisense.NewAxis("floor.ttl_frac", func(cfg *mobisense.Config, frac float64) {
-		opt := mobisense.FloorOptions{}
-		if cfg.Floor != nil {
-			opt = *cfg.Floor
-		}
-		opt.TTL = int(frac * float64(cfg.N))
-		cfg.Floor = &opt
-	}, fracs...)
 	return mobisense.Sweep{
 		Base:      mobisense.DefaultConfig(mobisense.SchemeFLOOR),
 		Scenarios: []string{"free", "two-obstacles"},
 		Ns:        ns,
-		Axes:      []mobisense.ParamAxis{ttl},
+		Axes:      []mobisense.AxisSpec{{Name: "floor.ttl_frac", Values: fracs}},
 		FixedSeed: true,
 	}
 }

@@ -354,14 +354,10 @@ func recordsCSV(recs []store.Record) string {
 		"convergence_time", "connected", "err"})
 	f6 := func(v float64) string { return strconv.FormatFloat(v, 'f', 6, 64) }
 	for _, rec := range recs {
-		axes := make([]string, len(rec.Axes))
-		for i, a := range rec.Axes {
-			axes[i] = a.Name + "=" + a.ValueString()
-		}
 		cw.Write([]string{
 			strconv.Itoa(rec.Index), rec.Scheme, rec.Scenario,
 			strconv.Itoa(rec.N), strconv.Itoa(rec.Repeat),
-			strings.Join(axes, ";"),
+			store.AxesString(rec.Axes),
 			strconv.FormatUint(rec.Seed, 10),
 			f6(rec.Coverage), f6(rec.Coverage2), strconv.Itoa(rec.Alive),
 			f6(rec.AvgMoveDistance), strconv.FormatInt(rec.Messages, 10),

@@ -132,11 +132,13 @@ function aggregates() {
   return [];
 }
 
-function aggLabel(a) {
-  let l = a.scheme;
-  if (a.scenario) l += '/' + a.scenario;
-  l += ' n=' + a.n;
-  for (const ax of a.axes || []) l += ' ' + ax.name + '=' + ax.value;
+// groupLabel names an aggregate or trace group: scheme, scenario, N and
+// its axis values, a categorical value by its name.
+function groupLabel(g) {
+  let l = g.scheme;
+  if (g.scenario) l += '/' + g.scenario;
+  l += ' n=' + g.n;
+  for (const ax of g.axes || []) l += ' ' + ax.name + '=' + (ax.str || ax.value);
   return l;
 }
 
@@ -182,7 +184,7 @@ function drawAggregates() {
     ctx.rotate(-Math.PI / 8);
     ctx.fillStyle = '#7a8694';
     ctx.textAlign = 'right';
-    ctx.fillText(aggLabel(aggs[i]).slice(0, 28), 0, 0);
+    ctx.fillText(groupLabel(aggs[i]).slice(0, 28), 0, 0);
     ctx.restore();
   });
 }
@@ -205,14 +207,6 @@ function drawEmpty(ctx, canvas, msg) {
 // ---- aggregated trace curves ------------------------------------------
 
 const groupColors = ['#4fb6a2', '#d0a24f', '#7aa2e8', '#d06a6a', '#a27ad0', '#6ac08a'];
-
-function traceAggLabel(tr) {
-  let l = tr.scheme;
-  if (tr.scenario) l += '/' + tr.scenario;
-  l += ' n=' + tr.n;
-  for (const ax of tr.axes || []) l += ' ' + ax.name + '=' + ax.value;
-  return l;
-}
 
 // drawTraceAgg renders every group's mean curve for the selected metric,
 // with a translucent ±95% CI band behind each line.
@@ -275,7 +269,7 @@ function drawTraceAgg() {
     ctx.fillStyle = color;
     ctx.fillRect(pad + 4, 12 + gi * 12, 8, 8);
     ctx.fillStyle = '#7a8694';
-    ctx.fillText(traceAggLabel(tr).slice(0, 40), pad + 16, 19 + gi * 12);
+    ctx.fillText(groupLabel(tr).slice(0, 40), pad + 16, 19 + gi * 12);
   });
 }
 

@@ -31,6 +31,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -109,6 +110,17 @@ func (a AxisValue) ValueString() string {
 		return a.Str
 	}
 	return strconv.FormatFloat(a.Value, 'g', -1, 64)
+}
+
+// AxesString renders a run's axis assignments as "name=value;…" ("" for
+// none): the aggregate group key, and the axes column of figure rows and
+// of the records and traces CSVs.
+func AxesString(axes []AxisValue) string {
+	parts := make([]string, len(axes))
+	for i, a := range axes {
+		parts[i] = a.Name + "=" + a.ValueString()
+	}
+	return strings.Join(parts, ";")
 }
 
 // Manifest identifies a store: what sweep it holds, which shard of it, and

@@ -39,9 +39,9 @@ func Example_parameterAxes() {
 	sweep := mobisense.Sweep{
 		Base:    mobisense.DefaultConfig(mobisense.SchemeFLOOR),
 		Schemes: []mobisense.Scheme{mobisense.SchemeCPVF, mobisense.SchemeFLOOR},
-		Axes: []mobisense.ParamAxis{
-			mobisense.AxisRc(30, 45, 60),
-			mobisense.AxisSpeed(1, 2),
+		Axes: []mobisense.AxisSpec{
+			{Name: "rc", Values: []float64{30, 45, 60}},
+			{Name: "speed", Values: []float64{1, 2}},
 		},
 		Repeats: 10,
 		Seed:    1,

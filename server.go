@@ -37,7 +37,8 @@ type RunRequest struct {
 	Scheme string `json:"scheme"`
 	// Scenario names the deployment environment (default "free"); see
 	// GET /v1/scenarios. FieldSeed selects the generated layout of seeded
-	// scenarios and field specs (default 1).
+	// scenarios and field specs in a single run (default 1); a sweep
+	// derives each repeat's layout from its seed and refuses it.
 	Scenario  string `json:"scenario,omitempty"`
 	FieldSeed uint64 `json:"field_seed,omitempty"`
 	// Field is an inline declarative environment — bounds, obstacles,
@@ -211,6 +212,11 @@ type SweepRequest struct {
 // registry with paired per-repeat seeds.
 func (r SweepRequest) Sweep() (Sweep, error) {
 	base := r.RunRequest
+	if base.FieldSeed != 0 {
+		// Scenario slots replace the base field, so the seed would change
+		// the sweep's identity and none of its runs.
+		return Sweep{}, fmt.Errorf("mobisense: field_seed applies to single runs; a sweep derives each repeat's field from its seed")
+	}
 	if base.Scheme == "" && len(r.Schemes) > 0 {
 		base.Scheme = r.Schemes[0]
 	}
@@ -232,33 +238,19 @@ func (r SweepRequest) Sweep() (Sweep, error) {
 	for _, s := range r.Schemes {
 		schemes = append(schemes, Scheme(s))
 	}
-	axes := make([]ParamAxis, 0, len(r.Axes))
-	for _, spec := range r.Axes {
-		var ax ParamAxis
-		var err error
-		if len(spec.Strings) > 0 {
-			ax, err = BuildStringAxis(spec.Name, spec.Strings...)
-		} else {
-			ax, err = BuildAxis(spec.Name, spec.Values...)
-		}
-		if err != nil {
-			return Sweep{}, err
-		}
-		axes = append(axes, ax)
-	}
 	s := Sweep{
 		Base:      cfg,
 		Schemes:   schemes,
 		Scenarios: scenarios,
 		Field:     r.Field,
 		Ns:        r.Ns,
-		Axes:      axes,
+		Axes:      r.Axes,
 		Repeats:   r.Repeats,
 		Seed:      cfg.Seed,
 		FixedSeed: r.FixedSeed,
 	}
-	// Bad sensor counts, repeats and duplicate axes are the request's
-	// errors too: refuse them before any field of the expansion builds.
+	// Bad sensor counts, repeats and axes are the request's errors too:
+	// refuse them before any field of the expansion builds.
 	if _, _, _, _, err := s.resolve(); err != nil {
 		return Sweep{}, err
 	}
@@ -549,33 +541,7 @@ func (e *serviceEngine) Scenarios() any {
 	return out
 }
 
-// AxisInfo is the introspection document of one built-in sweep axis
-// (GET /v1/axes).
-type AxisInfo struct {
-	Name string `json:"name"`
-	// Integer marks axes whose values must be whole numbers.
-	Integer     bool   `json:"integer,omitempty"`
-	Description string `json:"description,omitempty"`
-	// String marks categorical axes; Choices lists their allowed values.
-	// Requests pass them in AxisSpec.Strings instead of Values.
-	String  bool     `json:"string,omitempty"`
-	Choices []string `json:"choices,omitempty"`
-}
-
-func (e *serviceEngine) Axes() any {
-	names := AxisNames()
-	out := make([]AxisInfo, 0, len(names))
-	for _, name := range names {
-		out = append(out, AxisInfo{
-			Name:        name,
-			Integer:     AxisIsInteger(name),
-			Description: AxisDescription(name),
-			String:      AxisIsString(name),
-			Choices:     AxisStringValues(name),
-		})
-	}
-	return out
-}
+func (e *serviceEngine) Axes() any { return Axes() }
 
 // Traces loads a job's store and aggregates its trace series into
 // per-group mean curves (GET /v1/jobs/{id}/traces). The aggregation is

@@ -443,6 +443,33 @@ func TestSweepRequestAxes(t *testing.T) {
 	}
 }
 
+// TestServeTable1Axis: Table 1's floor.ttl_frac axis is a request like
+// any other, so POST /v1/sweeps runs it and its aggregates carry each
+// fraction.
+func TestServeTable1Axis(t *testing.T) {
+	svc, ts := startService(t, t.TempDir(), 2)
+	defer ts.Close()
+	defer svc.Close()
+	v, status := postJSON(t, ts.URL+"/v1/sweeps",
+		`{"scheme":"floor","n":20,"duration":60,"seed":1,"fixed_seed":true,"axes":[{"name":"floor.ttl_frac","values":[0.1,0.4]}]}`)
+	if status != http.StatusAccepted {
+		t.Fatalf("floor.ttl_frac sweep: status %d, want 202", status)
+	}
+	var res SweepJobResult
+	if err := json.Unmarshal(waitState(t, ts.URL, v.ID, server.StateDone).Result, &res); err != nil {
+		t.Fatal(err)
+	}
+	var got []float64
+	for _, a := range res.Aggregates {
+		if len(a.Axes) == 1 && a.Axes[0].Name == "floor.ttl_frac" {
+			got = append(got, a.Axes[0].Value)
+		}
+	}
+	if res.Runs != 2 || !reflect.DeepEqual(got, []float64{0.1, 0.4}) {
+		t.Errorf("%d runs with floor.ttl_frac values %v, want 2 runs at 0.1 and 0.4", res.Runs, got)
+	}
+}
+
 // TestServerInlineField: a custom environment submitted as inline JSON
 // data runs end to end — the job completes, its record carries an empty
 // scenario (custom field), the store manifest embeds the spec, the

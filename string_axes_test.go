@@ -2,10 +2,13 @@ package mobisense
 
 import (
 	"context"
+	"encoding/json"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	istore "mobisense/internal/store"
 )
 
 // Categorical (string-valued) axes must flow end-to-end: parse, sweep
@@ -16,23 +19,40 @@ func TestStringAxisParseAndBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ax.categorical() || !reflect.DeepEqual(ax.Strings, []string{"none", "two-step"}) {
-		t.Fatalf("parsed axis = %+v, want categorical [none two-step]", ax)
+	if want := (AxisSpec{Name: "cpvf.osc", Strings: []string{"none", "two-step"}}); !reflect.DeepEqual(ax, want) {
+		t.Fatalf("parsed axis = %+v, want %+v", ax, want)
 	}
 	if _, err := ParseAxis("cpvf.osc=sideways"); err == nil {
 		t.Error("unknown categorical value should be rejected at parse time")
 	}
-	if _, err := BuildAxis("cpvf.osc", 1, 2); err == nil {
-		t.Error("BuildAxis on a string-valued axis should error")
+	for _, info := range Axes() {
+		if info.String != (info.Name == "cpvf.osc") {
+			t.Errorf("Axes() marks %s string-valued = %v", info.Name, info.String)
+		}
+		if info.Name == "cpvf.osc" && len(info.Choices) != 3 {
+			t.Errorf("cpvf.osc choices = %v, want the 3 oscillation modes", info.Choices)
+		}
 	}
-	if _, err := BuildStringAxis("rc", "fast"); err == nil {
-		t.Error("BuildStringAxis on a numeric axis should error")
+}
+
+// TestStringAxisManifestValues: a string axis is stored with "values":
+// null whether the request left Values out or sent an empty list, so
+// both are one sweep to the cache and to resume.
+func TestStringAxisManifestValues(t *testing.T) {
+	var manifests []istore.Manifest
+	for _, values := range [][]float64{nil, {}} {
+		s := Sweep{Base: sweepConfig(), Axes: []AxisSpec{{Name: "cpvf.osc", Values: values, Strings: []string{"none", "two-step"}}}}
+		manifests = append(manifests, s.manifest(Shard{}, 2))
 	}
-	if !AxisIsString("cpvf.osc") || AxisIsString("rc") {
-		t.Error("AxisIsString misclassifies axes")
+	data, err := json.Marshal(manifests[1].Sweep.Axes)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := AxisStringValues("cpvf.osc"); len(got) != 3 {
-		t.Errorf("AxisStringValues(cpvf.osc) = %v, want the 3 oscillation modes", got)
+	if want := `[{"name":"cpvf.osc","values":null,"strings":["none","two-step"]}]`; string(data) != want {
+		t.Errorf("stored axes = %s, want %s", data, want)
+	}
+	if !reflect.DeepEqual(manifests[0], manifests[1]) {
+		t.Errorf("an empty values list changed the manifest:\n%+v\n%+v", manifests[0], manifests[1])
 	}
 }
 
@@ -40,7 +60,7 @@ func TestStringAxisExpansionSetsConfig(t *testing.T) {
 	sweep := Sweep{
 		Base:    sweepConfig(),
 		Schemes: []Scheme{SchemeCPVF},
-		Axes:    []ParamAxis{mustParseAxis(t, "cpvf.osc=none,one-step,two-step")},
+		Axes:    []AxisSpec{mustParseAxis(t, "cpvf.osc=none,one-step,two-step")},
 		Repeats: 1,
 		Seed:    9,
 	}
@@ -65,7 +85,7 @@ func TestStringAxisExpansionSetsConfig(t *testing.T) {
 	}
 }
 
-func mustParseAxis(t *testing.T, spec string) ParamAxis {
+func mustParseAxis(t *testing.T, spec string) AxisSpec {
 	t.Helper()
 	ax, err := ParseAxis(spec)
 	if err != nil {
@@ -85,8 +105,8 @@ func TestStringAxisShardedStoreMerge(t *testing.T) {
 	sweep := Sweep{
 		Base:    cfg,
 		Schemes: []Scheme{SchemeCPVF},
-		Axes: []ParamAxis{
-			AxisRc(50, 60),
+		Axes: []AxisSpec{
+			{Name: "rc", Values: []float64{50, 60}},
 			mustParseAxis(t, "cpvf.osc=none,two-step"),
 		},
 		Repeats: 2,
@@ -126,7 +146,7 @@ func TestStringAxisShardedStoreMerge(t *testing.T) {
 	// combination is its own group.
 	groups := map[string]bool{}
 	for _, a := range want.Aggregates {
-		groups[axisTupleKey(a.Axes)] = true
+		groups[istore.AxesString(a.Axes)] = true
 	}
 	if len(groups) != 4 {
 		t.Errorf("aggregates form %d axis groups %v, want 4", len(groups), groups)
@@ -155,7 +175,7 @@ func TestStringAxisShardedStoreMerge(t *testing.T) {
 	}
 	// A different value list on the string axis is a different sweep.
 	other := sweep
-	other.Axes = []ParamAxis{AxisRc(50, 60), mustParseAxis(t, "cpvf.osc=none,one-step")}
+	other.Axes = []AxisSpec{{Name: "rc", Values: []float64{50, 60}}, mustParseAxis(t, "cpvf.osc=none,one-step")}
 	if _, err := other.Run(context.Background(), BatchOptions{Store: &Store{Dir: full, Resume: true}}); err == nil {
 		t.Error("resuming with different string-axis values should error")
 	}

@@ -1,6 +1,10 @@
 package mobisense
 
-import "sort"
+import (
+	"sort"
+
+	istore "mobisense/internal/store"
+)
 
 // Per-axis-point trace aggregation: the per-run telemetry series of a
 // sweep's repeats, aligned on the sampling-stride grid and summarized
@@ -60,7 +64,7 @@ func AggregateTraces(runs []BatchResult) []TraceAggregate {
 		if r.Err != nil || len(r.Result.Trace) == 0 {
 			continue
 		}
-		k := key{r.Spec.Scheme, r.Spec.Scenario, r.Spec.N, axisTupleKey(r.Spec.Axes)}
+		k := key{r.Spec.Scheme, r.Spec.Scenario, r.Spec.N, istore.AxesString(r.Spec.Axes)}
 		if _, seen := groups[k]; !seen {
 			order = append(order, k)
 			axesOf[k] = r.Spec.Axes

@@ -11,7 +11,7 @@ import (
 // TestConfigRejectsNonFinite pins the validation of every real-valued
 // run parameter: NaN fails all ordered comparisons and ±Inf passes the
 // one-sided ones, so each must be rejected explicitly — on a direct Run,
-// through a sweep's custom axis, and through the -axis/serve parser.
+// through every numeric sweep axis, and through the -axis/serve parser.
 func TestConfigRejectsNonFinite(t *testing.T) {
 	setters := []struct {
 		name string
@@ -37,9 +37,16 @@ func TestConfigRejectsNonFinite(t *testing.T) {
 			if _, err := Run(cfg); err == nil {
 				t.Errorf("Run with %s=%v succeeded, want an error", s.name, v)
 			}
-			sweep := Sweep{Base: base, Axes: []ParamAxis{NewAxis(s.name, s.set, v)}}
+		}
+	}
+	for _, info := range Axes() {
+		if info.String {
+			continue
+		}
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			sweep := Sweep{Base: base, Axes: []AxisSpec{{Name: info.Name, Values: []float64{v}}}}
 			if _, err := sweep.Expand(); err == nil {
-				t.Errorf("sweep axis %s=%v expanded, want an error", s.name, v)
+				t.Errorf("sweep axis %s=%v expanded, want an error", info.Name, v)
 			}
 		}
 	}
@@ -106,17 +113,50 @@ func TestRequestRejectsNegativeNumbers(t *testing.T) {
 		{`{"scheme":"floor","floor":{"TTL":-1}}`, "floor.TTL"},
 	} {
 		for _, path := range []string{"/v1/runs", "/v1/sweeps"} {
-			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(tc.body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, status := readAll(t, resp)
+			body, status := readAll(t, mustPost(t, ts.URL+path, tc.body))
 			if status != http.StatusBadRequest || !strings.Contains(string(body), tc.field+" must be") {
 				t.Errorf("POST %s %s: status %d, body %s; want 400 naming %s", path, tc.body, status, body, tc.field)
 			}
 		}
 	}
+	// Axis values follow the same rule; only sweeps have axes.
+	for _, tc := range []struct{ body, axis string }{
+		{`{"scheme":"floor","axes":[{"name":"floor.ttl","values":[-5,0]}]}`, "floor.ttl"},
+		{`{"scheme":"cpvf","axes":[{"name":"cpvf.delta","values":[-3,0]},{"name":"cpvf.osc","strings":["two-step"]}]}`, "cpvf.delta"},
+		{`{"scheme":"floor","axes":[{"name":"field.density","values":[-0.3]}]}`, "field.density"},
+	} {
+		body, status := readAll(t, mustPost(t, ts.URL+"/v1/sweeps", tc.body))
+		if status != http.StatusBadRequest || !strings.Contains(string(body), `axis \"`+tc.axis+`\" values must be`) {
+			t.Errorf("POST /v1/sweeps %s: status %d, body %s; want 400 naming axis %s", tc.body, status, body, tc.axis)
+		}
+	}
 	if _, status := postJSON(t, ts.URL+"/v1/runs", `{"scheme":"opt","n":0,"rc":0,"duration":0}`); status != http.StatusAccepted {
 		t.Errorf("zero numbers: status %d, want 202", status)
 	}
+}
+
+// TestSweepRefusesFieldSeed: a sweep derives each repeat's field from its
+// seed, so a field_seed would change its identity and none of its runs;
+// /v1/sweeps answers 400 for one, while /v1/runs still takes it.
+func TestSweepRefusesFieldSeed(t *testing.T) {
+	svc, ts := startService(t, t.TempDir(), 1)
+	defer ts.Close()
+	defer svc.Close()
+	body := `{"scheme":"floor","n":10,"duration":10,"scenario":"random-obstacles","field_seed":2}`
+	msg, status := readAll(t, mustPost(t, ts.URL+"/v1/sweeps", body))
+	if status != http.StatusBadRequest || !strings.Contains(string(msg), "field_seed applies to single runs") {
+		t.Errorf("sweep with field_seed: status %d, body %s; want 400", status, msg)
+	}
+	if _, status := postJSON(t, ts.URL+"/v1/runs", body); status != http.StatusAccepted {
+		t.Errorf("run with field_seed: status %d, want 202", status)
+	}
+}
+
+func mustPost(t *testing.T, url, body string) *http.Response {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
 }
